@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Callable
 
 from .model import (
+    ApprovalSet,
     Committee,
     InputError,
     Instance,
@@ -87,7 +89,10 @@ def ejr_violation(inst: Instance, prof: Profile, w: Committee) -> Violation | No
     complete.
     """
     w = committee(w, inst)
-    wset = frozenset(w)
+    return _ejr_violation(inst, prof, frozenset(w))
+
+
+def _ejr_violation(inst: Instance, prof: Profile, wset: frozenset[int]) -> Violation | None:
     approved = [frozenset(a) for a in prof]
     in_w = [len(a & wset) for a in approved]
     for ell in range(1, inst.k + 1):
@@ -112,7 +117,10 @@ def pjr_violation(inst: Instance, prof: Profile, w: Committee) -> Violation | No
     the union, so minimal size suffices.
     """
     w = committee(w, inst)
-    wset = frozenset(w)
+    return _pjr_violation(inst, prof, frozenset(w))
+
+
+def _pjr_violation(inst: Instance, prof: Profile, wset: frozenset[int]) -> Violation | None:
     approved = [frozenset(a) for a in prof]
     for ell in range(1, inst.k + 1):
         size = min_group_size(ell, inst)
@@ -130,11 +138,74 @@ def pjr_violation(inst: Instance, prof: Profile, w: Committee) -> Violation | No
     return None
 
 
+class _PackedSets(dict):
+    """Approval set -> packed per-candidate counter increments, built on
+    first use: one field per candidate, +1 in each approved candidate's
+    field for a set disjoint from the committee, 0 for any other set."""
+
+    __slots__ = ("wset", "width")
+
+    def __init__(self, wset: frozenset[int], width: int):
+        super().__init__()
+        self.wset = wset
+        self.width = width
+
+    def __missing__(self, s: ApprovalSet) -> int:
+        packed = 0
+        if self.wset.isdisjoint(s):
+            for c in s:
+                packed |= 1 << (self.width * c)
+        self[s] = packed
+        return packed
+
+
+def _jr_test(inst: Instance, wset: frozenset[int]) -> Callable[[Profile], bool]:
+    """A predicate equal to ``_jr_violation(inst, prof, wset) is None``.
+
+    Sums the profile's packed sets, so each outside candidate's field
+    holds its number of unrepresented approvers (at most ``n``, below
+    ``2**(width - 1)``).  A bias of ``2**(width - 1) - quota`` in each
+    outside field sets that field's top bit exactly when the count
+    reaches the quota, and no field carries into the next.
+    """
+    width = inst.n.bit_length() + 1
+    top = 1 << (width - 1)
+    quota = min_group_size(1, inst)
+    bias = high = 0
+    for c in range(inst.m):
+        if c not in wset:
+            bias += (top - quota) << (width * c)
+            high |= top << (width * c)
+    packed = _PackedSets(wset, width)
+    lookup = packed.__getitem__
+    return lambda prof: not (sum(map(lookup, prof), bias) & high)
+
+
 _VIOLATION_FINDERS = {
     "jr": jr_violation,
     "pjr": pjr_violation,
     "ejr": ejr_violation,
 }
+
+# The same finders against a canonical committee's frozenset, for scans
+# that check one committee against many profiles.
+_COMMITTEE_FINDERS = {
+    "jr": _jr_violation,
+    "pjr": _pjr_violation,
+    "ejr": _ejr_violation,
+}
+
+
+def _satisfaction_test(
+    inst: Instance, wset: frozenset[int], axiom: str
+) -> Callable[[Profile], bool]:
+    """A predicate telling whether a profile satisfies ``axiom`` for the
+    committee ``wset``: the packed counter test for JR, the full checker
+    otherwise."""
+    if axiom == "jr":
+        return _jr_test(inst, wset)
+    find = _COMMITTEE_FINDERS[axiom]
+    return lambda prof: find(inst, prof, wset) is None
 
 
 def axiom_violation(inst: Instance, prof: Profile, w: Committee, axiom: str) -> Violation | None:

@@ -29,20 +29,23 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .axioms import (
+    _COMMITTEE_FINDERS,
     Violation,
     greedy_jr_committee,
     jr_violation,
-    satisfies,
     _require_axiom,
+    _satisfaction_test,
 )
 from .model import (
-    DEFAULT_BUDGET,
     BudgetError,
     Committee,
+    Instance,
     committee,
     meets_threshold,
+    resolve_budget,
 )
 from .uncertainty import (
     CandidateProbModel,
@@ -52,7 +55,7 @@ from .uncertainty import (
     PlausibleProfile,
     ThreeValuedModel,
     _cp_rows,
-    enumerate_plausible,
+    _weighted_profiles,
     first_plausible,
     profile_probability,
 )
@@ -75,6 +78,14 @@ class DecisionResult:
 
 def _matrix_like(model: Model) -> bool:
     return isinstance(model, (CandidateProbModel, ThreeValuedModel))
+
+
+def _check_committee_count(inst: Instance, budget: int | None) -> None:
+    """Raise :class:`BudgetError` when the size-``k`` committees exceed the budget."""
+    cap = resolve_budget(budget)
+    total = math.comb(inst.m, inst.k)
+    if total > cap:
+        raise BudgetError(total, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -119,45 +130,55 @@ def _poss_jr_lottery(model: LotteryModel, w: Committee, budget: int | None) -> D
     A partial assignment dies as soon as some outside candidate already
     has a quota of committed unrepresented approvers: later choices
     cannot remove them.  The first surviving full assignment (voters in
-    index order, sets in input order) is the witness.
+    index order, sets in input order) is the witness.  Every set tried
+    is one search node.  The search keeps an explicit stack, one level
+    per voter, so its depth is not bounded by the interpreter's.
     """
-    cap = DEFAULT_BUDGET if budget is None else budget
+    cap = resolve_budget(budget)
     inst = model.instance
     wset = frozenset(w)
     counts = [0] * inst.m
     chosen: list[tuple[int, ...]] = []
+    bumps: list[list[int]] = []
+    # next_set[i]: index of the next set to try for voter i on the current branch.
+    next_set = [0] * inst.n
     nodes = 0
-
-    def search(i: int) -> bool:
-        nonlocal nodes
-        if i == inst.n:
-            return True
-        for _, s in model.lotteries[i]:
-            nodes += 1
-            if nodes > cap:
-                raise BudgetError(nodes, cap)
-            bumped = [] if wset & set(s) else list(s)
-            dead = False
-            for c in bumped:
-                counts[c] += 1
-                if meets_threshold(counts[c], 1, inst):
-                    dead = True
-            if not dead:
-                chosen.append(s)
-                if search(i + 1):
-                    return True
-                chosen.pop()
+    i = 0
+    while i < inst.n:
+        voter = model.lotteries[i]
+        if next_set[i] == len(voter):
+            # Voter i is exhausted: undo voter i - 1's choice and move on.
+            if i == 0:
+                return DecisionResult(False, ENUM)
+            next_set[i] = 0
+            i -= 1
+            chosen.pop()
+            for c in bumps.pop():
+                counts[c] -= 1
+            continue
+        s = voter[next_set[i]][1]
+        next_set[i] += 1
+        nodes += 1
+        if nodes > cap:
+            raise BudgetError(nodes, cap)
+        bumped = [] if wset & set(s) else list(s)
+        dead = False
+        for c in bumped:
+            counts[c] += 1
+            if meets_threshold(counts[c], 1, inst):
+                dead = True
+        if dead:
             for c in bumped:
                 counts[c] -= 1
-        return False
-
-    if search(0):
-        prof = tuple(chosen)
-        return DecisionResult(
-            True, ENUM,
-            witness_profile=PlausibleProfile(prof, profile_probability(model, prof)),
-        )
-    return DecisionResult(False, ENUM)
+            continue
+        chosen.append(s)
+        bumps.append(bumped)
+        i += 1
+    prof = tuple(chosen)
+    return DecisionResult(
+        True, ENUM,
+        witness_profile=PlausibleProfile(prof, profile_probability(model, prof)),
+    )
 
 
 def exists_poss_jr(model: Model) -> DecisionResult:
@@ -278,10 +299,7 @@ def exists_nec_jr(
                 if inst.k == inst.m:
                     return DecisionResult(True, POLY, witness_committee=tuple(range(inst.m)))
                 return DecisionResult(False, POLY)
-    cap = DEFAULT_BUDGET if budget is None else budget
-    total = math.comb(inst.m, inst.k)
-    if total > cap:
-        raise BudgetError(total, cap)
+    _check_committee_count(inst, budget)
     for w in itertools.combinations(range(inst.m), inst.k):
         if is_nec_jr(model, w, budget=budget).answer:
             return DecisionResult(True, ENUM, witness_committee=w)
@@ -293,21 +311,28 @@ def exists_nec_jr(
 
 
 def _poss_by_enumeration(model: Model, w: Committee, axiom: str, budget: int | None) -> DecisionResult:
-    inst = model.instance
-    for pp in enumerate_plausible(model, budget):
-        if satisfies(inst, pp.profile, w, axiom):
-            return DecisionResult(True, ENUM, witness_profile=pp)
+    denom, profiles = _weighted_profiles(model, budget)
+    holds = _satisfaction_test(model.instance, frozenset(w), axiom)
+    for prof, wt in profiles:
+        if holds(prof):
+            return DecisionResult(
+                True, ENUM, witness_profile=PlausibleProfile(prof, Fraction(wt, denom))
+            )
     return DecisionResult(False, ENUM)
 
 
 def _nec_by_enumeration(model: Model, w: Committee, axiom: str, budget: int | None) -> DecisionResult:
-    from .axioms import axiom_violation
-
     inst = model.instance
-    for pp in enumerate_plausible(model, budget):
-        viol = axiom_violation(inst, pp.profile, w, axiom)
-        if viol is not None:
-            return DecisionResult(False, ENUM, witness_profile=pp, witness_violation=viol)
+    wset = frozenset(w)
+    denom, profiles = _weighted_profiles(model, budget)
+    holds = _satisfaction_test(inst, wset, axiom)
+    for prof, wt in profiles:
+        if not holds(prof):
+            return DecisionResult(
+                False, ENUM,
+                witness_profile=PlausibleProfile(prof, Fraction(wt, denom)),
+                witness_violation=_COMMITTEE_FINDERS[axiom](inst, prof, wset),
+            )
     return DecisionResult(True, ENUM)
 
 
@@ -343,13 +368,10 @@ def exists_nec_axiom(
     if axiom == "jr":
         return exists_nec_jr(model, budget=budget, force_enumeration=force_enumeration)
     inst = model.instance
-    cap = DEFAULT_BUDGET if budget is None else budget
-    total = math.comb(inst.m, inst.k)
-    if total > cap:
-        raise BudgetError(total, cap)
-    profiles = list(enumerate_plausible(model, budget))
+    _check_committee_count(inst, budget)
+    profiles = [prof for prof, _ in _weighted_profiles(model, budget)[1]]
     for w in itertools.combinations(range(inst.m), inst.k):
-        if all(satisfies(inst, pp.profile, w, axiom) for pp in profiles):
+        if all(map(_satisfaction_test(inst, frozenset(w), axiom), profiles)):
             return DecisionResult(True, ENUM, witness_committee=w)
     return DecisionResult(False, ENUM)
 
@@ -361,13 +383,15 @@ def exists_poss_axiom(model: Model, axiom: str, *, budget: int | None = None) ->
     if axiom == "jr":
         return exists_poss_jr(model)
     inst = model.instance
-    cap = DEFAULT_BUDGET if budget is None else budget
-    total = math.comb(inst.m, inst.k)
-    if total > cap:
-        raise BudgetError(total, cap)
-    profiles = list(enumerate_plausible(model, budget))
+    _check_committee_count(inst, budget)
+    denom, weighted = _weighted_profiles(model, budget)
+    profiles = list(weighted)
     for w in itertools.combinations(range(inst.m), inst.k):
-        for pp in profiles:
-            if satisfies(inst, pp.profile, w, axiom):
-                return DecisionResult(True, ENUM, witness_committee=w, witness_profile=pp)
+        holds = _satisfaction_test(inst, frozenset(w), axiom)
+        for prof, wt in profiles:
+            if holds(prof):
+                return DecisionResult(
+                    True, ENUM, witness_committee=w,
+                    witness_profile=PlausibleProfile(prof, Fraction(wt, denom)),
+                )
     return DecisionResult(False, ENUM)

@@ -35,6 +35,11 @@ class BudgetError(RuntimeError):
         self.budget = budget
 
 
+def resolve_budget(budget: int | None) -> int:
+    """The enumeration budget in force: ``budget``, or the default when None."""
+    return DEFAULT_BUDGET if budget is None else budget
+
+
 @dataclass(frozen=True)
 class Instance:
     """Election frame: ``n`` voters, ``m`` candidates, committee size ``k``."""

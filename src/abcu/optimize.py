@@ -14,17 +14,17 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .axioms import _jr_violation
+from .axioms import _jr_violation, _require_axiom
 from .model import (
-    DEFAULT_BUDGET,
     BudgetError,
     Committee,
     InputError,
     Instance,
     Profile,
     approval_profile,
+    resolve_budget,
 )
-from .probability import axiom_probability
+from .probability import _closed_form, _values_by_enumeration
 from .uncertainty import Model, plausible_count
 
 
@@ -42,19 +42,32 @@ def max_axiom(
     model: Model, axiom: str, *, budget: int | None = None,
     force_enumeration: bool = False,
 ) -> MaxResult:
-    """Committee with the highest probability of satisfying ``axiom``."""
+    """Committee with the highest probability of satisfying ``axiom``.
+
+    Committees with a polynomial path keep it; all others share one
+    pass over the plausible profiles.
+    """
     inst = model.instance
-    cap = DEFAULT_BUDGET if budget is None else budget
+    cap = resolve_budget(budget)
     work = math.comb(inst.m, inst.k) * plausible_count(model)
     if work > cap:
         raise BudgetError(work, cap)
+    _require_axiom(axiom)
+    committees = list(itertools.combinations(range(inst.m), inst.k))
+    values: dict[Committee, Fraction] = {}
+    if not force_enumeration:
+        for w in committees:
+            result = _closed_form(model, w, axiom)
+            if result is not None:
+                values[w] = result.value
+    scanned = [w for w in committees if w not in values]
+    if scanned:
+        values.update(zip(scanned, _values_by_enumeration(model, scanned, axiom, budget)))
     best: Fraction | None = None
     best_w: Committee | None = None
     ties = 0
-    for w in itertools.combinations(range(inst.m), inst.k):
-        value = axiom_probability(
-            model, w, axiom, budget=budget, force_enumeration=force_enumeration
-        ).value
+    for w in committees:
+        value = values[w]
         if best is None or value > best:
             best, best_w, ties = value, w, 1
         elif value == best:

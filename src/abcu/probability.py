@@ -29,14 +29,15 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .axioms import satisfies
+from .axioms import _jr_test, _satisfaction_test
 from .model import Committee, InputError, committee, meets_threshold
 from .uncertainty import (
     HALF,
     JointModel,
     Model,
     ThreeValuedModel,
-    enumerate_plausible,
+    _over_common_denominator,
+    _weighted_profiles,
 )
 
 JOINT_SCAN = "joint-scan"
@@ -113,37 +114,56 @@ def _full_committee_counts(model: ThreeValuedModel, w: Committee) -> tuple[int, 
     return count, 2**total_exp
 
 
-def _value_by_enumeration(model: Model, w: Committee, axiom: str, budget: int | None) -> Fraction:
+def _values_by_enumeration(
+    model: Model, committees: list[Committee], axiom: str, budget: int | None
+) -> list[Fraction]:
+    """Exact satisfaction probabilities of ``committees`` from one pass
+    over the plausible profiles, summing integer weights."""
     inst = model.instance
-    value = Fraction(0)
-    for pp in enumerate_plausible(model, budget):
-        if satisfies(inst, pp.profile, w, axiom):
-            value += pp.prob
-    return value
+    denom, profiles = _weighted_profiles(model, budget)
+    tests = [_satisfaction_test(inst, frozenset(w), axiom) for w in committees]
+    totals = [0] * len(tests)
+    for prof, wt in profiles:
+        for j, holds in enumerate(tests):
+            if holds(prof):
+                totals[j] += wt
+    return [Fraction(total, denom) for total in totals]
+
+
+def _by_enumeration(model: Model, w: Committee, axiom: str, budget: int | None) -> ProbResult:
+    return _with_counts(_values_by_enumeration(model, [w], axiom, budget)[0], ENUM, model)
+
+
+def _closed_form(model: Model, w: Committee, axiom: str) -> ProbResult | None:
+    """The polynomial path for canonical committee ``w``, or None when
+    only enumeration applies."""
+    if axiom != "jr":
+        return None
+    inst = model.instance
+    if isinstance(model, JointModel):
+        holds = _jr_test(inst, frozenset(w))
+        denom, entries = _over_common_denominator(model.entries)
+        total = sum(wt for prof, wt in entries if holds(prof))
+        return ProbResult(Fraction(total, denom), JOINT_SCAN)
+    if isinstance(model, ThreeValuedModel):
+        if _certain_over_committee(model, w):
+            return _with_counts(_certain_w_value(model, w), CLOSED_FORM_CERTAIN_W, model)
+        if inst.k == inst.n:
+            count, total = _full_committee_counts(model, w)
+            return ProbResult(Fraction(count, total), COUNT_K_EQ_N, (count, total))
+    return None
 
 
 def jr_probability(
     model: Model, w, *, budget: int | None = None, force_enumeration: bool = False
 ) -> ProbResult:
     """Exact probability that ``w`` satisfies JR under ``model``."""
-    inst = model.instance
-    w = committee(w, inst)
+    w = committee(w, model.instance)
     if not force_enumeration:
-        if isinstance(model, JointModel):
-            from .axioms import is_jr
-
-            value = sum(
-                (lam for lam, prof in model.entries if is_jr(inst, prof, w)),
-                Fraction(0),
-            )
-            return ProbResult(value, JOINT_SCAN)
-        if isinstance(model, ThreeValuedModel):
-            if _certain_over_committee(model, w):
-                return _with_counts(_certain_w_value(model, w), CLOSED_FORM_CERTAIN_W, model)
-            if inst.k == inst.n:
-                count, total = _full_committee_counts(model, w)
-                return ProbResult(Fraction(count, total), COUNT_K_EQ_N, (count, total))
-    return _with_counts(_value_by_enumeration(model, w, "jr", budget), ENUM, model)
+        result = _closed_form(model, w, "jr")
+        if result is not None:
+            return result
+    return _by_enumeration(model, w, "jr", budget)
 
 
 def jr_satisfying_count(model: ThreeValuedModel, w, *, budget: int | None = None) -> tuple[int, int]:
@@ -170,5 +190,4 @@ def axiom_probability(
     _require_axiom(axiom)
     if axiom == "jr":
         return jr_probability(model, w, budget=budget, force_enumeration=force_enumeration)
-    w = committee(w, model.instance)
-    return _with_counts(_value_by_enumeration(model, w, axiom, budget), ENUM, model)
+    return _by_enumeration(model, committee(w, model.instance), axiom, budget)

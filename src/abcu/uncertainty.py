@@ -13,21 +13,33 @@ Lottery -> Joint, and a deterministic enumerator of plausible profiles
 with exact probabilities: the brute-force substrate every other module
 checks itself against.
 
+Enumeration runs on one integer-weight kernel.  Each voter gets a table
+of (approval set, integer weight) over that voter's common denominator:
+a Lottery voter's entries in input order, a CandidateProb/ThreeValued
+row expanded as in ``cp_to_lottery`` (free candidates ascending,
+disapprove before approve).  The kernel takes the product of the tables
+with voter 0 outermost, so a profile's probability is the product of its
+voters' weights over the product of their denominators, with no
+``Fraction`` arithmetic per profile.  A Joint model's entries are put
+over the lcm of their denominators.  Internal scans sum these integers;
+``enumerate_plausible`` turns each weight back into a ``Fraction``.
+
 Enumeration order is fixed: Joint entries in input order; Lottery
 combinations with voter 0 outermost and each voter's sets in input
 order; CandidateProb/ThreeValued branch over the undetermined
-(voter, candidate) pairs in row-major order, disapprove before approve.
+(voter, candidate) pairs in row-major order, disapprove before approve
+(the product of the expanded rows yields exactly this order).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Union
 
 from .model import (
-    DEFAULT_BUDGET,
     ApprovalSet,
     BudgetError,
     InputError,
@@ -36,6 +48,7 @@ from .model import (
     approval_profile,
     approval_set,
     parse_probability,
+    resolve_budget,
 )
 
 ONE = Fraction(1)
@@ -225,6 +238,25 @@ def _cp_rows(model: CandidateProbModel | ThreeValuedModel) -> tuple[tuple[Fracti
     return model.entries if isinstance(model, ThreeValuedModel) else model.probs
 
 
+def _row_lottery(row) -> tuple[tuple[Fraction, ApprovalSet], ...]:
+    """One matrix row as a set distribution: free candidates ascending,
+    the first outermost, disapprove before approve."""
+    forced = [c for c, p in enumerate(row) if p == 1]
+    free = [c for c, p in enumerate(row) if 0 < p < 1]
+    entries = []
+    for bits in itertools.product((0, 1), repeat=len(free)):
+        lam = ONE
+        members = list(forced)
+        for c, bit in zip(free, bits):
+            if bit:
+                members.append(c)
+                lam *= row[c]
+            else:
+                lam *= 1 - row[c]
+        entries.append((lam, tuple(sorted(members))))
+    return tuple(entries)
+
+
 def cp_to_lottery(
     model: CandidateProbModel | ThreeValuedModel, budget: int | None = None
 ) -> LotteryModel:
@@ -236,46 +268,22 @@ def cp_to_lottery(
     size is ``2**u_i`` for ``u_i`` undetermined entries, hence the
     budget check.
     """
-    cap = DEFAULT_BUDGET if budget is None else budget
-    inst = model.instance
-    rows = _cp_rows(model)
+    cap = resolve_budget(budget)
     lotteries = []
-    for row in rows:
-        forced = [c for c, p in enumerate(row) if p == 1]
-        free = [c for c, p in enumerate(row) if 0 < p < 1]
-        support = 2 ** len(free)
+    for row in _cp_rows(model):
+        support = 2 ** sum(1 for p in row if 0 < p < 1)
         if support > cap:
             raise BudgetError(support, cap)
-        entries = []
-        for bits in itertools.product((0, 1), repeat=len(free)):
-            lam = ONE
-            members = list(forced)
-            for c, bit in zip(free, bits):
-                if bit:
-                    members.append(c)
-                    lam *= row[c]
-                else:
-                    lam *= 1 - row[c]
-            entries.append((lam, tuple(sorted(members))))
-        lotteries.append(tuple(entries))
-    return LotteryModel(inst, tuple(lotteries))
+        lotteries.append(_row_lottery(row))
+    return LotteryModel(model.instance, tuple(lotteries))
 
 
 def lottery_to_joint(model: LotteryModel, budget: int | None = None) -> JointModel:
     """Take the product of the independent per-voter distributions."""
-    cap = DEFAULT_BUDGET if budget is None else budget
-    total = 1
-    for voter in model.lotteries:
-        total *= len(voter)
-    if total > cap:
-        raise BudgetError(total, cap)
-    entries = []
-    for combo in itertools.product(*model.lotteries):
-        lam = ONE
-        for entry_lam, _ in combo:
-            lam *= entry_lam
-        entries.append((lam, tuple(s for _, s in combo)))
-    return JointModel(model.instance, tuple(entries))
+    denom, profiles = _weighted_profiles(model, budget)
+    return JointModel(
+        model.instance, tuple((Fraction(wt, denom), prof) for prof, wt in profiles)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +336,53 @@ def first_plausible(model: Model) -> PlausibleProfile:
     return PlausibleProfile(prof, lam)
 
 
+def _over_common_denominator(entries) -> tuple[int, list]:
+    """``(probability, item)`` pairs as ``(denominator, [(item, weight)])``
+    with ``probability == weight / denominator`` for every item."""
+    denom = math.lcm(*(lam.denominator for lam, _ in entries))
+    return denom, [(item, lam.numerator * (denom // lam.denominator)) for lam, item in entries]
+
+
+def _product(tables) -> Iterator[tuple[Profile, int]]:
+    """Product of per-voter ``[(set, weight)]`` tables, voter 0 outermost.
+
+    The prefix over all voters but the last is built once and extended
+    by each of the last voter's sets in the innermost loop.
+    """
+    *head, last = tables
+    head_sets = [[s for s, _ in table] for table in head]
+    head_weights = [[wt for _, wt in table] for table in head]
+    for prefix, weights in zip(itertools.product(*head_sets), itertools.product(*head_weights)):
+        weight = math.prod(weights)
+        for s, wt in last:
+            yield prefix + (s,), weight * wt
+
+
+def _weighted_profiles(
+    model: Model, budget: int | None = None
+) -> tuple[int, Iterator[tuple[Profile, int]]]:
+    """The enumeration kernel: ``(denominator, iterator of (profile, weight))``.
+
+    Every plausible profile comes exactly once, in enumeration order
+    (see module docstring), with probability ``weight / denominator``
+    for a positive integer ``weight``.  Raises :class:`BudgetError` up
+    front when the profile count exceeds the budget.
+    """
+    cap = resolve_budget(budget)
+    total = plausible_count(model)
+    if total > cap:
+        raise BudgetError(total, cap)
+    if isinstance(model, JointModel):
+        denom, entries = _over_common_denominator(model.entries)
+        return denom, iter(entries)
+    if isinstance(model, LotteryModel):
+        voters = model.lotteries
+    else:
+        voters = [_row_lottery(row) for row in _cp_rows(model)]
+    tables = [_over_common_denominator(voter) for voter in voters]
+    return math.prod(d for d, _ in tables), _product([t for _, t in tables])
+
+
 def enumerate_plausible(model: Model, budget: int | None = None) -> Iterator[PlausibleProfile]:
     """Every plausible profile exactly once, with its exact probability.
 
@@ -335,42 +390,8 @@ def enumerate_plausible(model: Model, budget: int | None = None) -> Iterator[Pla
     Raises :class:`BudgetError` up front when the profile count exceeds
     the budget; exponential objects fail loudly, never silently.
     """
-    cap = DEFAULT_BUDGET if budget is None else budget
-    total = plausible_count(model)
-    if total > cap:
-        raise BudgetError(total, cap)
-    if isinstance(model, JointModel):
-        return (PlausibleProfile(prof, lam) for lam, prof in model.entries)
-    if isinstance(model, LotteryModel):
-        return _enumerate_lottery(model)
-    return _enumerate_matrix(model.instance, _cp_rows(model))
-
-
-def _enumerate_lottery(model: LotteryModel) -> Iterator[PlausibleProfile]:
-    for combo in itertools.product(*model.lotteries):
-        lam = ONE
-        for entry_lam, _ in combo:
-            lam *= entry_lam
-        yield PlausibleProfile(tuple(s for _, s in combo), lam)
-
-
-def _enumerate_matrix(inst: Instance, rows) -> Iterator[PlausibleProfile]:
-    forced = [[c for c, p in enumerate(row) if p == 1] for row in rows]
-    free = _free_pairs(rows)
-    for bits in itertools.product((0, 1), repeat=len(free)):
-        lam = ONE
-        extra: list[list[int]] = [[] for _ in range(inst.n)]
-        for (i, c), bit in zip(free, bits):
-            p = rows[i][c]
-            if bit:
-                extra[i].append(c)
-                lam *= p
-            else:
-                lam *= 1 - p
-        prof = tuple(
-            tuple(sorted(forced[i] + extra[i])) for i in range(inst.n)
-        )
-        yield PlausibleProfile(prof, lam)
+    denom, profiles = _weighted_profiles(model, budget)
+    return (PlausibleProfile(prof, Fraction(wt, denom)) for prof, wt in profiles)
 
 
 def profile_probability(model: Model, prof) -> Fraction:

@@ -4,12 +4,29 @@ The axiom oracles work straight from the definitions, scanning all
 voter groups, so they share no code path with the checkers under test.
 The model-level oracles combine plausible-profile enumeration with the
 axiom checkers; they are the reference for every polynomial shortcut.
+Because they share ``enumerate_plausible`` with the solver, that
+enumerator is itself checked against the plain ``Fraction``-product
+enumerators kept here.
 """
 
 import itertools
 from fractions import Fraction
 
-from abcu import enumerate_plausible, satisfies
+from abcu import (
+    DEFAULT_BUDGET,
+    BudgetError,
+    JointModel,
+    LotteryModel,
+    PlausibleProfile,
+    ThreeValuedModel,
+    enumerate_plausible,
+    profile_probability,
+    satisfies,
+)
+from abcu.decide import ENUM, DecisionResult
+from abcu.model import meets_threshold
+
+ONE = Fraction(1)
 
 
 def groups(n):
@@ -122,6 +139,99 @@ def exists_nec_oracle(model, axiom="jr"):
         if nec_oracle(model, w, axiom):
             return w
     return None
+
+
+# ---------------------------------------------------------------------------
+# reference enumerators: one Fraction product per profile
+
+
+def reference_plausible(model):
+    """Every plausible profile in the documented enumeration order, with
+    its probability as a product of ``Fraction`` factors."""
+    if isinstance(model, JointModel):
+        return [PlausibleProfile(prof, lam) for lam, prof in model.entries]
+    if isinstance(model, LotteryModel):
+        return list(_enumerate_lottery(model))
+    rows = model.entries if isinstance(model, ThreeValuedModel) else model.probs
+    return list(_enumerate_matrix(model.instance, rows))
+
+
+def _enumerate_lottery(model):
+    for combo in itertools.product(*model.lotteries):
+        lam = ONE
+        for entry_lam, _ in combo:
+            lam *= entry_lam
+        yield PlausibleProfile(tuple(s for _, s in combo), lam)
+
+
+def _free_pairs(rows):
+    return [
+        (i, c)
+        for i, row in enumerate(rows)
+        for c, p in enumerate(row)
+        if 0 < p < 1
+    ]
+
+
+def _enumerate_matrix(inst, rows):
+    forced = [[c for c, p in enumerate(row) if p == 1] for row in rows]
+    free = _free_pairs(rows)
+    for bits in itertools.product((0, 1), repeat=len(free)):
+        lam = ONE
+        extra = [[] for _ in range(inst.n)]
+        for (i, c), bit in zip(free, bits):
+            p = rows[i][c]
+            if bit:
+                extra[i].append(c)
+                lam *= p
+            else:
+                lam *= 1 - p
+        prof = tuple(
+            tuple(sorted(forced[i] + extra[i])) for i in range(inst.n)
+        )
+        yield PlausibleProfile(prof, lam)
+
+
+def recursive_poss_jr_lottery(model, w, budget=None):
+    """Possible JR on a lottery by recursive backtracking, one call per
+    voter: the reference for the search's witness and node count."""
+    cap = DEFAULT_BUDGET if budget is None else budget
+    inst = model.instance
+    wset = frozenset(w)
+    counts = [0] * inst.m
+    chosen = []
+    nodes = 0
+
+    def search(i):
+        nonlocal nodes
+        if i == inst.n:
+            return True
+        for _, s in model.lotteries[i]:
+            nodes += 1
+            if nodes > cap:
+                raise BudgetError(nodes, cap)
+            bumped = [] if wset & set(s) else list(s)
+            dead = False
+            for c in bumped:
+                counts[c] += 1
+                if meets_threshold(counts[c], 1, inst):
+                    dead = True
+            if not dead:
+                chosen.append(s)
+                if search(i + 1):
+                    return True
+                chosen.pop()
+            for c in bumped:
+                counts[c] -= 1
+        return False
+
+    if search(0):
+        prof = tuple(chosen)
+        return DecisionResult(
+            True, ENUM,
+            witness_profile=PlausibleProfile(prof, profile_probability(model, prof)),
+        )
+    return DecisionResult(False, ENUM)
 
 
 # ---------------------------------------------------------------------------

@@ -79,6 +79,21 @@ class TestReports:
         assert code == 0
         assert "answer: yes" in out
 
+    def test_decide_poss_on_a_deep_lottery(self, capsys, tmp_path):
+        voters = [[{"prob": "1/2", "set": [2 + i % 4]}, {"prob": "1/2", "set": [0]}]
+                  for i in range(1200)]
+        doc = tmp_path / "deep.json"
+        doc.write_text(json.dumps({
+            "format": "abcu/1",
+            "instance": {"voters": 1200, "candidates": 6, "committee_size": 2},
+            "model": {"kind": "lottery", "voters": voters},
+            "committee": [0, 1],
+        }))
+        code, out, err = run(capsys, "decide", "poss", "jr", str(doc))
+        assert code == 0
+        assert "answer: yes" in out
+        assert "Traceback" not in err
+
     def test_reduce_vc_then_count(self, capsys, tmp_path):
         code, out, _ = run(capsys, "reduce", "vc", str(DOCS / "graph.edges"))
         assert code == 0

@@ -23,7 +23,13 @@ from abcu import (
     profile_probability,
     satisfies,
 )
-from oracles import exists_nec_oracle, nec_oracle, poss_oracle, violation_holds
+from oracles import (
+    exists_nec_oracle,
+    nec_oracle,
+    poss_oracle,
+    recursive_poss_jr_lottery,
+    violation_holds,
+)
 
 HALF = Fraction(1, 2)
 
@@ -101,6 +107,55 @@ class TestIsPossJr:
                             refined = tva_model(inst, patched)
                             if is_poss_jr(refined, w).answer:
                                 assert base is True
+
+
+def _deep_lottery(n, seed, represented_first):
+    """Each voter picks {0} or one of {2..5}; ``(0, 1)`` is JR exactly
+    when no candidate outside it gets half the voters unrepresented."""
+    rng = random.Random(seed)
+    lotteries = []
+    for _ in range(n):
+        other = [2 + rng.randrange(4)]
+        sets = [[0], other] if represented_first else [other, [0]]
+        lotteries.append([("1/2", sets[0]), ("1/2", sets[1])])
+    return lottery_model(Instance(n, 6, 2), lotteries)
+
+
+class TestPossJrLotterySearch:
+    def test_matches_recursive_search(self):
+        rng = random.Random(61)
+        for model, w in _random_models(120, seed=61, kinds=("lottery",), max_n=6, max_m=4):
+            assert is_poss_jr(model, w) == recursive_poss_jr_lottery(model, w)
+            budget = rng.randint(1, 12)
+            try:
+                want = recursive_poss_jr_lottery(model, w, budget)
+            except BudgetError as exc:
+                with pytest.raises(BudgetError) as got:
+                    is_poss_jr(model, w, budget=budget)
+                assert (got.value.count, got.value.budget) == (exc.count, exc.budget)
+            else:
+                assert is_poss_jr(model, w, budget=budget) == want
+
+    def test_backtracking_matches_recursive_search(self):
+        for seed in range(6):
+            model = _deep_lottery(8, seed, represented_first=False)
+            assert is_poss_jr(model, (0, 1)) == recursive_poss_jr_lottery(model, (0, 1))
+
+    def test_twelve_hundred_voters(self):
+        model = _deep_lottery(1200, seed=1, represented_first=True)
+        result = is_poss_jr(model, (0, 1))
+        assert result.answer is True
+        assert result.witness_profile.profile == ((0,),) * 1200
+        assert result.witness_profile.prob == Fraction(1, 2**1200)
+        with pytest.raises(BudgetError) as exc:
+            is_poss_jr(model, (0, 1), budget=1000)
+        assert exc.value.count == 1001
+
+    def test_twelve_hundred_voters_with_backtracking(self):
+        model = _deep_lottery(1200, seed=2, represented_first=False)
+        result = is_poss_jr(model, (0, 1))
+        assert result.answer is True
+        assert is_jr(model.instance, result.witness_profile.profile, (0, 1))
 
 
 class TestExistsPossJr:
