@@ -11,13 +11,36 @@ their combined approvals (PJR) or one member of the group must have
 All checkers return the first violation in a documented scan order
 (ascending ``ell``, then lexicographic candidate subset, then
 lexicographic voter group), so witnesses are reproducible.
+
+PJR and EJR are decided one level ``ell`` at a time on bitmasks: each
+approval set becomes a candidate mask and each candidate's approvers a
+voter bitset.  With ``q`` the level's quota, a level fails iff some pool
+of voters holds ``q`` who jointly approve an ``ell``-set ``T``:
+
+* EJR: one pool, the voters with fewer than ``ell`` approved committee
+  members.
+* PJR: one pool per ``S``, a set of ``ell - 1`` committee members: the
+  voters whose approved committee members all lie in ``S``.  A group's
+  approvals meet the committee in fewer than ``ell`` members iff they
+  lie inside some such ``S``, so no voter group is enumerated.
+
+Only heavy candidates, approved by at least ``q`` voters of the pool,
+can belong to ``T``, and ``T`` is searched depth first over them in
+ascending order, so the first ``T`` found is the lexicographically
+first, exactly as a scan over all ``ell``-subsets would find it.  A
+level costs ``O(C(h, ell))`` bitset operations on ``n``-bit integers for
+``h`` heavy candidates, times ``C(k, ell - 1)`` pools for PJR: polynomial
+in ``n`` for fixed ``k``.  The PJR witness group is rebuilt greedily as
+the lexicographically first quota-sized group of ``T``'s approvers that
+fits inside some ``S`` (see :func:`pjr_violation`), so every witness
+and the scan order are those of the brute force over voter groups.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 from .model import (
     ApprovalSet,
@@ -81,61 +104,229 @@ def jr_violation(inst: Instance, prof: Profile, w: Committee) -> Violation | Non
 def ejr_violation(inst: Instance, prof: Profile, w: Committee) -> Violation | None:
     """First EJR violation, or None.
 
-    Exact but exponential in ``ell``: enumerates candidate subsets ``T``
-    of each size ``ell``.  For fixed ``T`` the set of voters approving
-    all of ``T`` with fewer than ``ell`` committee approvals is the
-    largest possible violating group, and every violating group is
-    contained in one of this form, so the enumeration is sound and
-    complete.
+    At level ``ell`` the eligible voters are those with fewer than
+    ``ell`` approved committee members.  For fixed ``T`` the eligible
+    voters approving all of ``T`` form the largest possible violating
+    group, and every violating group is contained in one of this form,
+    so level ``ell`` fails iff some ``ell``-set ``T`` has at least the
+    quota of eligible approvers.  The witness is that group for the
+    lexicographically first such ``T`` at the lowest failing level.
     """
     w = committee(w, inst)
     return _ejr_violation(inst, prof, frozenset(w))
 
 
 def _ejr_violation(inst: Instance, prof: Profile, wset: frozenset[int]) -> Violation | None:
-    approved = [frozenset(a) for a in prof]
-    in_w = [len(a & wset) for a in approved]
-    for ell in range(1, inst.k + 1):
-        eligible = [i for i in range(inst.n) if in_w[i] < ell]
-        if not meets_threshold(len(eligible), ell, inst):
-            continue
-        for t in itertools.combinations(range(inst.m), ell):
-            tset = frozenset(t)
-            group = tuple(i for i in eligible if tset <= approved[i])
-            if meets_threshold(len(group), ell, inst):
-                return Violation("ejr", ell, group, t)
-    return None
+    view = _bit_view(inst)(prof)
+    hit = _Levels(inst, wset).ejr(view)
+    if hit is None:
+        return None
+    ell, common, eligible = hit
+    return Violation("ejr", ell, _voters(_approvers_of(common, view, eligible)), common)
 
 
 def pjr_violation(inst: Instance, prof: Profile, w: Committee) -> Violation | None:
     """First PJR violation, or None.
 
-    For each ``T`` of size ``ell`` whose unanimous approvers meet the
-    ``ell``-threshold, minimizes the committee coverage of the group's
-    approval union by brute force over voter subsets of exactly the
-    minimal qualifying size: shrinking a violating group can only shrink
-    the union, so minimal size suffices.
+    A group fails PJR at level ``ell`` iff its approvals meet ``W`` in
+    fewer than ``ell`` candidates, that is iff they lie inside some
+    ``S`` of ``ell - 1`` committee members.  So level ``ell`` fails iff,
+    for some such ``S``, at least the quota of voters whose approved
+    committee members all lie in ``S`` jointly approve some ``ell``-set
+    ``T`` of heavy candidates (see the module docstring); this costs
+    ``O(C(k, ell - 1) * C(h, ell))`` operations on ``n``-bit integers,
+    polynomial in ``n`` for fixed ``k``.  The witness takes the
+    lexicographically first such ``T`` at the lowest failing level.  Its
+    group is rebuilt greedily: ``T``'s approvers are taken in ascending
+    order, and one joins when, for some ``S`` containing the group's
+    committee approvals so far, enough later approvers lie inside ``S``
+    to complete the quota.  That test is exact, so the group is the
+    lexicographically first quota-sized violating group, the one a brute
+    force over voter groups returns, at ``O(n * C(k, ell - 1))`` more
+    operations.
     """
     w = committee(w, inst)
     return _pjr_violation(inst, prof, frozenset(w))
 
 
 def _pjr_violation(inst: Instance, prof: Profile, wset: frozenset[int]) -> Violation | None:
-    approved = [frozenset(a) for a in prof]
-    for ell in range(1, inst.k + 1):
-        size = min_group_size(ell, inst)
-        if size > inst.n:
+    view = _bit_view(inst)(prof)
+    levels = _Levels(inst, wset)
+    ell = levels.pjr(view)
+    if ell is None:
+        return None
+    quota = min_group_size(ell, inst)
+    inside = list(zip(levels.subsets[ell], levels.pools(levels.wparts(view), ell)))
+    # The first T over every S is the least of each S's first T.
+    common = min(filter(None, (_first_common(pool, ell, quota, view[1]) for _, pool in inside)))
+    approvers = _approvers_of(common, view, -1)
+    inside = [(s, pool & approvers) for s, pool in inside]
+    group: list[int] = []
+    cover = 0
+    for i in _voters(approvers):
+        later = approvers >> (i + 1) << (i + 1)
+        joined = cover | _mask(prof[i]) & levels.wmask
+        need = quota - len(group) - 1
+        if any(not joined & ~s and (pool & later).bit_count() >= need for s, pool in inside):
+            group.append(i)
+            cover = joined
+            if not need:
+                break
+    return Violation("pjr", ell, tuple(group), common)
+
+
+def _mask(members) -> int:
+    return sum(1 << c for c in members)
+
+
+class _SetMasks(dict):
+    """Approval set -> candidate bitmask, built on first use."""
+
+    __slots__ = ()
+
+    def __missing__(self, s: ApprovalSet) -> int:
+        mask = self[s] = _mask(s)
+        return mask
+
+
+# A profile as the PJR/EJR level tests read it: (candidate mask, voter
+# bitset) for each distinct approval set, and each candidate's approvers
+# as a voter bitset.
+_View = tuple[list[tuple[int, int]], list[int]]
+
+
+def _bit_view(inst: Instance) -> Callable[[Profile], _View]:
+    """A function from a profile to its bit view, sharing one table of
+    set masks across every profile it is given."""
+    masks = _SetMasks()
+    m = inst.m
+
+    def view(prof: Profile) -> _View:
+        voters: dict[ApprovalSet, int] = {}
+        for i, s in enumerate(prof):
+            voters[s] = voters.get(s, 0) | 1 << i
+        approvers = [0] * m
+        for s, bits in voters.items():
+            for c in s:
+                approvers[c] |= bits
+        return [(masks[s], bits) for s, bits in voters.items()], approvers
+
+    return view
+
+
+def _voters(bits: int) -> tuple[int, ...]:
+    return tuple(i for i in range(bits.bit_length()) if bits >> i & 1)
+
+
+def _approvers_of(common: tuple[int, ...], view: _View, pool: int) -> int:
+    """The voters of ``pool`` (all voters for ``-1``) approving every
+    candidate in ``common``."""
+    for c in common:
+        pool &= view[1][c]
+    return pool
+
+
+def _first_common(pool: int, ell: int, quota: int, approvers: list[int]) -> tuple[int, ...] | None:
+    """The lexicographically first ``ell``-set of candidates approved by
+    at least ``quota`` voters of ``pool``, or None.
+
+    Only heavy candidates, those with ``quota`` approvers in ``pool``,
+    can belong to it, and a prefix whose common approvers fall below
+    the quota has no extension, so a depth-first search over the heavy
+    candidates in ascending order visits the sets in lexicographic order
+    and skips only sets that cannot qualify.
+    """
+    heavy = []
+    for c, bits in enumerate(approvers):
+        bits &= pool
+        if bits.bit_count() >= quota:
+            heavy.append((c, bits))
+    if len(heavy) < ell:
+        return None
+    return _extend(heavy, 0, ell, quota, pool)
+
+
+def _extend(heavy: list[tuple[int, int]], start: int, ell: int, quota: int,
+            pool: int) -> tuple[int, ...] | None:
+    for j in range(start, len(heavy) - ell + 1):
+        c, bits = heavy[j]
+        bits &= pool
+        if bits.bit_count() < quota:
             continue
-        for t in itertools.combinations(range(inst.m), ell):
-            tset = frozenset(t)
-            pool = [i for i in range(inst.n) if tset <= approved[i]]
-            if len(pool) < size:
-                continue
-            for group in itertools.combinations(pool, size):
-                union = frozenset().union(*(approved[i] for i in group))
-                if len(union & wset) < ell:
-                    return Violation("pjr", ell, group, t)
+        if ell == 1:
+            return (c,)
+        rest = _extend(heavy, j + 1, ell - 1, quota, bits)
+        if rest is not None:
+            return (c,) + rest
     return None
+
+
+class _Levels:
+    """The PJR and EJR level tests of one committee ``W``."""
+
+    __slots__ = ("wmask", "quotas", "subsets")
+
+    def __init__(self, inst: Instance, wset: frozenset[int]):
+        self.wmask = _mask(wset)
+        self.quotas = [
+            (ell, q) for ell in range(1, inst.k + 1)
+            if (q := min_group_size(ell, inst)) <= inst.n
+        ]
+        members = sorted(wset)
+        # For each level, the masks of the (ell - 1)-subsets S of W (all
+        # of W when it has fewer members), in lexicographic order.
+        self.subsets = {
+            ell: [_mask(s) for s in itertools.combinations(members, min(ell - 1, len(members)))]
+            for ell, _ in self.quotas
+        }
+
+    def ejr(self, view: _View) -> tuple[int, tuple[int, ...], int] | None:
+        """The lowest failing EJR level ``ell``, its first common set
+        ``T`` and its eligible voters, or None when EJR holds."""
+        groups, approvers = view
+        wmask = self.wmask
+        by_count = [0] * (wmask.bit_count() + 1)
+        for mask, bits in groups:
+            by_count[(mask & wmask).bit_count()] |= bits
+        eligible = 0
+        for ell, quota in self.quotas:
+            eligible |= by_count[ell - 1]
+            if eligible.bit_count() < quota:
+                continue
+            common = _first_common(eligible, ell, quota, approvers)
+            if common is not None:
+                return ell, common, eligible
+        return None
+
+    def wparts(self, view: _View) -> dict[int, int]:
+        """Mask of approved committee members -> voter bitset."""
+        wmask = self.wmask
+        wparts: dict[int, int] = {}
+        for mask, bits in view[0]:
+            part = mask & wmask
+            wparts[part] = wparts.get(part, 0) | bits
+        return wparts
+
+    def pools(self, wparts: dict[int, int], ell: int) -> Iterator[int]:
+        """For each ``S`` of level ``ell``, the voters whose approved
+        committee members all lie in ``S``."""
+        for s in self.subsets[ell]:
+            pool = 0
+            for part, bits in wparts.items():
+                if not part & ~s:
+                    pool |= bits
+            yield pool
+
+    def pjr(self, view: _View) -> int | None:
+        """The lowest failing PJR level, or None when PJR holds."""
+        wparts = self.wparts(view)
+        approvers = view[1]
+        for ell, quota in self.quotas:
+            for pool in self.pools(wparts, ell):
+                if (pool.bit_count() >= quota
+                        and _first_common(pool, ell, quota, approvers) is not None):
+                    return ell
+        return None
 
 
 class _PackedSets(dict):
@@ -196,16 +387,38 @@ _COMMITTEE_FINDERS = {
 }
 
 
+def _satisfaction_tests(
+    inst: Instance, wsets: list[frozenset[int]], axiom: str
+) -> tuple[Callable[[Profile], object], list[Callable[[object], bool]]]:
+    """``(view, tests)`` with ``tests[j](view(prof))`` telling whether a
+    profile satisfies ``axiom`` for the committee ``wsets[j]``.
+
+    JR tests read the profile itself through the packed counter test.
+    PJR and EJR tests read the profile's bit view, which a scan builds
+    once per profile and hands to every committee's level test.
+    """
+    if axiom == "jr":
+        return _same, [_jr_test(inst, wset) for wset in wsets]
+    level_test = _Levels.ejr if axiom == "ejr" else _Levels.pjr
+    return _bit_view(inst), [
+        lambda view, levels=_Levels(inst, wset): level_test(levels, view) is None
+        for wset in wsets
+    ]
+
+
+def _same(prof: Profile) -> Profile:
+    return prof
+
+
 def _satisfaction_test(
     inst: Instance, wset: frozenset[int], axiom: str
 ) -> Callable[[Profile], bool]:
     """A predicate telling whether a profile satisfies ``axiom`` for the
-    committee ``wset``: the packed counter test for JR, the full checker
-    otherwise."""
+    committee ``wset``."""
+    view, (test,) = _satisfaction_tests(inst, [wset], axiom)
     if axiom == "jr":
-        return _jr_test(inst, wset)
-    find = _COMMITTEE_FINDERS[axiom]
-    return lambda prof: find(inst, prof, wset) is None
+        return test
+    return lambda prof: test(view(prof))
 
 
 def axiom_violation(inst: Instance, prof: Profile, w: Committee, axiom: str) -> Violation | None:

@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .axioms import _jr_test, _satisfaction_test
+from .axioms import _jr_test, _satisfaction_tests
 from .model import Committee, InputError, committee, meets_threshold
 from .uncertainty import (
     HALF,
@@ -121,11 +121,12 @@ def _values_by_enumeration(
     over the plausible profiles, summing integer weights."""
     inst = model.instance
     denom, profiles = _weighted_profiles(model, budget)
-    tests = [_satisfaction_test(inst, frozenset(w), axiom) for w in committees]
+    view, tests = _satisfaction_tests(inst, [frozenset(w) for w in committees], axiom)
     totals = [0] * len(tests)
     for prof, wt in profiles:
+        seen = view(prof)
         for j, holds in enumerate(tests):
-            if holds(prof):
+            if holds(seen):
                 totals[j] += wt
     return [Fraction(total, denom) for total in totals]
 

@@ -410,12 +410,16 @@ def profile_probability(model: Model, prof) -> Fraction:
                 return Fraction(0)
             lam *= table[s]
         return lam
-    rows = _cp_rows(model)
-    lam = ONE
-    for row, s in zip(rows, prof):
+    # One integer factor per entry: the entry's numerator for an
+    # approved candidate, the complement's otherwise, over the entry's
+    # denominator; a single Fraction is built at the end.
+    num = den = 1
+    for row, s in zip(_cp_rows(model), prof):
         members = set(s)
         for c, p in enumerate(row):
-            lam *= p if c in members else 1 - p
-            if lam == 0:
+            factor = p.numerator if c in members else p.denominator - p.numerator
+            if factor == 0:
                 return Fraction(0)
-    return lam
+            num *= factor
+            den *= p.denominator
+    return Fraction(num, den)

@@ -1,7 +1,11 @@
 """Independent brute-force oracles the solver is validated against.
 
 The axiom oracles work straight from the definitions, scanning all
-voter groups, so they share no code path with the checkers under test.
+voter groups, so they share no code path with the checkers under test;
+``subset_pjr`` checks PJR by its subset characterisation on sets, for
+profiles too large for a scan over voter groups.  The frozenset
+checkers that brute-force voter groups are kept as the reference for
+the bitmask checkers' witnesses.
 The model-level oracles combine plausible-profile enumeration with the
 axiom checkers; they are the reference for every polynomial shortcut.
 Because they share ``enumerate_plausible`` with the solver, that
@@ -23,8 +27,9 @@ from abcu import (
     profile_probability,
     satisfies,
 )
+from abcu.axioms import Violation
 from abcu.decide import ENUM, DecisionResult
-from abcu.model import meets_threshold
+from abcu.model import approval_profile, meets_threshold, min_group_size
 
 ONE = Fraction(1)
 
@@ -85,6 +90,22 @@ def brute_pjr(inst, prof, w):
 BRUTE = {"jr": brute_jr, "pjr": brute_pjr, "ejr": brute_ejr}
 
 
+def subset_pjr(inst, prof, w):
+    """PJR by the subset characterisation, polynomial in n: level ``ell``
+    fails iff for some ``ell``-set T of candidates and some (ell - 1)-set
+    S of committee members, a quota of voters approve all of T and
+    approve no committee member outside S."""
+    wset = set(w)
+    sets = [set(a) for a in prof]
+    for ell in range(1, inst.k + 1):
+        for t in itertools.combinations(range(inst.m), ell):
+            for s in itertools.combinations(sorted(wset), min(ell - 1, len(wset))):
+                inside = sum(1 for a in sets if set(t) <= a and a & wset <= set(s))
+                if meets_threshold(inside, ell, inst):
+                    return False
+    return True
+
+
 def violation_holds(inst, prof, w, violation):
     """Re-validate a reported violation against the definitions."""
     sets = [set(a) for a in prof]
@@ -105,6 +126,46 @@ def violation_holds(inst, prof, w, violation):
         union = set.union(*(sets[i] for i in group))
         return len(union & wset) < violation.ell
     return False
+
+
+# ---------------------------------------------------------------------------
+# reference witness finders: frozensets and a brute force over voter groups
+
+
+def reference_ejr_violation(inst, prof, wset):
+    approved = [frozenset(a) for a in prof]
+    in_w = [len(a & wset) for a in approved]
+    for ell in range(1, inst.k + 1):
+        eligible = [i for i in range(inst.n) if in_w[i] < ell]
+        if not meets_threshold(len(eligible), ell, inst):
+            continue
+        for t in itertools.combinations(range(inst.m), ell):
+            tset = frozenset(t)
+            group = tuple(i for i in eligible if tset <= approved[i])
+            if meets_threshold(len(group), ell, inst):
+                return Violation("ejr", ell, group, t)
+    return None
+
+
+def reference_pjr_violation(inst, prof, wset):
+    approved = [frozenset(a) for a in prof]
+    for ell in range(1, inst.k + 1):
+        size = min_group_size(ell, inst)
+        if size > inst.n:
+            continue
+        for t in itertools.combinations(range(inst.m), ell):
+            tset = frozenset(t)
+            pool = [i for i in range(inst.n) if tset <= approved[i]]
+            if len(pool) < size:
+                continue
+            for group in itertools.combinations(pool, size):
+                union = frozenset().union(*(approved[i] for i in group))
+                if len(union & wset) < ell:
+                    return Violation("pjr", ell, group, t)
+    return None
+
+
+REFERENCE_FINDERS = {"pjr": reference_pjr_violation, "ejr": reference_ejr_violation}
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +204,23 @@ def exists_nec_oracle(model, axiom="jr"):
 
 # ---------------------------------------------------------------------------
 # reference enumerators: one Fraction product per profile
+
+
+def reference_profile_probability(model, prof):
+    """Exact probability of ``prof``, one ``Fraction`` factor per
+    matrix entry for CandidateProb/ThreeValued models."""
+    prof = approval_profile(prof, model.instance)
+    if isinstance(model, (JointModel, LotteryModel)):
+        return profile_probability(model, prof)
+    rows = model.entries if isinstance(model, ThreeValuedModel) else model.probs
+    lam = ONE
+    for row, s in zip(rows, prof):
+        members = set(s)
+        for c, p in enumerate(row):
+            lam *= p if c in members else 1 - p
+            if lam == 0:
+                return Fraction(0)
+    return lam
 
 
 def reference_plausible(model):
