@@ -10,6 +10,7 @@ any requested witness; reports are byte-stable for fixed inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -275,7 +276,10 @@ def cmd_gen(args) -> int:
 # parser
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and reused: each
+    ``parse_args`` call starts from a fresh namespace."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--budget", type=int, default=None,
                         help="enumeration cap (profiles/committees; default 2^20)")

@@ -55,6 +55,7 @@ from .uncertainty import (
     PlausibleProfile,
     ThreeValuedModel,
     _cp_rows,
+    _split_row,
     _weighted_profiles,
     first_plausible,
     profile_probability,
@@ -106,14 +107,13 @@ def is_poss_jr(
                 return DecisionResult(True, POLY, witness_profile=PlausibleProfile(prof, lam))
         return DecisionResult(False, POLY)
     if _matrix_like(model):
-        rows = _cp_rows(model)
         wset = set(w)
         prof = tuple(
             tuple(sorted(
-                [c for c in w if row[c] > 0]
-                + [c for c, p in enumerate(row) if c not in wset and p == 1]
+                [c for c in w if row[c].numerator]
+                + [c for c in _split_row(row)[0] if c not in wset]
             ))
-            for row in rows
+            for row in _cp_rows(model)
         )
         if jr_violation(inst, prof, w) is None:
             return DecisionResult(
@@ -246,18 +246,17 @@ def _nec_jr_matrix(model: CandidateProbModel | ThreeValuedModel, w: Committee) -
     inst = model.instance
     rows = _cp_rows(model)
     wset = frozenset(w)
-    dodgers = [all(rows[i][c] < 1 for c in w) for i in range(inst.n)]
+    forced = [_split_row(row)[0] for row in rows]
+    # Voters who can dodge the committee: no forced approval inside it.
+    dodgers = [i for i in range(inst.n) if wset.isdisjoint(forced[i])]
     for c in range(inst.m):
         if c in wset:
             continue
-        group = [i for i in range(inst.n) if dodgers[i] and rows[i][c] > 0]
+        group = [i for i in dodgers if rows[i][c].numerator]
         if meets_threshold(len(group), 1, inst):
             in_group = set(group)
             prof = tuple(
-                tuple(sorted(
-                    {c2 for c2, p in enumerate(rows[i]) if p == 1}
-                    | ({c} if i in in_group else set())
-                ))
+                tuple(sorted({*forced[i], c})) if i in in_group else tuple(forced[i])
                 for i in range(inst.n)
             )
             return DecisionResult(
@@ -292,8 +291,7 @@ def exists_nec_jr(
                     chosen.append(c)
             return DecisionResult(True, POLY, witness_committee=tuple(sorted(chosen)))
         if _matrix_like(model):
-            rows = _cp_rows(model)
-            if all(0 < p < 1 for row in rows for p in row):
+            if all(len(_split_row(row)[1]) == inst.m for row in _cp_rows(model)):
                 # Every candidate can be the unanimous favourite, so only
                 # the full candidate set is necessarily JR.
                 if inst.k == inst.m:

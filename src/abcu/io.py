@@ -6,6 +6,21 @@ or a decimal like ``"0.6"``, both parsed exactly) or as the JSON
 integers 0 and 1.  Non-integral JSON numbers are rejected: binary
 floats cannot represent the decimal the author wrote.  See
 ``docs/schema.md`` for the full schema and one example per kind.
+
+A document is read in one pass: every probability goes through one
+memoised parser per document (``uncertainty._probability_parser``), so
+each distinct raw value is parsed once, and the parsed values are
+handed to the model as they are.  A matrix row is parsed in one sweep;
+only a row that fails is read again entry by entry, to name the first
+bad entry's path.
+
+Documents are written by ``_dumps``, which produces exactly the bytes of
+``json.dumps(data, indent=2, sort_keys=True)`` for the value types a
+document holds (str-keyed dicts, lists, tuples, str, int, bool and
+None) without the standard library's pure-Python indent encoder.  An
+approval set (a tuple of ints) is rendered once per nesting depth and
+reused wherever it recurs, so a joint model's repeated sets cost one
+dict lookup each.
 """
 
 from __future__ import annotations
@@ -13,13 +28,15 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 from .model import (
+    _INT_TYPES,
     Committee,
     InputError,
     Instance,
     committee as make_committee,
-    parse_probability,
 )
 from .reductions import CnfFormula, Graph
 from .uncertainty import (
@@ -28,10 +45,10 @@ from .uncertainty import (
     LotteryModel,
     Model,
     ThreeValuedModel,
-    cp_model,
+    _probability_parser,
     joint_model,
     lottery_model,
-    tva_model,
+    validate,
 )
 
 FORMAT = "abcu/1"
@@ -72,16 +89,24 @@ def _int(value, path: str) -> int:
     return value
 
 
-def _fraction(value, path: str) -> Fraction:
+def _fraction(value, path: str, parse) -> Fraction:
     if isinstance(value, float):
         _fail(path, f"non-integral number {value!r} is inexact; quote it as a string like \"0.6\"")
     try:
-        return parse_probability(value)
+        return parse(value)
     except InputError as exc:
         _fail(path, str(exc))
 
 
+# The item-type sets that mark a list of strings and a tuple of tuples;
+# a list holds only exact ints iff its item-type set is within _INT_TYPES.
+_STR_TYPES = {str}
+_TUPLE_TYPES = {tuple}
+
+
 def _int_list(value, path: str) -> list[int]:
+    if type(value) is list and {*map(type, value)} <= _INT_TYPES:
+        return value
     if not isinstance(value, list):
         _fail(path, f"expected a list, got {value!r}")
     return [_int(x, f"{path}[{j}]") for j, x in enumerate(value)]
@@ -89,6 +114,7 @@ def _int_list(value, path: str) -> list[int]:
 
 def _parse_model(data, inst: Instance) -> Model:
     kind = _require(data, "kind", "model")
+    parse = _probability_parser()
     if kind == "joint":
         entries = _require(data, "entries", "model")
         if not isinstance(entries, list):
@@ -96,7 +122,7 @@ def _parse_model(data, inst: Instance) -> Model:
         built = []
         for r, entry in enumerate(entries):
             path = f"model.entries[{r}]"
-            lam = _fraction(_require(entry, "prob", path), f"{path}.prob")
+            lam = _fraction(_require(entry, "prob", path), f"{path}.prob", parse)
             prof = _require(entry, "profile", path)
             if not isinstance(prof, list):
                 _fail(f"{path}.profile", "expected a list of approval sets")
@@ -113,7 +139,7 @@ def _parse_model(data, inst: Instance) -> Model:
                 _fail(path, "expected a list of weighted approval sets")
             built.append([
                 (
-                    _fraction(_require(entry, "prob", f"{path}[{r}]"), f"{path}[{r}].prob"),
+                    _fraction(_require(entry, "prob", f"{path}[{r}]"), f"{path}[{r}].prob", parse),
                     _int_list(_require(entry, "set", f"{path}[{r}]"), f"{path}[{r}].set"),
                 )
                 for r, entry in enumerate(voter)
@@ -127,9 +153,15 @@ def _parse_model(data, inst: Instance) -> Model:
         for i, row in enumerate(rows):
             if not isinstance(row, list):
                 _fail(f"model.rows[{i}]", "expected a list of probabilities")
-            built.append([_fraction(p, f"model.rows[{i}][{c}]") for c, p in enumerate(row)])
-        maker = cp_model if kind == "candidate-probability" else tva_model
-        return maker(inst, built)
+            try:
+                built.append(tuple(map(parse, row)))
+            except InputError:
+                # Read the row again entry by entry for the failing path.
+                built.append(tuple(
+                    _fraction(p, f"model.rows[{i}][{c}]", parse) for c, p in enumerate(row)
+                ))
+        maker = CandidateProbModel if kind == "candidate-probability" else ThreeValuedModel
+        return validate(maker(inst, tuple(built)))
     _fail("model.kind", f"unknown kind {kind!r}")
 
 
@@ -161,32 +193,84 @@ def parse_document(text: str) -> Document:
     return Document(inst, model, com, size)
 
 
-def _frac_str(f: Fraction) -> str:
-    return str(f)
-
-
 def _model_payload(model: Model) -> dict:
     if isinstance(model, JointModel):
         return {
             "kind": "joint",
-            "entries": [
-                {"prob": _frac_str(lam), "profile": [list(s) for s in prof]}
-                for lam, prof in model.entries
-            ],
+            "entries": [{"prob": str(lam), "profile": prof} for lam, prof in model.entries],
         }
     if isinstance(model, LotteryModel):
         return {
             "kind": "lottery",
             "voters": [
-                [{"prob": _frac_str(lam), "set": list(s)} for lam, s in voter]
+                [{"prob": str(lam), "set": s} for lam, s in voter]
                 for voter in model.lotteries
             ],
         }
     if isinstance(model, CandidateProbModel):
         return {"kind": "candidate-probability",
-                "rows": [[_frac_str(p) for p in row] for row in model.probs]}
+                "rows": [list(map(str, row)) for row in model.probs]}
     return {"kind": "three-valued",
-            "rows": [[_frac_str(p) for p in row] for row in model.entries]}
+            "rows": [list(map(str, row)) for row in model.entries]}
+
+
+def _dumps(value) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` for str-keyed
+    dicts, lists, tuples, str, int, bool and None."""
+    return _write(value, "\n", {})
+
+
+def _ints(items, newline: str) -> str:
+    """A list or tuple of exact ints as a JSON array at one depth."""
+    if not items:
+        return "[]"
+    inner = newline + "  "
+    return "[" + inner + ("," + inner).join(map(int.__repr__, items)) + newline + "]"
+
+
+def _write(value, newline: str, sets: dict) -> str:
+    """``value`` rendered at the depth whose line break plus indent is
+    ``newline``.  ``sets`` maps each depth's ``newline`` to the approval
+    sets (tuples of ints) rendered there, so each is rendered once."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        types = {*map(type, value)}
+        if types <= _INT_TYPES:
+            if kind is list:
+                return _ints(value, newline)
+            memo = sets.setdefault(newline, {})
+            return memo.get(value) or memo.setdefault(value, _ints(value, newline))
+        inner = newline + "  "
+        if types == _STR_TYPES:
+            items = map(encode_basestring_ascii, value)
+        elif types == _TUPLE_TYPES and {*map(type, chain.from_iterable(value))} <= _INT_TYPES:
+            # A profile: a tuple of approval sets.
+            memo = sets.setdefault(inner, {})
+            items = [memo.get(s) or memo.setdefault(s, _ints(s, inner)) for s in value]
+        else:
+            items = [_write(item, inner, sets) for item in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        return "{" + inner + ("," + inner).join(
+            [encode_basestring_ascii(key) + ": " + _write(item, inner, sets)
+             for key, item in sorted(value.items())]
+        ) + newline + "}"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    raise TypeError(f"cannot write {kind.__name__} values into a document")
 
 
 def emit_document(doc: Document) -> str:
@@ -201,10 +285,10 @@ def emit_document(doc: Document) -> str:
         "model": _model_payload(doc.model),
     }
     if doc.committee is not None:
-        data["committee"] = list(doc.committee)
+        data["committee"] = doc.committee
     if doc.size is not None:
         data["size"] = doc.size
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+    return _dumps(data) + "\n"
 
 
 def document_for(model: Model, committee: Committee | None = None,

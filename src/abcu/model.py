@@ -77,12 +77,21 @@ def parse_probability(value) -> Fraction:
     return f
 
 
+# A collection holds only exact ints, and no bools, iff the set of its
+# item types is a subset of this one.
+_INT_TYPES = {int}
+
+
 def approval_set(members: Iterable[int], m: int | None = None) -> ApprovalSet:
     """Canonicalize a collection of candidate ids: sorted, deduplicated.
 
     When ``m`` is given, members must lie in ``0..m-1``.
     """
     canon = tuple(sorted(set(members)))
+    if {*map(type, canon)} <= _INT_TYPES and (
+        not canon or (canon[0] >= 0 and (m is None or canon[-1] < m))
+    ):
+        return canon
     for c in canon:
         if not isinstance(c, int) or isinstance(c, bool):
             raise InputError(f"candidate id {c!r} is not an integer")

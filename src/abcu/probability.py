@@ -32,11 +32,11 @@ from fractions import Fraction
 from .axioms import _jr_test, _satisfaction_tests
 from .model import Committee, InputError, committee, meets_threshold
 from .uncertainty import (
-    HALF,
     JointModel,
     Model,
     ThreeValuedModel,
     _over_common_denominator,
+    _split_row,
     _weighted_profiles,
 )
 
@@ -58,7 +58,7 @@ class ProbResult:
 
 
 def _total_unknowns(model: ThreeValuedModel) -> int:
-    return sum(1 for row in model.entries for p in row if p == HALF)
+    return sum(len(_split_row(row)[1]) for row in model.entries)
 
 
 def _with_counts(value: Fraction, method: str, model: Model) -> ProbResult:
@@ -71,44 +71,53 @@ def _with_counts(value: Fraction, method: str, model: Model) -> ProbResult:
 
 
 def _certain_over_committee(model: ThreeValuedModel, w: Committee) -> bool:
-    return all(row[c] != HALF for row in model.entries for c in w)
+    return all(row[c].denominator == 1 for row in model.entries for c in w)
 
 
 def _certain_w_value(model: ThreeValuedModel, w: Committee) -> Fraction:
     inst = model.instance
-    rows = model.entries
-    unrepresented = [i for i in range(inst.n) if all(rows[i][c] == 0 for c in w)]
     wset = set(w)
-    value = Fraction(1)
+    # The certainly-unrepresented voters (every committee entry 0), as
+    # bitmasks of their forced and free candidates.
+    unrepresented = []
+    for row in model.entries:
+        forced, free = _split_row(row)
+        if wset.isdisjoint(forced) and wset.isdisjoint(c for c, _, _ in free):
+            unrepresented.append((
+                sum(1 << c for c in forced), sum(1 << c for c, _, _ in free),
+            ))
+    num = 1
+    unknowns = 0
     for c in range(inst.m):
         if c in wset:
             continue
-        n1 = sum(1 for i in unrepresented if rows[i][c] == 1)
-        nu = sum(1 for i in unrepresented if rows[i][c] == HALF)
+        n1 = sum(forced >> c & 1 for forced, _ in unrepresented)
+        nu = sum(free >> c & 1 for _, free in unrepresented)
         if meets_threshold(n1, 1, inst):
             return Fraction(0)
         # Smallest number of unknown approvals that pushes the group of
         # certain approvers over the quota (exact ceiling, no division).
         tau = -(-(inst.n - n1 * inst.k) // inst.k)
         violating = sum(math.comb(nu, l) for l in range(tau, nu + 1))
-        value *= 1 - Fraction(violating, 2**nu)
-    return value
+        num *= 2**nu - violating
+        unknowns += nu
+    return Fraction(num, 2**unknowns)
 
 
 def _full_committee_counts(model: ThreeValuedModel, w: Committee) -> tuple[int, int]:
-    rows = model.entries
     wset = set(w)
     count = 1
     total_exp = 0
-    for row in rows:
-        x = sum(1 for p in row if p == HALF)
+    for row in model.entries:
+        forced, free = _split_row(row)
+        x = len(free)
         total_exp += x
-        if any(row[c] == 1 for c in w):
+        if not wset.isdisjoint(forced):
             per_voter = 2**x
         else:
-            y = sum(1 for c in wset if row[c] == HALF)
+            y = sum(1 for c, _, _ in free if c in wset)
             per_voter = (2**y - 1) * 2 ** (x - y)
-            if not any(p == 1 for p in row):
+            if not forced:
                 per_voter += 1  # the all-disapprove completion needs nothing
         count *= per_voter
     return count, 2**total_exp

@@ -24,6 +24,26 @@ voters' weights over the product of their denominators, with no
 over the lcm of their denominators.  Internal scans sum these integers;
 ``enumerate_plausible`` turns each weight back into a ``Fraction``.
 
+Probabilities are parsed once.  Each constructor call keeps one memo
+from raw value to ``Fraction`` (``_probability_parser``): a string or an
+exact ``int`` is parsed by ``parse_probability`` the first time it
+occurs and looked up afterwards; a ``Fraction`` is range-checked on its
+numerator and denominator and kept as it is; anything else goes
+straight to ``parse_probability``, so it fails with that function's
+message.  ``io`` parses a document with one such memo and hands the
+parsed values on, so no entry is parsed twice.
+
+Matrix rows are classified on integers (``_split_row``): an entry
+``p = num/den`` is a forced approval when ``num == den``, free when
+``0 < num < den`` and a certain disapproval when ``num == 0``.  Row
+expansion, ``first_plausible``, ``plausible_count``,
+``profile_probability`` and the matrix paths of ``decide`` and
+``probability`` work on this classification, and validation reads the
+same integers, so no path compares a ``Fraction`` per entry; a
+``Fraction`` is built only for a probability that is returned.  The
+classification is cheap and is recomputed by each caller, never stored
+on the model.
+
 Enumeration order is fixed: Joint entries in input order; Lottery
 combinations with voter 0 outermost and each voter's sets in input
 order; CandidateProb/ThreeValued branch over the undetermined
@@ -40,6 +60,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Union
 
 from .model import (
+    _INT_TYPES,
     ApprovalSet,
     BudgetError,
     InputError,
@@ -102,11 +123,34 @@ class PlausibleProfile:
 # construction
 
 
+def _probability_parser():
+    """``parse_probability`` memoised for one document or constructor call.
+
+    Strings and exact ints are parsed once per distinct value.  A
+    ``Fraction`` in ``[0, 1]`` is kept as it is, checked on its integers.
+    Every other value, and every value that fails, goes to
+    ``parse_probability`` each time, so its error is unchanged.
+    """
+    memo: dict = {}
+
+    def parse(value) -> Fraction:
+        kind = type(value)
+        if kind is str or kind is int:
+            f = memo.get(value)
+            if f is None:
+                f = memo[value] = parse_probability(value)
+            return f
+        if kind is Fraction and 0 <= value.numerator <= value.denominator:
+            return value
+        return parse_probability(value)
+
+    return parse
+
+
 def joint_model(inst: Instance, entries: Iterable[tuple[object, object]]) -> JointModel:
     """Build and validate a Joint model from (probability, profile) pairs."""
-    built = tuple(
-        (parse_probability(lam), approval_profile(prof, inst)) for lam, prof in entries
-    )
+    parse = _probability_parser()
+    built = tuple((parse(lam), approval_profile(prof, inst)) for lam, prof in entries)
     return validate(JointModel(inst, built))
 
 
@@ -114,23 +158,27 @@ def lottery_model(
     inst: Instance, lotteries: Iterable[Iterable[tuple[object, object]]]
 ) -> LotteryModel:
     """Build and validate a Lottery model from per-voter (probability, set) pairs."""
+    parse = _probability_parser()
     built = tuple(
-        tuple((parse_probability(lam), approval_set(s, inst.m)) for lam, s in voter)
+        tuple((parse(lam), approval_set(s, inst.m)) for lam, s in voter)
         for voter in lotteries
     )
     return validate(LotteryModel(inst, built))
 
 
+def _matrix(rows: Iterable[Iterable[object]]) -> tuple[tuple[Fraction, ...], ...]:
+    parse = _probability_parser()
+    return tuple(tuple(map(parse, row)) for row in rows)
+
+
 def cp_model(inst: Instance, rows: Iterable[Iterable[object]]) -> CandidateProbModel:
     """Build and validate a CandidateProb model from an n-by-m matrix."""
-    built = tuple(tuple(parse_probability(p) for p in row) for row in rows)
-    return validate(CandidateProbModel(inst, built))
+    return validate(CandidateProbModel(inst, _matrix(rows)))
 
 
 def tva_model(inst: Instance, rows: Iterable[Iterable[object]]) -> ThreeValuedModel:
     """Build and validate a ThreeValued model from an n-by-m matrix."""
-    built = tuple(tuple(parse_probability(p) for p in row) for row in rows)
-    return validate(ThreeValuedModel(inst, built))
+    return validate(ThreeValuedModel(inst, _matrix(rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -150,12 +198,44 @@ def _set_errors(s, m: int, where: str, errors: list[str]) -> None:
             errors.append(f"{where}: candidate id {c!r} out of range for m={m}")
 
 
+def _set_ok(s, m: int) -> bool:
+    """A quick pass of ``_set_errors``: a sorted tuple of distinct ints in range."""
+    return (
+        type(s) is tuple and {*map(type, s)} <= _INT_TYPES
+        and (not s or (s[0] >= 0 and s[-1] < m)) and list(s) == sorted(set(s))
+    )
+
+
+def _integer_sum(lams: list[Fraction]) -> tuple[int, int]:
+    """``sum(lams)`` as (numerator, denominator) over the lcm of the
+    denominators, with no ``Fraction`` arithmetic."""
+    den = math.lcm(*(lam.denominator for lam in lams))
+    return sum(lam.numerator * (den // lam.denominator) for lam in lams), den
+
+
 def _matrix_errors(rows, inst: Instance, errors: list[str]) -> None:
     if len(rows) != inst.n:
         errors.append(f"matrix has {len(rows)} rows, expected n={inst.n}")
     for i, row in enumerate(rows):
         if len(row) != inst.m:
             errors.append(f"row {i}: has {len(row)} entries, expected m={inst.m}")
+
+
+def _distinct_entries(rows):
+    """The distinct entry objects of a matrix, by identity.  A parsed
+    matrix shares one ``Fraction`` per distinct raw value, so checking
+    these first settles a valid matrix in a few integer tests."""
+    flat = list(itertools.chain.from_iterable(rows))
+    return dict(zip(map(id, flat), flat)).values()
+
+
+def _cp_entry_ok(p) -> bool:
+    return 0 <= p.numerator <= p.denominator
+
+
+def _tva_entry_ok(p) -> bool:
+    num, den = p.numerator, p.denominator
+    return num == 0 or num == den or (num, den) == (1, 2)
 
 
 def validation_errors(model: Model) -> list[str]:
@@ -166,21 +246,22 @@ def validation_errors(model: Model) -> list[str]:
         if not model.entries:
             errors.append("no profiles listed")
         seen: dict[Profile, int] = {}
-        total = Fraction(0)
         for r, (lam, prof) in enumerate(model.entries):
-            if lam <= 0 or lam > 1:
+            if not 0 < lam.numerator <= lam.denominator:
                 errors.append(f"entry {r}: probability {lam} not in (0, 1]")
-            total += lam
             if len(prof) != inst.n:
                 errors.append(f"entry {r}: profile has {len(prof)} sets, expected n={inst.n}")
             for i, s in enumerate(prof):
-                _set_errors(s, inst.m, f"entry {r}, voter {i}", errors)
+                if not _set_ok(s, inst.m):
+                    _set_errors(s, inst.m, f"entry {r}, voter {i}", errors)
             if prof in seen:
                 errors.append(f"entry {r}: duplicate of profile in entry {seen[prof]}")
             else:
                 seen[prof] = r
-        if model.entries and total != 1:
-            errors.append(f"profile probabilities sum to {total}, expected 1")
+        if model.entries:
+            num, den = _integer_sum([lam for lam, _ in model.entries])
+            if num != den:
+                errors.append(f"profile probabilities sum to {Fraction(num, den)}, expected 1")
     elif isinstance(model, LotteryModel):
         if len(model.lotteries) != inst.n:
             errors.append(f"{len(model.lotteries)} voter distributions, expected n={inst.n}")
@@ -188,30 +269,32 @@ def validation_errors(model: Model) -> list[str]:
             if not voter:
                 errors.append(f"voter {i}: empty distribution")
                 continue
-            total = Fraction(0)
             seen_sets: set[ApprovalSet] = set()
             for lam, s in voter:
-                if lam <= 0 or lam > 1:
+                if not 0 < lam.numerator <= lam.denominator:
                     errors.append(f"voter {i}: probability {lam} not in (0, 1]")
-                total += lam
-                _set_errors(s, inst.m, f"voter {i}", errors)
+                if not _set_ok(s, inst.m):
+                    _set_errors(s, inst.m, f"voter {i}", errors)
                 if s in seen_sets:
                     errors.append(f"voter {i}: duplicate approval set {s}")
                 seen_sets.add(s)
-            if total != 1:
-                errors.append(f"voter {i}: set probabilities sum to {total}, expected 1")
+            num, den = _integer_sum([lam for lam, _ in voter])
+            if num != den:
+                errors.append(f"voter {i}: set probabilities sum to {Fraction(num, den)}, expected 1")
     elif isinstance(model, CandidateProbModel):
         _matrix_errors(model.probs, inst, errors)
-        for i, row in enumerate(model.probs):
-            for c, p in enumerate(row):
-                if not 0 <= p <= 1:
-                    errors.append(f"entry ({i}, {c}): probability {p} not in [0, 1]")
+        if not all(map(_cp_entry_ok, _distinct_entries(model.probs))):
+            for i, row in enumerate(model.probs):
+                for c, p in enumerate(row):
+                    if not _cp_entry_ok(p):
+                        errors.append(f"entry ({i}, {c}): probability {p} not in [0, 1]")
     elif isinstance(model, ThreeValuedModel):
         _matrix_errors(model.entries, inst, errors)
-        for i, row in enumerate(model.entries):
-            for c, p in enumerate(row):
-                if p not in (0, HALF, 1):
-                    errors.append(f"entry ({i}, {c}): value {p} not in {{0, 1/2, 1}}")
+        if not all(map(_tva_entry_ok, _distinct_entries(model.entries))):
+            for i, row in enumerate(model.entries):
+                for c, p in enumerate(row):
+                    if not _tva_entry_ok(p):
+                        errors.append(f"entry ({i}, {c}): value {p} not in {{0, 1/2, 1}}")
     else:
         raise InputError(f"not an uncertainty model: {model!r}")
     return errors
@@ -238,23 +321,35 @@ def _cp_rows(model: CandidateProbModel | ThreeValuedModel) -> tuple[tuple[Fracti
     return model.entries if isinstance(model, ThreeValuedModel) else model.probs
 
 
-def _row_lottery(row) -> tuple[tuple[Fraction, ApprovalSet], ...]:
-    """One matrix row as a set distribution: free candidates ascending,
-    the first outermost, disapprove before approve."""
-    forced = [c for c, p in enumerate(row) if p == 1]
-    free = [c for c, p in enumerate(row) if 0 < p < 1]
-    entries = []
-    for bits in itertools.product((0, 1), repeat=len(free)):
-        lam = ONE
-        members = list(forced)
-        for c, bit in zip(free, bits):
-            if bit:
-                members.append(c)
-                lam *= row[c]
-            else:
-                lam *= 1 - row[c]
-        entries.append((lam, tuple(sorted(members))))
-    return tuple(entries)
+def _split_row(row) -> tuple[list[int], list[tuple[int, int, int]]]:
+    """A matrix row on integers: its forced approvals (``p == 1``) and
+    its free entries ``(c, num, den)`` with ``0 < p = num/den < 1``, each
+    in ascending candidate order.  Entries equal to 0 are in neither."""
+    forced = []
+    free = []
+    for c, p in enumerate(row):
+        num, den = p.numerator, p.denominator
+        if num == den:
+            forced.append(c)
+        elif num:
+            free.append((c, num, den))
+    return forced, free
+
+
+def _row_table(forced, free) -> tuple[int, list[tuple[ApprovalSet, int]]]:
+    """A classified row as ``(denominator, [(set, weight)])``: free
+    candidates ascending, the first outermost, disapprove before approve;
+    each weight is one integer product over the free entries."""
+    den = 1
+    table: list[tuple[tuple[int, ...], int]] = [((), 1)]
+    for c, num, d in free:
+        den *= d
+        table = [
+            entry
+            for chosen, wt in table
+            for entry in ((chosen, wt * (d - num)), (chosen + (c,), wt * num))
+        ]
+    return den, [(tuple(sorted((*forced, *chosen))), wt) for chosen, wt in table]
 
 
 def cp_to_lottery(
@@ -271,10 +366,12 @@ def cp_to_lottery(
     cap = resolve_budget(budget)
     lotteries = []
     for row in _cp_rows(model):
-        support = 2 ** sum(1 for p in row if 0 < p < 1)
+        forced, free = _split_row(row)
+        support = 2 ** len(free)
         if support > cap:
             raise BudgetError(support, cap)
-        lotteries.append(_row_lottery(row))
+        den, table = _row_table(forced, free)
+        lotteries.append(tuple((Fraction(wt, den), s) for s, wt in table))
     return LotteryModel(model.instance, tuple(lotteries))
 
 
@@ -290,15 +387,6 @@ def lottery_to_joint(model: LotteryModel, budget: int | None = None) -> JointMod
 # enumeration
 
 
-def _free_pairs(rows) -> list[tuple[int, int]]:
-    return [
-        (i, c)
-        for i, row in enumerate(rows)
-        for c, p in enumerate(row)
-        if 0 < p < 1
-    ]
-
-
 def plausible_count(model: Model) -> int:
     """Exact number of plausible profiles, computed without enumerating."""
     if isinstance(model, JointModel):
@@ -308,7 +396,7 @@ def plausible_count(model: Model) -> int:
         for voter in model.lotteries:
             total *= len(voter)
         return total
-    return 2 ** len(_free_pairs(_cp_rows(model)))
+    return 2 ** sum(len(_split_row(row)[1]) for row in _cp_rows(model))
 
 
 def first_plausible(model: Model) -> PlausibleProfile:
@@ -324,16 +412,16 @@ def first_plausible(model: Model) -> PlausibleProfile:
             lam *= entry_lam
             sets.append(s)
         return PlausibleProfile(tuple(sets), lam)
-    rows = _cp_rows(model)
-    prof = tuple(
-        tuple(c for c, p in enumerate(row) if p == 1) for row in rows
-    )
-    lam = ONE
-    for row in rows:
-        for p in row:
-            if 0 < p < 1:
-                lam *= 1 - p
-    return PlausibleProfile(prof, lam)
+    # Forced approvals only: every free entry is disapproved.
+    sets = []
+    num = den = 1
+    for row in _cp_rows(model):
+        forced, free = _split_row(row)
+        sets.append(tuple(forced))
+        for _, p_num, p_den in free:
+            num *= p_den - p_num
+            den *= p_den
+    return PlausibleProfile(tuple(sets), Fraction(num, den))
 
 
 def _over_common_denominator(entries) -> tuple[int, list]:
@@ -376,10 +464,9 @@ def _weighted_profiles(
         denom, entries = _over_common_denominator(model.entries)
         return denom, iter(entries)
     if isinstance(model, LotteryModel):
-        voters = model.lotteries
+        tables = [_over_common_denominator(voter) for voter in model.lotteries]
     else:
-        voters = [_row_lottery(row) for row in _cp_rows(model)]
-    tables = [_over_common_denominator(voter) for voter in voters]
+        tables = [_row_table(*_split_row(row)) for row in _cp_rows(model)]
     return math.prod(d for d, _ in tables), _product([t for _, t in tables])
 
 
@@ -403,23 +490,34 @@ def profile_probability(model: Model, prof) -> Fraction:
                 return lam
         return Fraction(0)
     if isinstance(model, LotteryModel):
-        lam = ONE
+        num = den = 1
         for voter, s in zip(model.lotteries, prof):
-            table = {entry_set: entry_lam for entry_lam, entry_set in voter}
-            if s not in table:
+            for entry_lam, entry_set in voter:
+                if entry_set == s:
+                    num *= entry_lam.numerator
+                    den *= entry_lam.denominator
+                    break
+            else:
                 return Fraction(0)
-            lam *= table[s]
-        return lam
-    # One integer factor per entry: the entry's numerator for an
-    # approved candidate, the complement's otherwise, over the entry's
-    # denominator; a single Fraction is built at the end.
+        return Fraction(num, den)
+    # One integer factor per free entry: its numerator when approved,
+    # its complement's otherwise, over its denominator.  The profile is
+    # implausible when it misses a forced approval or approves an entry
+    # of 0.
     num = den = 1
     for row, s in zip(_cp_rows(model), prof):
+        forced, free = _split_row(row)
         members = set(s)
-        for c, p in enumerate(row):
-            factor = p.numerator if c in members else p.denominator - p.numerator
-            if factor == 0:
-                return Fraction(0)
-            num *= factor
-            den *= p.denominator
+        if not members.issuperset(forced):
+            return Fraction(0)
+        approved = len(forced)
+        for c, p_num, p_den in free:
+            if c in members:
+                approved += 1
+                num *= p_num
+            else:
+                num *= p_den - p_num
+            den *= p_den
+        if approved != len(members):
+            return Fraction(0)
     return Fraction(num, den)

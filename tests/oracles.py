@@ -11,27 +11,37 @@ axiom checkers; they are the reference for every polynomial shortcut.
 Because they share ``enumerate_plausible`` with the solver, that
 enumerator is itself checked against the plain ``Fraction``-product
 enumerators kept here.
+The ``Fraction``-comparison matrix paths (row expansion, the first
+plausible profile, the matrix JR deciders and the three-valued closed
+forms) and the ``json.dumps`` document writer are kept verbatim as the
+references for their integer-native and direct-writer replacements.
 """
 
 import itertools
+import json
+import math
 from fractions import Fraction
 
 from abcu import (
     DEFAULT_BUDGET,
     BudgetError,
+    CandidateProbModel,
     JointModel,
     LotteryModel,
     PlausibleProfile,
     ThreeValuedModel,
     enumerate_plausible,
+    jr_violation,
     profile_probability,
     satisfies,
 )
 from abcu.axioms import Violation
-from abcu.decide import ENUM, DecisionResult
+from abcu.decide import ENUM, POLY, DecisionResult
+from abcu.io import FORMAT
 from abcu.model import approval_profile, meets_threshold, min_group_size
 
 ONE = Fraction(1)
+HALF = Fraction(1, 2)
 
 
 def groups(n):
@@ -345,3 +355,202 @@ def random_profile(rng, inst):
         tuple(c for c in range(inst.m) if rng.random() < 0.5)
         for _ in range(inst.n)
     )
+
+
+# ---------------------------------------------------------------------------
+# reference matrix paths: one Fraction comparison per entry
+
+
+def _rows(model):
+    return model.entries if isinstance(model, ThreeValuedModel) else model.probs
+
+
+def reference_row_lottery(row):
+    """One matrix row as a set distribution: free candidates ascending,
+    the first outermost, disapprove before approve."""
+    forced = [c for c, p in enumerate(row) if p == 1]
+    free = [c for c, p in enumerate(row) if 0 < p < 1]
+    entries = []
+    for bits in itertools.product((0, 1), repeat=len(free)):
+        lam = ONE
+        members = list(forced)
+        for c, bit in zip(free, bits):
+            if bit:
+                members.append(c)
+                lam *= row[c]
+            else:
+                lam *= 1 - row[c]
+        entries.append((lam, tuple(sorted(members))))
+    return tuple(entries)
+
+
+def reference_cp_to_lottery(model):
+    return LotteryModel(model.instance, tuple(reference_row_lottery(row) for row in _rows(model)))
+
+
+def reference_plausible_count(model):
+    return 2 ** len(_free_pairs(_rows(model)))
+
+
+def reference_first_plausible(model):
+    """The first profile in enumeration order, without paying for enumeration."""
+    rows = _rows(model)
+    prof = tuple(
+        tuple(c for c, p in enumerate(row) if p == 1) for row in rows
+    )
+    lam = ONE
+    for row in rows:
+        for p in row:
+            if 0 < p < 1:
+                lam *= 1 - p
+    return PlausibleProfile(prof, lam)
+
+
+def reference_poss_jr_matrix(model, w):
+    """Possible JR on a matrix model by the best-case completion."""
+    inst = model.instance
+    rows = _rows(model)
+    wset = set(w)
+    prof = tuple(
+        tuple(sorted(
+            [c for c in w if row[c] > 0]
+            + [c for c, p in enumerate(row) if c not in wset and p == 1]
+        ))
+        for row in rows
+    )
+    if jr_violation(inst, prof, w) is None:
+        return DecisionResult(
+            True, POLY,
+            witness_profile=PlausibleProfile(prof, reference_profile_probability(model, prof)),
+        )
+    return DecisionResult(False, POLY)
+
+
+def reference_nec_jr_matrix(model, w):
+    """Necessary JR on a matrix model by counting committee dodgers."""
+    inst = model.instance
+    rows = _rows(model)
+    wset = frozenset(w)
+    dodgers = [all(rows[i][c] < 1 for c in w) for i in range(inst.n)]
+    for c in range(inst.m):
+        if c in wset:
+            continue
+        group = [i for i in range(inst.n) if dodgers[i] and rows[i][c] > 0]
+        if meets_threshold(len(group), 1, inst):
+            in_group = set(group)
+            prof = tuple(
+                tuple(sorted(
+                    {c2 for c2, p in enumerate(rows[i]) if p == 1}
+                    | ({c} if i in in_group else set())
+                ))
+                for i in range(inst.n)
+            )
+            return DecisionResult(
+                False, POLY,
+                witness_profile=PlausibleProfile(prof, reference_profile_probability(model, prof)),
+                witness_violation=jr_violation(inst, prof, w),
+            )
+    return DecisionResult(True, POLY)
+
+
+def reference_all_interior(model):
+    """The exists-necessary-JR shortcut's test: every entry strictly interior."""
+    return all(0 < p < 1 for row in _rows(model) for p in row)
+
+
+def reference_total_unknowns(model):
+    return sum(1 for row in model.entries for p in row if p == HALF)
+
+
+def reference_certain_over_committee(model, w):
+    return all(row[c] != HALF for row in model.entries for c in w)
+
+
+def reference_certain_w_value(model, w):
+    inst = model.instance
+    rows = model.entries
+    unrepresented = [i for i in range(inst.n) if all(rows[i][c] == 0 for c in w)]
+    wset = set(w)
+    value = Fraction(1)
+    for c in range(inst.m):
+        if c in wset:
+            continue
+        n1 = sum(1 for i in unrepresented if rows[i][c] == 1)
+        nu = sum(1 for i in unrepresented if rows[i][c] == HALF)
+        if meets_threshold(n1, 1, inst):
+            return Fraction(0)
+        # Smallest number of unknown approvals that pushes the group of
+        # certain approvers over the quota (exact ceiling, no division).
+        tau = -(-(inst.n - n1 * inst.k) // inst.k)
+        violating = sum(math.comb(nu, l) for l in range(tau, nu + 1))
+        value *= 1 - Fraction(violating, 2**nu)
+    return value
+
+
+def reference_full_committee_counts(model, w):
+    rows = model.entries
+    wset = set(w)
+    count = 1
+    total_exp = 0
+    for row in rows:
+        x = sum(1 for p in row if p == HALF)
+        total_exp += x
+        if any(row[c] == 1 for c in w):
+            per_voter = 2**x
+        else:
+            y = sum(1 for c in wset if row[c] == HALF)
+            per_voter = (2**y - 1) * 2 ** (x - y)
+            if not any(p == 1 for p in row):
+                per_voter += 1  # the all-disapprove completion needs nothing
+        count *= per_voter
+    return count, 2**total_exp
+
+
+# ---------------------------------------------------------------------------
+# reference document writer: the standard library's indent encoder
+
+
+def _frac_str(f):
+    return str(f)
+
+
+def reference_model_payload(model):
+    if isinstance(model, JointModel):
+        return {
+            "kind": "joint",
+            "entries": [
+                {"prob": _frac_str(lam), "profile": [list(s) for s in prof]}
+                for lam, prof in model.entries
+            ],
+        }
+    if isinstance(model, LotteryModel):
+        return {
+            "kind": "lottery",
+            "voters": [
+                [{"prob": _frac_str(lam), "set": list(s)} for lam, s in voter]
+                for voter in model.lotteries
+            ],
+        }
+    if isinstance(model, CandidateProbModel):
+        return {"kind": "candidate-probability",
+                "rows": [[_frac_str(p) for p in row] for row in model.probs]}
+    return {"kind": "three-valued",
+            "rows": [[_frac_str(p) for p in row] for row in model.entries]}
+
+
+def reference_emit_document(doc):
+    """Canonical JSON for a document; ``parse_document`` round-trips it."""
+    data: dict = {
+        "format": FORMAT,
+        "instance": {
+            "voters": doc.instance.n,
+            "candidates": doc.instance.m,
+            "committee_size": doc.instance.k,
+        },
+        "model": reference_model_payload(doc.model),
+    }
+    if doc.committee is not None:
+        data["committee"] = list(doc.committee)
+    if doc.size is not None:
+        data["size"] = doc.size
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"

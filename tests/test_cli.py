@@ -1,12 +1,17 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from abcu.cli import main
 from abcu.io import emit_document, parse_document
+from test_io import HOSTILE, hostile_documents
 
 DOCS = Path(__file__).parent.parent / "docs" / "examples"
+SRC = Path(__file__).parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -210,3 +215,46 @@ class TestExitCodes:
         code, _, err = run(capsys, "count", str(DOCS / "joint.json"))
         assert code == 2
         assert "three-valued" in err
+
+
+class TestHostileProbabilities:
+    @pytest.mark.parametrize("value, message", HOSTILE, ids=[json.dumps(v) for v, _ in HOSTILE])
+    def test_exit_2_with_the_recorded_message(self, capsys, tmp_path, value, message):
+        for path, data in hostile_documents(value).items():
+            doc = tmp_path / "hostile.json"
+            doc.write_text(json.dumps(data))
+            code, out, err = run(capsys, "validate", str(doc), "--output", "machine")
+            assert code == 2
+            assert json.loads(out) == {"valid": False, "errors": f"{path}: {message}".split("; ")}
+            assert err == ""
+            code, out, err = run(capsys, "decide", "poss", "jr", str(doc))
+            assert code == 2
+            assert out == ""
+            assert err == f"error: {path}: {message}\n"
+
+
+class TestParserReuse:
+    CALLS = (
+        ("decide", "nec", "jr", "--witness", "--output", "machine", "--budget", "64",
+         str(DOCS / "candidate-probability.json")),
+        ("validate", str(DOCS / "lottery.json")),
+        ("prob", "jr", "--force-enumeration", "--output", "machine", str(DOCS / "three-valued.json")),
+        ("prob", "jr", "--output", "machine", str(DOCS / "three-valued.json")),
+        ("gen", "--kind", "cp", "--voters", "2", "--candidates", "3", "--committee-size", "1",
+         "--uncertainty", "2", "--seed", "4"),
+        ("gen", "--kind", "cp", "--voters", "2", "--candidates", "3", "--committee-size", "1"),
+        ("sizejr", "--size", "1", str(DOCS / "joint.json")),
+        ("decide", "nec", "jr", "--output", "machine", str(DOCS / "candidate-probability.json")),
+        ("prob", "jr", "--budget", "4", str(DOCS / "candidate-probability.json")),
+        ("max", "jr", str(DOCS / "joint.json")),
+    )
+
+    def test_consecutive_calls_match_fresh_processes(self, capsys):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        for argv in self.CALLS:
+            code, out, err = run(capsys, *argv)
+            fresh = subprocess.run(
+                [sys.executable, "-m", "abcu", *argv],
+                capture_output=True, text=True, env=env,
+            )
+            assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv

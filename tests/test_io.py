@@ -146,3 +146,78 @@ class TestEdgeList:
             parse_edge_list("2\n1 1\n")
         with pytest.raises(InputError, match="bad graph line"):
             parse_edge_list("2\nx y\n")
+
+
+# Hostile probability values and the message each gets, as recorded
+# before probabilities were memoised: the memo must not change them.
+HOSTILE = (
+    ([1], "cannot parse probability [1]: argument should be a string or a Rational instance"),
+    ({"p": 1}, "cannot parse probability {'p': 1}: argument should be a string or a Rational instance"),
+    (None, "cannot parse probability None: argument should be a string or a Rational instance"),
+    (True, "not a probability: True"),
+    (0.25, 'non-integral number 0.25 is inexact; quote it as a string like "0.6"'),
+    (-1, "probability -1 outside [0, 1]"),
+    ("2", "probability 2 outside [0, 1]"),
+    ("1/0", "cannot parse probability '1/0': Fraction(1, 0)"),
+    ("abc", "cannot parse probability 'abc': Invalid literal for Fraction: 'abc'"),
+)
+
+
+def hostile_documents(value):
+    """The value in a matrix row, a lottery ``prob`` and a joint ``prob``,
+    each after an entry that parsed, with the path the error must name."""
+    inst = {"voters": 2, "candidates": 2, "committee_size": 1}
+    return {
+        "model.rows[1][1]": {
+            "format": "abcu/1", "instance": inst, "committee": [0],
+            "model": {"kind": "candidate-probability", "rows": [["1/2", 1], [0, value]]},
+        },
+        "model.voters[1][1].prob": {
+            "format": "abcu/1", "instance": inst, "committee": [0],
+            "model": {"kind": "lottery", "voters": [
+                [{"prob": 1, "set": [0]}],
+                [{"prob": "1/2", "set": [1]}, {"prob": value, "set": [0]}],
+            ]},
+        },
+        "model.entries[1].prob": {
+            "format": "abcu/1", "committee": [0],
+            "instance": {"voters": 1, "candidates": 2, "committee_size": 1},
+            "model": {"kind": "joint", "entries": [
+                {"prob": "1/2", "profile": [[0]]}, {"prob": value, "profile": [[1]]},
+            ]},
+        },
+    }
+
+
+class TestHostileProbabilities:
+    @pytest.mark.parametrize("value, message", HOSTILE, ids=[json.dumps(v) for v, _ in HOSTILE])
+    def test_message_unchanged_in_every_position(self, value, message):
+        for path, data in hostile_documents(value).items():
+            with pytest.raises(InputError) as info:
+                parse_document(json.dumps(data))
+            assert str(info.value) == f"{path}: {message}"
+
+    def test_three_valued_entry_outside_the_three_values(self):
+        text = json.dumps({
+            "format": "abcu/1",
+            "instance": {"voters": 2, "candidates": 2, "committee_size": 1},
+            "model": {"kind": "three-valued", "rows": [["1/2", 1], [0, "1/3"]]},
+        })
+        with pytest.raises(InputError) as info:
+            parse_document(text)
+        assert str(info.value) == "entry (1, 1): value 1/3 not in {0, 1/2, 1}"
+
+    def test_hand_built_matrix_out_of_range(self):
+        from abcu import CandidateProbModel, ThreeValuedModel, validation_errors
+
+        model = CandidateProbModel(Instance(1, 2, 1), ((Fraction(3, 2), Fraction(1, 2)),))
+        assert validation_errors(model) == ["entry (0, 0): probability 3/2 not in [0, 1]"]
+        row = (Fraction(3, 2), Fraction(-1, 2), Fraction(1, 2))
+        assert validation_errors(CandidateProbModel(Instance(1, 3, 1), (row,))) == [
+            "entry (0, 0): probability 3/2 not in [0, 1]",
+            "entry (0, 1): probability -1/2 not in [0, 1]",
+        ]
+        assert validation_errors(ThreeValuedModel(Instance(1, 3, 1), (row,))) == [
+            "entry (0, 0): value 3/2 not in {0, 1/2, 1}",
+            "entry (0, 1): value -1/2 not in {0, 1/2, 1}",
+        ]
