@@ -18,7 +18,15 @@ from pathlib import Path
 
 from . import decide, optimize, probability, reductions
 from .axioms import AXIOMS, Violation, axiom_violation
-from .io import Document, document_for, emit_document, parse_document, parse_dimacs, parse_edge_list
+from .io import (
+    Document,
+    _dumps,
+    document_for,
+    emit_document,
+    parse_dimacs,
+    parse_document,
+    parse_edge_list,
+)
 from .model import BudgetError, InputError
 from .uncertainty import (
     CandidateProbModel,
@@ -96,7 +104,7 @@ def _human_value(value) -> str:
 
 def _render(payload: dict, output: str) -> None:
     if output == "machine":
-        print(json.dumps(_machine_value(payload), indent=2, sort_keys=True))
+        print(_dumps(_machine_value(payload)))
     else:
         for key, value in payload.items():
             print(f"{key}: {_human_value(value)}")

@@ -24,8 +24,8 @@ from .model import (
     approval_profile,
     resolve_budget,
 )
-from .probability import _closed_form, _values_by_enumeration
-from .uncertainty import Model, plausible_count
+from .probability import _jr_path, _values_by_enumeration
+from .uncertainty import JointModel, Model, plausible_count
 
 
 @dataclass(frozen=True)
@@ -44,8 +44,10 @@ def max_axiom(
 ) -> MaxResult:
     """Committee with the highest probability of satisfying ``axiom``.
 
-    Committees with a polynomial path keep it; all others share one
-    pass over the plausible profiles.
+    JR on a Lottery, CandidateProb or ThreeValued model takes each
+    committee's polynomial path, a closed form or the voter DP.  Every
+    other query, JR on a Joint model included, scores all committees in
+    one pass over the plausible profiles.
     """
     inst = model.instance
     cap = resolve_budget(budget)
@@ -54,20 +56,14 @@ def max_axiom(
         raise BudgetError(work, cap)
     _require_axiom(axiom)
     committees = list(itertools.combinations(range(inst.m), inst.k))
-    values: dict[Committee, Fraction] = {}
-    if not force_enumeration:
-        for w in committees:
-            result = _closed_form(model, w, axiom)
-            if result is not None:
-                values[w] = result.value
-    scanned = [w for w in committees if w not in values]
-    if scanned:
-        values.update(zip(scanned, _values_by_enumeration(model, scanned, axiom, budget)))
+    if axiom == "jr" and not force_enumeration and not isinstance(model, JointModel):
+        values = [_jr_path(model, w, budget).value for w in committees]
+    else:
+        values = _values_by_enumeration(model, committees, axiom, budget)
     best: Fraction | None = None
     best_w: Committee | None = None
     ties = 0
-    for w in committees:
-        value = values[w]
+    for w, value in zip(committees, values):
         if best is None or value > best:
             best, best_w, ties = value, w, 1
         elif value == best:

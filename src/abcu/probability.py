@@ -18,9 +18,22 @@ ThreeValued cases admit closed forms that avoid enumeration:
   That is a per-voter condition over disjoint unknowns, so satisfying
   completions are counted voter by voter and multiplied.
 
-Everything else falls back to exact enumeration.  For ThreeValued
-models all plausible profiles are equiprobable, so results also carry
-the exact (satisfying, total) profile counts.
+Every other JR probability on a Lottery, CandidateProb or ThreeValued
+model comes from a dynamic program over the independent voters
+(``dp-voters``).  A profile violates JR for ``w`` iff some outside
+candidate is approved by a quota ``ceil(n/k)`` of voters who approve no
+member of ``w``.  So the state after a prefix of voters is one counter
+per outside candidate, its number of unrepresented approvers so far,
+and a step that brings a counter to the quota drops its mass.  There
+are at most ``ceil(n/k)**(m-k)`` states, so the program is polynomial
+in ``n`` for fixed ``m - k``, and never reaches more states than the
+enumeration it replaces visits profile prefixes.  It runs behind the
+same profile-count budget gate as enumeration.
+
+PJR and EJR probabilities, and everything under ``force_enumeration``,
+come from exact enumeration.  For ThreeValued models all plausible
+profiles are equiprobable, so results also carry the exact
+(satisfying, total) profile counts.
 """
 
 from __future__ import annotations
@@ -30,12 +43,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .axioms import _jr_test, _satisfaction_tests
-from .model import Committee, InputError, committee, meets_threshold
+from .model import Committee, InputError, committee, meets_threshold, min_group_size
 from .uncertainty import (
     JointModel,
+    LotteryModel,
     Model,
     ThreeValuedModel,
+    _cp_rows,
     _over_common_denominator,
+    _require_budget,
     _split_row,
     _weighted_profiles,
 )
@@ -43,6 +59,7 @@ from .uncertainty import (
 JOINT_SCAN = "joint-scan"
 CLOSED_FORM_CERTAIN_W = "closed-form-certain-w"
 COUNT_K_EQ_N = "count-k-eq-n"
+DP_VOTERS = "dp-voters"
 ENUM = "enumeration"
 
 
@@ -144,11 +161,99 @@ def _by_enumeration(model: Model, w: Committee, axiom: str, budget: int | None) 
     return _with_counts(_values_by_enumeration(model, [w], axiom, budget)[0], ENUM, model)
 
 
-def _closed_form(model: Model, w: Committee, axiom: str) -> ProbResult | None:
-    """The polynomial path for canonical committee ``w``, or None when
-    only enumeration applies."""
-    if axiom != "jr":
-        return None
+def _advance(states: dict[int, int], keep: int, moves, high: int) -> dict[int, int]:
+    """One step of the voter DP: each state stays with its weight times
+    ``keep`` and, for each ``(bump, wt)`` in ``moves``, moves by ``bump``
+    with its weight times ``wt``, unless that sets a bit of ``high``."""
+    step: dict[int, int] = {}
+    for state, x in states.items():
+        if keep:
+            step[state] = step.get(state, 0) + x * keep
+        for bump, wt in moves:
+            t = state + bump
+            if not t & high:
+                step[t] = step.get(t, 0) + x * wt
+    return step
+
+
+def _jr_dp(model: Model, w: Committee) -> Fraction:
+    """JR probability of canonical committee ``w`` under a Lottery,
+    CandidateProb or ThreeValued model, by one pass over the voters.
+
+    A state packs one counter per outside candidate, the number of
+    unrepresented voters so far who approve it, into fields of
+    ``quota.bit_length() + 1`` bits.  Each field starts at
+    ``top - quota`` for its top bit ``top``, so a counter reaches the
+    quota exactly when its top bit is set, and a field never carries
+    into the next; such a step is a violation and its mass is dropped.
+    ``states`` maps each reachable state to an integer weight over the
+    running denominator ``denom``.
+    """
+    inst = model.instance
+    wset = set(w)
+    quota = min_group_size(1, inst)
+    width = quota.bit_length() + 1
+    top = 1 << (width - 1)
+    unit: dict[int, int] = {}
+    start = high = 0
+    for j, c in enumerate(c for c in range(inst.m) if c not in wset):
+        unit[c] = 1 << (width * j)
+        start += (top - quota) << (width * j)
+        high |= top << (width * j)
+    states = {start: 1}
+    denom = 1
+    if isinstance(model, LotteryModel):
+        for voter in model.lotteries:
+            den, table = _over_common_denominator(voter)
+            # Sets that meet ``w`` or are empty keep the state; the others
+            # bump the counters of their candidates.
+            keep = 0
+            bumps: dict[int, int] = {}
+            for s, wt in table:
+                if s and wset.isdisjoint(s):
+                    bump = sum(unit[c] for c in s)
+                    bumps[bump] = bumps.get(bump, 0) + wt
+                else:
+                    keep += wt
+            states = _advance(states, keep, bumps.items(), high)
+            denom *= den
+            if not states:
+                return Fraction(0)
+        return Fraction(sum(states.values()), denom)
+    for row in _cp_rows(model):
+        forced, free = _split_row(row)
+        if not wset.isdisjoint(forced):
+            continue  # certainly represented
+        # The voter approves no member of ``w`` with weight ``unrep``
+        # out of ``den_in``.  On that branch the forced approvals bump
+        # their counters and each free outside entry splits the branch.
+        den_in = unrep = den_out = 1
+        outside = []
+        for c, num, den in free:
+            if c in wset:
+                den_in *= den
+                unrep *= den - num
+            else:
+                den_out *= den
+                outside.append((den - num, unit[c], num))
+        branch = _advance(states, 0, [(sum(unit[c] for c in forced), unrep)], high)
+        for miss, bump, num in outside:
+            branch = _advance(branch, miss, [(bump, num)], high)
+        represented = (den_in - unrep) * den_out
+        if represented:
+            for state, x in states.items():
+                branch[state] = branch.get(state, 0) + x * represented
+        states = branch
+        denom *= den_in * den_out
+        if not states:
+            return Fraction(0)
+    return Fraction(sum(states.values()), denom)
+
+
+def _jr_path(model: Model, w: Committee, budget: int | None) -> ProbResult:
+    """JR probability of canonical committee ``w`` without enumerating
+    profiles: a joint scan, a ThreeValued closed form, or else the voter
+    DP behind the profile-count budget gate."""
     inst = model.instance
     if isinstance(model, JointModel):
         holds = _jr_test(inst, frozenset(w))
@@ -161,7 +266,8 @@ def _closed_form(model: Model, w: Committee, axiom: str) -> ProbResult | None:
         if inst.k == inst.n:
             count, total = _full_committee_counts(model, w)
             return ProbResult(Fraction(count, total), COUNT_K_EQ_N, (count, total))
-    return None
+    _require_budget(model, budget)
+    return _with_counts(_jr_dp(model, w), DP_VOTERS, model)
 
 
 def jr_probability(
@@ -169,11 +275,9 @@ def jr_probability(
 ) -> ProbResult:
     """Exact probability that ``w`` satisfies JR under ``model``."""
     w = committee(w, model.instance)
-    if not force_enumeration:
-        result = _closed_form(model, w, "jr")
-        if result is not None:
-            return result
-    return _by_enumeration(model, w, "jr", budget)
+    if force_enumeration:
+        return _by_enumeration(model, w, "jr", budget)
+    return _jr_path(model, w, budget)
 
 
 def jr_satisfying_count(model: ThreeValuedModel, w, *, budget: int | None = None) -> tuple[int, int]:
@@ -192,8 +296,8 @@ def axiom_probability(
 ) -> ProbResult:
     """Exact probability that ``w`` satisfies ``axiom`` (jr/pjr/ejr).
 
-    JR dispatches to the closed forms when they apply; PJR and EJR are
-    computed by enumeration only.
+    JR dispatches to the joint scan, the closed forms or the voter DP;
+    PJR and EJR are computed by enumeration only.
     """
     from .axioms import _require_axiom
 

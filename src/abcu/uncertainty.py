@@ -446,6 +446,15 @@ def _product(tables) -> Iterator[tuple[Profile, int]]:
             yield prefix + (s,), weight * wt
 
 
+def _require_budget(model: Model, budget: int | None) -> None:
+    """Raise :class:`BudgetError` when the plausible-profile count
+    exceeds the budget."""
+    cap = resolve_budget(budget)
+    total = plausible_count(model)
+    if total > cap:
+        raise BudgetError(total, cap)
+
+
 def _weighted_profiles(
     model: Model, budget: int | None = None
 ) -> tuple[int, Iterator[tuple[Profile, int]]]:
@@ -456,10 +465,7 @@ def _weighted_profiles(
     for a positive integer ``weight``.  Raises :class:`BudgetError` up
     front when the profile count exceeds the budget.
     """
-    cap = resolve_budget(budget)
-    total = plausible_count(model)
-    if total > cap:
-        raise BudgetError(total, cap)
+    _require_budget(model, budget)
     if isinstance(model, JointModel):
         denom, entries = _over_common_denominator(model.entries)
         return denom, iter(entries)

@@ -149,6 +149,63 @@ class TestReports:
         assert report["ties"] == expected.ties
 
 
+class TestMachineReportBytes:
+    """Machine reports carry exactly the bytes of
+    ``json.dumps(report, indent=2, sort_keys=True)``, for every shape."""
+
+    @pytest.fixture
+    def docs(self, capsys, tmp_path, bloc_doc):
+        bad = json.loads((DOCS / "lottery.json").read_text())
+        bad["model"]["voters"][1][0]["prob"] = "1/3"
+        bad["model"]["voters"][0][0]["prob"] = "\u00bd"
+        (tmp_path / "bad.json").write_text(json.dumps(bad))
+        code, out, _ = run(capsys, "reduce", "vc", str(DOCS / "graph.edges"))
+        assert code == 0
+        (tmp_path / "vc.json").write_text(out)
+        paths = {name: str(DOCS / f"{name}.json") for name in (
+            "candidate-probability", "joint", "lottery", "three-valued")}
+        paths.update(bad=str(tmp_path / "bad.json"), vc=str(tmp_path / "vc.json"),
+                     bloc=str(bloc_doc))
+        return paths
+
+    CALLS = (
+        ("validate", "bad"),
+        ("validate", "lottery"),
+        ("decide", "nec", "jr", "--witness", "candidate-probability"),
+        ("decide", "poss", "jr", "--witness", "candidate-probability"),
+        ("decide", "nec", "ejr", "--witness", "lottery"),
+        ("prob", "jr", "three-valued"),
+        ("prob", "pjr", "lottery"),
+        ("prob", "jr", "candidate-probability"),
+        ("count", "vc"),
+        ("max", "ejr", "joint"),
+        ("max", "jr", "three-valued"),
+        ("exists", "nec-jr", "--witness", "lottery"),
+        ("exists", "poss-jr", "joint"),
+        ("sizejr", "--size", "1", "bloc"),
+        ("check", "ejr", "--witness", "bloc"),
+        ("check", "jr", "bloc"),
+    )
+
+    def test_equal_to_json_dumps(self, capsys, docs):
+        keys = set()
+        for call in self.CALLS:
+            *argv, name = call
+            code, out, _ = run(capsys, *argv, "--output", "machine", docs[name])
+            assert code == (2 if name == "bad" else 0), call
+            report = json.loads(out)
+            assert out == json.dumps(report, indent=2, sort_keys=True) + "\n", call
+            keys.update(report)
+        # Every report field, nested witnesses and error lists included.
+        assert keys >= {
+            "answer", "axiom", "committee", "errors", "method", "probability", "satisfied",
+            "satisfying", "size", "ties", "total", "valid", "value", "witness_profile",
+            "witness_violation",
+        }
+        _, out, _ = run(capsys, "validate", "--output", "machine", docs["bad"])
+        assert "\\u00bd" in out
+
+
 class TestDocumentCommands:
     def test_validate_good(self, capsys):
         code, out, _ = run(capsys, "validate", str(DOCS / "lottery.json"))

@@ -113,13 +113,14 @@ class TestOnePassMax:
                 for w in committees
             ]
             methods = {r.method for r in results}
-            mixed += "enumeration" in methods and len(methods) > 1
+            general = "dp-voters" if axiom == "jr" else "enumeration"
+            mixed += general in methods and len(methods) > 1
             best = max(r.value for r in results)
             want_w = committees[next(j for j, r in enumerate(results) if r.value == best)]
             want_ties = sum(1 for r in results if r.value == best)
             got = max_axiom(model, axiom, force_enumeration=force)
             assert (got.committee, got.value, got.ties) == (want_w, best, want_ties)
-        # Without forcing, JR mixes closed forms and enumeration in one call.
+        # Without forcing, JR mixes closed forms and the voter DP in one call.
         assert mixed >= (3 if axiom == "jr" and not force else 0)
 
     def test_lottery_and_joint(self):
