@@ -42,12 +42,17 @@ from .uncertainty import (
 )
 
 
-def _load_document(path: str) -> Document:
+def _read_text(path: str) -> str:
     try:
-        text = Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
-    return parse_document(text)
+    except UnicodeDecodeError as exc:
+        raise InputError(f"cannot read {path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+
+
+def _load_document(path: str) -> Document:
+    return parse_document(_read_text(path))
 
 
 def _need_committee(doc: Document):
@@ -259,10 +264,7 @@ def cmd_sizejr(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    try:
-        text = Path(args.file).read_text()
-    except OSError as exc:
-        raise InputError(f"cannot read {args.file}: {exc}") from None
+    text = _read_text(args.file)
     if args.gadget == "3sat":
         model, _, w = reductions.reduce_3sat(parse_dimacs(text))
     else:

@@ -55,10 +55,9 @@ from .uncertainty import (
     PlausibleProfile,
     ThreeValuedModel,
     _cp_rows,
-    _split_row,
+    _profile_probability,
     _weighted_profiles,
     first_plausible,
-    profile_probability,
 )
 
 POLY = "poly-special-case"
@@ -111,14 +110,14 @@ def is_poss_jr(
         prof = tuple(
             tuple(sorted(
                 [c for c in w if row[c].numerator]
-                + [c for c in _split_row(row)[0] if c not in wset]
+                + [c for c in forced if c not in wset]
             ))
-            for row in _cp_rows(model)
+            for row, (forced, _) in zip(_cp_rows(model), model.split_rows)
         )
         if jr_violation(inst, prof, w) is None:
             return DecisionResult(
                 True, POLY,
-                witness_profile=PlausibleProfile(prof, profile_probability(model, prof)),
+                witness_profile=PlausibleProfile(prof, _profile_probability(model, prof)),
             )
         return DecisionResult(False, POLY)
     return _poss_jr_lottery(model, w, budget)
@@ -177,7 +176,7 @@ def _poss_jr_lottery(model: LotteryModel, w: Committee, budget: int | None) -> D
     prof = tuple(chosen)
     return DecisionResult(
         True, ENUM,
-        witness_profile=PlausibleProfile(prof, profile_probability(model, prof)),
+        witness_profile=PlausibleProfile(prof, _profile_probability(model, prof)),
     )
 
 
@@ -236,7 +235,7 @@ def _nec_jr_lottery(model: LotteryModel, w: Committee) -> DecisionResult:
             )
             return DecisionResult(
                 False, POLY,
-                witness_profile=PlausibleProfile(prof, profile_probability(model, prof)),
+                witness_profile=PlausibleProfile(prof, _profile_probability(model, prof)),
                 witness_violation=jr_violation(inst, prof, w),
             )
     return DecisionResult(True, POLY)
@@ -246,7 +245,7 @@ def _nec_jr_matrix(model: CandidateProbModel | ThreeValuedModel, w: Committee) -
     inst = model.instance
     rows = _cp_rows(model)
     wset = frozenset(w)
-    forced = [_split_row(row)[0] for row in rows]
+    forced = [f for f, _ in model.split_rows]
     # Voters who can dodge the committee: no forced approval inside it.
     dodgers = [i for i in range(inst.n) if wset.isdisjoint(forced[i])]
     for c in range(inst.m):
@@ -261,7 +260,7 @@ def _nec_jr_matrix(model: CandidateProbModel | ThreeValuedModel, w: Committee) -
             )
             return DecisionResult(
                 False, POLY,
-                witness_profile=PlausibleProfile(prof, profile_probability(model, prof)),
+                witness_profile=PlausibleProfile(prof, _profile_probability(model, prof)),
                 witness_violation=jr_violation(inst, prof, w),
             )
     return DecisionResult(True, POLY)
@@ -291,7 +290,7 @@ def exists_nec_jr(
                     chosen.append(c)
             return DecisionResult(True, POLY, witness_committee=tuple(sorted(chosen)))
         if _matrix_like(model):
-            if all(len(_split_row(row)[1]) == inst.m for row in _cp_rows(model)):
+            if all(len(free) == inst.m for _, free in model.split_rows):
                 # Every candidate can be the unanimous favourite, so only
                 # the full candidate set is necessarily JR.
                 if inst.k == inst.m:

@@ -170,7 +170,9 @@ def parse_document(text: str) -> Document:
     path-precise message on any schema or model violation."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError also covers an integer too long to convert, and
+        # RecursionError nesting too deep for the decoder.
         raise InputError(f"not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise InputError("document must be a JSON object")

@@ -11,6 +11,7 @@ in general.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -20,6 +21,12 @@ Profile = tuple[ApprovalSet, ...]
 Committee = tuple[int, ...]
 
 DEFAULT_BUDGET = 2**20
+
+# A decimal exponent beyond this magnitude is refused before ``Fraction``
+# builds ``10**exponent``: no probability needs one, and the integer
+# would be as long as the exponent is large.
+MAX_EXPONENT = 1000
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
 
 
 class InputError(ValueError):
@@ -62,19 +69,34 @@ def parse_probability(value) -> Fraction:
 
     Accepts ints, Fractions and strings (``"1/2"`` or ``"0.6"``, both
     parsed exactly).  Floats are rejected: their binary representation
-    silently loses the decimal value the caller meant.
+    silently loses the decimal value the caller meant.  So is a decimal
+    exponent beyond ``MAX_EXPONENT``, before any integer is built.  A
+    value outside ``[0, 1]`` is named as it was given.
     """
     if isinstance(value, bool):
         raise InputError(f"not a probability: {value!r}")
     if isinstance(value, float):
         raise InputError(f"float {value!r} is not exact; pass a string like '0.6' or a fraction '3/5'")
+    if isinstance(value, str):
+        exponent = _EXPONENT.search(value)
+        if exponent and not _exponent_ok(exponent[1]):
+            raise InputError(
+                f"cannot parse probability {value!r}: decimal exponent above {MAX_EXPONENT} in magnitude"
+            )
     try:
         f = Fraction(value)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
         raise InputError(f"cannot parse probability {value!r}: {exc}") from None
     if not 0 <= f <= 1:
-        raise InputError(f"probability {f} outside [0, 1]")
+        raise InputError(f"probability {value} outside [0, 1]")
     return f
+
+
+def _exponent_ok(digits: str) -> bool:
+    try:
+        return abs(int(digits)) <= MAX_EXPONENT
+    except ValueError:  # more digits than ``int`` converts
+        return False
 
 
 # A collection holds only exact ints, and no bools, iff the set of its

@@ -49,10 +49,8 @@ from .uncertainty import (
     LotteryModel,
     Model,
     ThreeValuedModel,
-    _cp_rows,
     _over_common_denominator,
     _require_budget,
-    _split_row,
     _weighted_profiles,
 )
 
@@ -75,7 +73,7 @@ class ProbResult:
 
 
 def _total_unknowns(model: ThreeValuedModel) -> int:
-    return sum(len(_split_row(row)[1]) for row in model.entries)
+    return sum(len(free) for _, free in model.split_rows)
 
 
 def _with_counts(value: Fraction, method: str, model: Model) -> ProbResult:
@@ -97,8 +95,7 @@ def _certain_w_value(model: ThreeValuedModel, w: Committee) -> Fraction:
     # The certainly-unrepresented voters (every committee entry 0), as
     # bitmasks of their forced and free candidates.
     unrepresented = []
-    for row in model.entries:
-        forced, free = _split_row(row)
+    for forced, free in model.split_rows:
         if wset.isdisjoint(forced) and wset.isdisjoint(c for c, _, _ in free):
             unrepresented.append((
                 sum(1 << c for c in forced), sum(1 << c for c, _, _ in free),
@@ -125,8 +122,7 @@ def _full_committee_counts(model: ThreeValuedModel, w: Committee) -> tuple[int, 
     wset = set(w)
     count = 1
     total_exp = 0
-    for row in model.entries:
-        forced, free = _split_row(row)
+    for forced, free in model.split_rows:
         x = len(free)
         total_exp += x
         if not wset.isdisjoint(forced):
@@ -220,8 +216,7 @@ def _jr_dp(model: Model, w: Committee) -> Fraction:
             if not states:
                 return Fraction(0)
         return Fraction(sum(states.values()), denom)
-    for row in _cp_rows(model):
-        forced, free = _split_row(row)
+    for forced, free in model.split_rows:
         if not wset.isdisjoint(forced):
             continue  # certainly represented
         # The voter approves no member of ``w`` with weight ``unrep``

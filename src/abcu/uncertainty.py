@@ -40,9 +40,11 @@ expansion, ``first_plausible``, ``plausible_count``,
 ``profile_probability`` and the matrix paths of ``decide`` and
 ``probability`` work on this classification, and validation reads the
 same integers, so no path compares a ``Fraction`` per entry; a
-``Fraction`` is built only for a probability that is returned.  The
-classification is cheap and is recomputed by each caller, never stored
-on the model.
+``Fraction`` is built only for a probability that is returned.  Each
+model object classifies its rows once, on first use, and keeps the
+result (``split_rows``), so a model asked many questions pays for one
+pass.  The stored rows are not a dataclass field: equality, hashing,
+``repr`` and the written document see only the matrix.
 
 Enumeration order is fixed: Joint entries in input order; Lottery
 combinations with voter 0 outermost and each voter's sets in input
@@ -57,6 +59,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Iterator, Union
 
 from .model import (
@@ -92,8 +95,18 @@ class LotteryModel:
     lotteries: tuple[tuple[tuple[Fraction, ApprovalSet], ...], ...]
 
 
+class _MatrixRows:
+    """The rows of a CandidateProb or ThreeValued model, classified by
+    ``_split_row`` on first use and kept on the object.  Callers read
+    the lists and never change them."""
+
+    @cached_property
+    def split_rows(self) -> list[tuple[list[int], list[tuple[int, int, int]]]]:
+        return list(map(_split_row, _cp_rows(self)))
+
+
 @dataclass(frozen=True)
-class CandidateProbModel:
+class CandidateProbModel(_MatrixRows):
     """Independent approval probability for every (voter, candidate) pair."""
 
     instance: Instance
@@ -101,7 +114,7 @@ class CandidateProbModel:
 
 
 @dataclass(frozen=True)
-class ThreeValuedModel:
+class ThreeValuedModel(_MatrixRows):
     """Certain approvals/disapprovals plus unknown entries at 1/2."""
 
     instance: Instance
@@ -151,7 +164,7 @@ def joint_model(inst: Instance, entries: Iterable[tuple[object, object]]) -> Joi
     """Build and validate a Joint model from (probability, profile) pairs."""
     parse = _probability_parser()
     built = tuple((parse(lam), approval_profile(prof, inst)) for lam, prof in entries)
-    return validate(JointModel(inst, built))
+    return _validated(JointModel(inst, built), check_sets=False)
 
 
 def lottery_model(
@@ -163,7 +176,7 @@ def lottery_model(
         tuple((parse(lam), approval_set(s, inst.m)) for lam, s in voter)
         for voter in lotteries
     )
-    return validate(LotteryModel(inst, built))
+    return _validated(LotteryModel(inst, built), check_sets=False)
 
 
 def _matrix(rows: Iterable[Iterable[object]]) -> tuple[tuple[Fraction, ...], ...]:
@@ -240,6 +253,14 @@ def _tva_entry_ok(p) -> bool:
 
 def validation_errors(model: Model) -> list[str]:
     """Every invariant violation in ``model``, as human-readable messages."""
+    return _model_errors(model, check_sets=True)
+
+
+def _model_errors(model: Model, check_sets: bool) -> list[str]:
+    """``validation_errors``, checking each approval set of a Joint or
+    Lottery model only when ``check_sets``.  The constructors pass
+    False: ``approval_set`` has just canonicalised and range-checked
+    every set."""
     errors: list[str] = []
     inst = model.instance
     if isinstance(model, JointModel):
@@ -251,9 +272,10 @@ def validation_errors(model: Model) -> list[str]:
                 errors.append(f"entry {r}: probability {lam} not in (0, 1]")
             if len(prof) != inst.n:
                 errors.append(f"entry {r}: profile has {len(prof)} sets, expected n={inst.n}")
-            for i, s in enumerate(prof):
-                if not _set_ok(s, inst.m):
-                    _set_errors(s, inst.m, f"entry {r}, voter {i}", errors)
+            if check_sets:
+                for i, s in enumerate(prof):
+                    if not _set_ok(s, inst.m):
+                        _set_errors(s, inst.m, f"entry {r}, voter {i}", errors)
             if prof in seen:
                 errors.append(f"entry {r}: duplicate of profile in entry {seen[prof]}")
             else:
@@ -273,7 +295,7 @@ def validation_errors(model: Model) -> list[str]:
             for lam, s in voter:
                 if not 0 < lam.numerator <= lam.denominator:
                     errors.append(f"voter {i}: probability {lam} not in (0, 1]")
-                if not _set_ok(s, inst.m):
+                if check_sets and not _set_ok(s, inst.m):
                     _set_errors(s, inst.m, f"voter {i}", errors)
                 if s in seen_sets:
                     errors.append(f"voter {i}: duplicate approval set {s}")
@@ -302,7 +324,11 @@ def validation_errors(model: Model) -> list[str]:
 
 def validate(model: Model) -> Model:
     """Raise :class:`InputError` listing every violation; return the model."""
-    errors = validation_errors(model)
+    return _validated(model, check_sets=True)
+
+
+def _validated(model: Model, check_sets: bool) -> Model:
+    errors = _model_errors(model, check_sets)
     if errors:
         raise InputError("; ".join(errors))
     return model
@@ -313,8 +339,11 @@ def validate(model: Model) -> Model:
 
 
 def tva_to_cp(model: ThreeValuedModel) -> CandidateProbModel:
-    """Embed a ThreeValued model into CandidateProb (entries unchanged)."""
-    return CandidateProbModel(model.instance, model.entries)
+    """Embed a ThreeValued model into CandidateProb (entries unchanged).
+    The rows are the same, so their classification is handed on."""
+    cp = CandidateProbModel(model.instance, model.entries)
+    vars(cp)["split_rows"] = model.split_rows
+    return cp
 
 
 def _cp_rows(model: CandidateProbModel | ThreeValuedModel) -> tuple[tuple[Fraction, ...], ...]:
@@ -365,8 +394,7 @@ def cp_to_lottery(
     """
     cap = resolve_budget(budget)
     lotteries = []
-    for row in _cp_rows(model):
-        forced, free = _split_row(row)
+    for forced, free in model.split_rows:
         support = 2 ** len(free)
         if support > cap:
             raise BudgetError(support, cap)
@@ -396,7 +424,7 @@ def plausible_count(model: Model) -> int:
         for voter in model.lotteries:
             total *= len(voter)
         return total
-    return 2 ** sum(len(_split_row(row)[1]) for row in _cp_rows(model))
+    return 2 ** sum(len(free) for _, free in model.split_rows)
 
 
 def first_plausible(model: Model) -> PlausibleProfile:
@@ -415,8 +443,7 @@ def first_plausible(model: Model) -> PlausibleProfile:
     # Forced approvals only: every free entry is disapproved.
     sets = []
     num = den = 1
-    for row in _cp_rows(model):
-        forced, free = _split_row(row)
+    for forced, free in model.split_rows:
         sets.append(tuple(forced))
         for _, p_num, p_den in free:
             num *= p_den - p_num
@@ -472,7 +499,7 @@ def _weighted_profiles(
     if isinstance(model, LotteryModel):
         tables = [_over_common_denominator(voter) for voter in model.lotteries]
     else:
-        tables = [_row_table(*_split_row(row)) for row in _cp_rows(model)]
+        tables = list(itertools.starmap(_row_table, model.split_rows))
     return math.prod(d for d, _ in tables), _product([t for _, t in tables])
 
 
@@ -489,7 +516,11 @@ def enumerate_plausible(model: Model, budget: int | None = None) -> Iterator[Pla
 
 def profile_probability(model: Model, prof) -> Fraction:
     """Exact probability of ``prof`` under ``model`` (0 if not plausible)."""
-    prof = approval_profile(prof, model.instance)
+    return _profile_probability(model, approval_profile(prof, model.instance))
+
+
+def _profile_probability(model: Model, prof: Profile) -> Fraction:
+    """``profile_probability`` of a canonical profile of ``n`` sets."""
     if isinstance(model, JointModel):
         for lam, entry in model.entries:
             if entry == prof:
@@ -511,8 +542,7 @@ def profile_probability(model: Model, prof) -> Fraction:
     # implausible when it misses a forced approval or approves an entry
     # of 0.
     num = den = 1
-    for row, s in zip(_cp_rows(model), prof):
-        forced, free = _split_row(row)
+    for (forced, free), s in zip(model.split_rows, prof):
         members = set(s)
         if not members.issuperset(forced):
             return Fraction(0)

@@ -274,6 +274,63 @@ class TestExitCodes:
         assert "three-valued" in err
 
 
+class TestHostileFiles:
+    """Inputs that once escaped as tracebacks with exit 1."""
+
+    def _one_error_line(self, capsys, *argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        return err
+
+    def test_non_utf8_document(self, capsys, tmp_path):
+        doc = tmp_path / "latin1.json"
+        doc.write_bytes('{"format": "abcu/1", "note": "café"}'.encode("latin-1"))
+        err = self._one_error_line(capsys, "prob", "jr", str(doc))
+        assert "not UTF-8" in err
+        code, out, _ = run(capsys, "validate", str(doc), "--output", "machine")
+        assert code == 2
+        assert json.loads(out)["valid"] is False
+
+    @pytest.mark.parametrize("gadget, name", [("3sat", "formula.cnf"), ("vc", "graph.edges")])
+    def test_non_utf8_cnf_and_edge_list(self, capsys, tmp_path, gadget, name):
+        path = tmp_path / name
+        path.write_bytes((DOCS / name).read_bytes() + b"c \xff\xfe\n")
+        err = self._one_error_line(capsys, "reduce", gadget, str(path))
+        assert "not UTF-8" in err
+
+    def test_deeply_nested_json(self, capsys, tmp_path):
+        doc = tmp_path / "deep.json"
+        doc.write_text("[" * 200000)
+        err = self._one_error_line(capsys, "decide", "poss", "jr", str(doc))
+        assert "not valid JSON" in err
+
+    def test_integer_too_long_to_convert(self, capsys, tmp_path):
+        doc = tmp_path / "long.json"
+        doc.write_text('{"format": "abcu/1", "size": ' + "7" * 5000 + "}")
+        err = self._one_error_line(capsys, "prob", "jr", str(doc))
+        assert "not valid JSON" in err
+
+    @pytest.mark.parametrize("value", ["1e999999", "1e5000", "1E-5000", "0.5e+1001"])
+    def test_huge_decimal_exponent(self, capsys, tmp_path, value):
+        data = json.loads((DOCS / "candidate-probability.json").read_text())
+        data["model"]["rows"][0][0] = value
+        doc = tmp_path / "exponent.json"
+        doc.write_text(json.dumps(data))
+        err = self._one_error_line(capsys, "prob", "jr", str(doc))
+        assert err == (f"error: model.rows[0][0]: cannot parse probability {value!r}: "
+                       "decimal exponent above 1000 in magnitude\n")
+
+    def test_out_of_range_probability_is_named_as_written(self, capsys, tmp_path):
+        data = json.loads((DOCS / "candidate-probability.json").read_text())
+        data["model"]["rows"][0][0] = "1e1000"
+        doc = tmp_path / "exponent.json"
+        doc.write_text(json.dumps(data))
+        err = self._one_error_line(capsys, "prob", "jr", str(doc))
+        assert err == "error: model.rows[0][0]: probability 1e1000 outside [0, 1]\n"
+
+
 class TestHostileProbabilities:
     @pytest.mark.parametrize("value, message", HOSTILE, ids=[json.dumps(v) for v, _ in HOSTILE])
     def test_exit_2_with_the_recorded_message(self, capsys, tmp_path, value, message):

@@ -1,0 +1,157 @@
+"""The row classification stored on a matrix model.
+
+A CandidateProb or ThreeValued model classifies its rows with
+``uncertainty._split_row`` once, on first use, and every consumer reads
+the stored result.  These tests pin that it equals a fresh
+classification, that a model object classifies each row once however
+many questions it is asked, and that the stored rows are invisible to
+equality, hashing, ``repr``, the written document and pickling.
+"""
+
+import itertools
+import pickle
+from fractions import Fraction
+
+import pytest
+
+from abcu import (
+    CandidateProbModel,
+    Instance,
+    ThreeValuedModel,
+    cp_model,
+    cp_to_lottery,
+    enumerate_plausible,
+    exists_nec_jr,
+    exists_poss_jr,
+    first_plausible,
+    is_nec_jr,
+    is_poss_jr,
+    jr_probability,
+    max_axiom,
+    plausible_count,
+    profile_probability,
+    tva_model,
+    tva_to_cp,
+)
+from abcu import uncertainty
+from abcu.decide import ENUM
+from abcu.io import document_for, emit_document
+from abcu.probability import DP_VOTERS
+from abcu.uncertainty import _split_row
+from test_document_path import _matrix_models
+
+HALF = Fraction(1, 2)
+
+
+def _fresh(model):
+    return type(model)(model.instance, uncertainty._cp_rows(model))
+
+
+class TestStoredEqualsFresh:
+    def test_random_models(self):
+        for model in _matrix_models(200, seed=91):
+            rows = uncertainty._cp_rows(model)
+            assert model.split_rows == [_split_row(row) for row in rows]
+
+    def test_rows_without_free_entries(self):
+        model = cp_model(Instance(3, 3, 1), [[0, 1, 0], [1, 1, 1], [0, 0, 0]])
+        assert model.split_rows == [([1], []), ([0, 1, 2], []), ([], [])]
+
+    def test_hand_built_out_of_range_entries(self):
+        row = (Fraction(3, 2), Fraction(-1, 2), HALF, Fraction(1), Fraction(0))
+        for maker in (CandidateProbModel, ThreeValuedModel):
+            model = maker(Instance(2, 5, 1), (row, row))
+            assert model.split_rows == [_split_row(row)] * 2
+            assert model.split_rows[0] == ([3], [(0, 3, 2), (1, -1, 2), (2, 1, 2)])
+
+    def test_three_valued_embedding_hands_the_rows_on(self):
+        model = tva_model(Instance(2, 3, 1), [["1/2", 1, 0], [0, "1/2", "1/2"]])
+        cp = tva_to_cp(model)
+        assert cp.split_rows is model.split_rows
+        assert cp.split_rows == _fresh(cp).split_rows
+
+
+def _interesting_models():
+    """Small cp and 3va models whose queries take every matrix path:
+    possible-JR witnesses, necessary-JR refutations, the voter DP and
+    the committee scan of ``exists_nec_jr``."""
+    inst = Instance(4, 4, 2)
+    cp_rows = [["1/3", 1, 0, "2/5"], [0, "1/2", "3/4", 0], [1, 0, "1/2", "1/3"], [0, 0, "1/2", 1]]
+    tva_rows = [["1/2", 1, 0, "1/2"], [0, "1/2", "1/2", 0], [1, 0, "1/2", "1/2"], [0, 0, "1/2", 1]]
+    return [cp_model(inst, cp_rows), tva_model(inst, tva_rows)]
+
+
+@pytest.fixture
+def split_calls(monkeypatch):
+    """Count the calls of ``_split_row``, by the row object passed."""
+    calls = []
+
+    def counting(row):
+        calls.append(row)
+        return _split_row(row)
+
+    monkeypatch.setattr(uncertainty, "_split_row", counting)
+    return calls
+
+
+class TestOncePerModel:
+    @pytest.mark.parametrize("which", [0, 1], ids=["cp", "3va"])
+    def test_every_question_reads_one_classification(self, split_calls, which):
+        model = _interesting_models()[which]
+        inst = model.instance
+        committees = list(itertools.combinations(range(inst.m), inst.k))
+        # is_poss_jr builds and prices its witness from the stored rows.
+        poss = [is_poss_jr(model, w) for w in committees]
+        assert any(r.answer for r in poss)
+        assert len(split_calls) == inst.n
+        nec = [is_nec_jr(model, w) for w in committees]
+        assert any(not r.answer for r in nec)
+        # max_axiom takes every committee's JR path, the voter DP included.
+        assert DP_VOTERS in {jr_probability(model, w).method for w in committees}
+        max_axiom(model, "jr")
+        # exists_nec_jr falls back to a scan over the committees.
+        assert exists_nec_jr(model).method == ENUM
+        exists_poss_jr(model)
+        plausible_count(model)
+        first_plausible(model)
+        cp_to_lottery(model)
+        for pp in enumerate_plausible(model):
+            assert profile_probability(model, pp.profile) == pp.prob
+        assert len(split_calls) == inst.n
+        assert {id(row) for row in split_calls} == {id(row) for row in uncertainty._cp_rows(model)}
+
+    def test_each_model_object_classifies_its_own_rows(self, split_calls):
+        model = _interesting_models()[0]
+        twin = _fresh(model)
+        plausible_count(model)
+        plausible_count(model)
+        plausible_count(twin)
+        assert len(split_calls) == 2 * model.instance.n
+
+    def test_embedding_a_three_valued_model_classifies_once(self, split_calls):
+        model = _interesting_models()[1]
+        plausible_count(model)
+        lottery = cp_to_lottery(tva_to_cp(model))
+        assert len(split_calls) == model.instance.n
+        assert lottery == cp_to_lottery(_fresh(model))
+
+
+class TestInvisible:
+    def _observed(self, model):
+        return (
+            model, hash(model), repr(model),
+            emit_document(document_for(model, (0, 1))),
+            pickle.loads(pickle.dumps(model)),
+        )
+
+    @pytest.mark.parametrize("which", [0, 1], ids=["cp", "3va"])
+    def test_same_before_and_after_first_read(self, which):
+        model = _interesting_models()[which]
+        assert "split_rows" not in vars(model)
+        before = self._observed(model)
+        model.split_rows
+        after = self._observed(model)
+        assert before == after
+        assert after[0] == _fresh(model) and hash(after[0]) == hash(_fresh(model))
+        assert after[4].split_rows == model.split_rows
+        assert "split_rows" not in repr(model)

@@ -74,6 +74,35 @@ class TestValidation:
         assert any("duplicate" in e for e in errors)
         assert any("5/6" in e for e in errors)
 
+    def test_hand_built_bad_sets_reported(self):
+        inst = Instance(2, 3, 1)
+        lottery = LotteryModel(inst, (
+            ((HALF, (0, 0)), (HALF, (True,))),
+            ((Fraction(1), (-1, 2)),),
+        ))
+        assert validation_errors(lottery) == [
+            "voter 0: approval set (0, 0) is not a canonical sorted tuple",
+            "voter 1: candidate id -1 out of range for m=3",
+        ]
+        joint = JointModel(inst, ((HALF, ((0,), (2, 1))), (HALF, ((3,), ()))))
+        assert validation_errors(joint) == [
+            "entry 0, voter 1: approval set (2, 1) is not a canonical sorted tuple",
+            "entry 1, voter 0: candidate id 3 out of range for m=3",
+        ]
+
+    def test_constructors_check_each_set_once(self, monkeypatch):
+        from abcu import uncertainty
+
+        calls = []
+        set_ok = uncertainty._set_ok
+        monkeypatch.setattr(uncertainty, "_set_ok", lambda s, m: calls.append(s) or set_ok(s, m))
+        inst = Instance(2, 3, 1)
+        lottery = lottery_model(inst, [[(HALF, [1, 0]), (HALF, [2])], [(1, [])]])
+        joint = joint_model(inst, [(HALF, [[0], [2, 1]]), (HALF, [[1], []])])
+        assert calls == []
+        assert validation_errors(lottery) == validation_errors(joint) == []
+        assert len(calls) == 3 + 4
+
     def test_cp_out_of_range_candidate(self):
         inst = Instance(1, 2, 1)
         with pytest.raises(InputError, match="out of range"):
