@@ -34,6 +34,15 @@ in ``n`` for fixed ``k``.  The PJR witness group is rebuilt greedily as
 the lexicographically first quota-sized group of ``T``'s approvers that
 fits inside some ``S`` (see :func:`pjr_violation`), so every witness
 and the scan order are those of the brute force over voter groups.
+
+The same level tests also run one voter at a time (:class:`_Growth`),
+for scans over models with independent voters (:func:`_pruned_walk`).
+A violating group, its quota and its common set depend only on the
+group's own members, so a violation among some voters stays one
+whatever the other voters approve.  A walk over the voters therefore
+drops every subtree whose prefix violates, and when a voter joins a
+prefix that does not violate it tests only the groups that contain the
+new voter.
 """
 
 from __future__ import annotations
@@ -327,6 +336,172 @@ class _Levels:
                         and _first_common(pool, ell, quota, approvers) is not None):
                     return ell
         return None
+
+
+class _Growth:
+    """The PJR or EJR level tests of one committee ``W``, taken one voter
+    at a time.
+
+    A state is a list of pool bitsets over the voters added so far, one
+    per pool of the level tests of :class:`_Levels`: for EJR one per
+    level ``ell`` (the voters with fewer than ``ell`` approved committee
+    members), for PJR one per level and ``S`` (the voters whose approved
+    committee members all lie in ``S``).  A violation is a group of one
+    pool, at least the level's quota strong, that jointly approves an
+    ``ell``-set ``T``.  Whether a group violates depends only on its own
+    members, and the quotas are fixed by the instance, so a group that
+    violates for some voters still violates once more are added.  So when
+    the voters before ``d`` hold no violation, the only groups that can
+    violate after ``d`` joins contain ``d``: they lie in a pool ``d``
+    joins, and their ``T`` lies inside ``d``'s approval set.  :meth:`step`
+    tests exactly these, by the same depth-first search over heavy
+    candidates as the full level test.
+    """
+
+    __slots__ = ("start", "specs", "wmask", "plans")
+
+    def __init__(self, inst: Instance, wset: frozenset[int], axiom: str):
+        levels = _Levels(inst, wset)
+        self.wmask = levels.wmask
+        if axiom == "ejr":
+            self.specs = [(ell, quota, None) for ell, quota in levels.quotas]
+        else:
+            self.specs = [
+                (ell, quota, s) for ell, quota in levels.quotas for s in levels.subsets[ell]
+            ]
+        self.start = [0] * len(self.specs)
+        # Approval set -> the pools a voter with it joins, as
+        # (pool index, quota, ell), with ell 0 where ell exceeds the set.
+        self.plans: dict[ApprovalSet, list[tuple[int, int, int]]] = {}
+
+    def _plan(self, s: ApprovalSet) -> list[tuple[int, int, int]]:
+        part = _mask(s) & self.wmask
+        plan = self.plans[s] = [
+            (p, quota, ell if ell <= len(s) else 0)
+            for p, (ell, quota, inside) in enumerate(self.specs)
+            if (part.bit_count() < ell if inside is None else not part & ~inside)
+        ]
+        return plan
+
+    def step(self, pools: list[int], bit: int, s: ApprovalSet,
+             approvers: list[int]) -> list[int] | None:
+        """The state after the voter ``bit`` joins with set ``s``, or None
+        when a group containing that voter now violates.  ``approvers``
+        already counts the voter."""
+        plan = self.plans.get(s)
+        if plan is None:
+            plan = self._plan(s)
+        if not plan:
+            return pools
+        grown = pools[:]
+        for p, quota, ell in plan:
+            pool = grown[p] = pools[p] | bit
+            if ell and pool.bit_count() >= quota:
+                heavy = []
+                for c in s:
+                    bits = approvers[c] & pool
+                    if bits.bit_count() >= quota:
+                        heavy.append((c, bits))
+                if len(heavy) >= ell and _extend(heavy, 0, ell, quota, pool) is not None:
+                    return None
+        return grown
+
+
+def _pruned_walk(
+    inst: Instance, tables: list[list[tuple[ApprovalSet, int]]],
+    wsets: list[frozenset[int]], axiom: str,
+) -> Iterator[tuple[bool, list[ApprovalSet], int, list[int]]]:
+    """The profiles of independent voters as a tree, pruned for PJR or
+    EJR (``axiom``) of each committee of ``wsets``.
+
+    ``tables[i]`` lists voter ``i``'s ``(set, weight)`` entries in
+    enumeration order.  Voters with a single entry are added first, at
+    the root; the others branch, in index order, each over its entries
+    in table order, so leaves come in enumeration order.  A committee is
+    dropped from a subtree as soon as :class:`_Growth` finds a violation
+    in its prefix: every profile below violates too.  Yields
+    ``(holds, profile, weight, committees)`` in walk order:
+
+    * at a leaf, ``holds`` is True and ``committees`` lists the indices
+      of the committees the profile satisfies;
+    * where committees are dropped, ``holds`` is False, and ``profile``
+      is the subtree's first profile, every later voter on its first
+      entry, which is the first violating profile of the subtree.
+
+    ``weight`` is the product of the profile's weights.  ``profile`` is
+    one list, updated in place; copy it to keep it.  The walk keeps an
+    explicit stack, one frame per branching voter.
+    """
+    growths = [_Growth(inst, wset, axiom) for wset in wsets]
+
+    def advance(alive, bit, s, approvers):
+        """The committees of ``alive`` that survive voter ``bit`` joining
+        with ``s``, with their states, and those that do not."""
+        kept = []
+        dead = []
+        for j, pools in alive:
+            pools = growths[j].step(pools, bit, s, approvers)
+            if pools is None:
+                dead.append(j)
+            else:
+                kept.append((j, pools))
+        return kept, dead
+
+    profile = [table[0][0] for table in tables]
+    approvers = [0] * inst.m
+    alive = [(j, g.start) for j, g in enumerate(growths)]
+    weight = 1
+    dead = []
+    order = []
+    for i, table in enumerate(tables):
+        if len(table) > 1:
+            order.append(i)
+            continue
+        (s, wt), = table
+        weight *= wt
+        bit = 1 << i
+        for c in s:
+            approvers[c] |= bit
+        alive, lost = advance(alive, bit, s, approvers)
+        dead += lost
+    # first[d]: the weight of every branching voter from the d-th on
+    # taking its first entry.
+    first = [1] * (len(order) + 1)
+    for d in range(len(order) - 1, -1, -1):
+        first[d] = first[d + 1] * tables[order[d]][0][1]
+    if dead:
+        yield False, profile, weight * first[0], dead
+    if not alive:
+        return
+    if not order:
+        yield True, profile, weight, [j for j, _ in alive]
+        return
+    last = len(order) - 1
+    frames = [(iter(tables[order[0]]), weight, approvers, alive)]
+    while frames:
+        d = len(frames) - 1
+        entries, weight, approvers, alive = frames[-1]
+        i = order[d]
+        entry = next(entries, None)
+        if entry is None:
+            frames.pop()
+            profile[i] = tables[i][0][0]
+            continue
+        s, wt = entry
+        wt *= weight
+        bit = 1 << i
+        grown = approvers[:]
+        for c in s:
+            grown[c] |= bit
+        kept, dead = advance(alive, bit, s, grown)
+        profile[i] = s
+        if dead:
+            yield False, profile, wt * first[d + 1], dead
+        if kept:
+            if d == last:
+                yield True, profile, wt, [j for j, _ in kept]
+            else:
+                frames.append((iter(tables[order[d + 1]]), wt, grown, kept))
 
 
 class _PackedSets(dict):

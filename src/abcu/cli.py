@@ -21,6 +21,7 @@ from .axioms import AXIOMS, Violation, axiom_violation
 from .io import (
     Document,
     _dumps,
+    _text,
     document_for,
     emit_document,
     parse_dimacs,
@@ -71,7 +72,7 @@ def _certain_profile(doc: Document):
 
 
 def _frac(f: Fraction) -> str:
-    return f"{f.numerator}/{f.denominator}"
+    return f"{_text(f.numerator)}/{_text(f.denominator)}"
 
 
 def _machine_value(value):
@@ -101,18 +102,19 @@ def _human_value(value) -> str:
     if isinstance(value, bool):
         return "yes" if value else "no"
     if isinstance(value, Fraction):
-        return f"{value} (approx. {float(value):.6f})"
+        return f"{_text(value)} (approx. {float(value):.6f})"
     if isinstance(value, (Violation, PlausibleProfile, dict, list, tuple)):
         return json.dumps(_machine_value(value))
-    return str(value)
+    return _text(value)
 
 
 def _render(payload: dict, output: str) -> None:
     if output == "machine":
         print(_dumps(_machine_value(payload)))
     else:
-        for key, value in payload.items():
-            print(f"{key}: {_human_value(value)}")
+        # Every line is formatted before any is printed, so a value that
+        # cannot be written leaves no partial report.
+        print("\n".join([f"{key}: {_human_value(value)}" for key, value in payload.items()]))
 
 
 def _decision_payload(result: decide.DecisionResult, witness: bool) -> dict:

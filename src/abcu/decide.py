@@ -22,6 +22,20 @@ model/problem combinations and are used automatically:
 Everything else is decided by exact enumeration over plausible profiles
 (and, for existence questions, over committees in lexicographic order).
 All searches return the first witness in scan order.
+
+PJR and EJR questions on Lottery, CandidateProb and ThreeValued models
+walk the profiles as a tree over the voters (``axioms._pruned_walk``),
+whose leaves come in enumeration order.  A violating group depends only
+on its own members, and its quota is fixed by the instance, so a prefix
+that violates violates in every completion, and its subtree is dropped.
+The first surviving leaf is therefore the first satisfying profile, and
+the first dropped subtree starts with the first violating profile: its
+prefix with every later voter on its first set.  Possible satisfaction
+stops at the first leaf, necessary satisfaction at the first dropped
+subtree, and the existence questions run one such walk per committee.
+Witnesses are those of the flat scan, which Joint models and
+``force_enumeration`` keep, and a refutation's violation comes from the
+full single-profile checker.
 """
 
 from __future__ import annotations
@@ -36,6 +50,7 @@ from .axioms import (
     Violation,
     greedy_jr_committee,
     jr_violation,
+    _pruned_walk,
     _require_axiom,
     _satisfaction_test,
 )
@@ -56,6 +71,7 @@ from .uncertainty import (
     ThreeValuedModel,
     _cp_rows,
     _profile_probability,
+    _voter_tables,
     _weighted_profiles,
     first_plausible,
 )
@@ -216,22 +232,30 @@ def is_nec_jr(
 
 
 def _nec_jr_lottery(model: LotteryModel, w: Committee) -> DecisionResult:
+    """A voter can join a violation at an outside candidate ``c`` only
+    through one plausible set that holds ``c`` and avoids the committee;
+    ``c`` is violated in some profile iff a quota of voters have one.
+    One pass records each voter's first such set for every candidate;
+    the witness puts the voters who have one for the first violated
+    candidate on it, and every other voter on its first set."""
     inst = model.instance
     wset = frozenset(w)
+    firsts: list[dict[int, tuple[int, ...]]] = []
+    counts = [0] * inst.m
+    for voter in model.lotteries:
+        first: dict[int, tuple[int, ...]] = {}
+        for _, s in voter:
+            if wset.isdisjoint(s):
+                for c in s:
+                    first.setdefault(c, s)
+        for c in first:
+            counts[c] += 1
+        firsts.append(first)
     for c in range(inst.m):
-        if c in wset:
-            continue
-        # A voter can contribute to a violation at c only via one single
-        # plausible set that both contains c and avoids the committee.
-        culprits: dict[int, tuple[int, ...]] = {}
-        for i, voter in enumerate(model.lotteries):
-            for _, s in voter:
-                if c in s and wset.isdisjoint(s):
-                    culprits[i] = s
-                    break
-        if meets_threshold(len(culprits), 1, inst):
+        # Members of the committee have no avoiding set, so count 0.
+        if meets_threshold(counts[c], 1, inst):
             prof = tuple(
-                culprits.get(i, model.lotteries[i][0][1]) for i in range(inst.n)
+                first.get(c, voter[0][1]) for first, voter in zip(firsts, model.lotteries)
             )
             return DecisionResult(
                 False, POLY,
@@ -333,26 +357,72 @@ def _nec_by_enumeration(model: Model, w: Committee, axiom: str, budget: int | No
     return DecisionResult(True, ENUM)
 
 
+def _first_walked(
+    inst: Instance, tables: list, wset: frozenset[int], axiom: str, holds: bool
+) -> PlausibleProfile | None:
+    """The first plausible profile, in enumeration order, that satisfies
+    (``holds``) or violates PJR/EJR ``axiom`` for ``wset``, or None, by
+    the pruned walk over the voter ``tables`` (``_voter_tables``).
+
+    The first leaf of the walk is the first satisfying profile: every
+    profile before it lies in a pruned subtree.  The first pruned node
+    gives the first violating one: the profiles before its subtree are
+    leaves, and its subtree's first profile violates, since a violation
+    in a prefix survives every completion.
+    """
+    walk = _pruned_walk(inst, [t for _, t in tables], [wset], axiom)
+    for satisfied, prof, wt, _ in walk:
+        if satisfied == holds:
+            return PlausibleProfile(tuple(prof), Fraction(wt, math.prod(d for d, _ in tables)))
+    return None
+
+
+def _walks(model: Model, force_enumeration: bool) -> bool:
+    """Whether a PJR/EJR scan over ``model`` takes the pruned walk: on
+    independent voters, unless enumeration is forced."""
+    return not force_enumeration and not isinstance(model, JointModel)
+
+
 def is_poss_axiom(
     model: Model, w, axiom: str, *, budget: int | None = None,
     force_enumeration: bool = False,
 ) -> DecisionResult:
-    """Possible satisfaction for any axiom; JR uses the fast paths."""
+    """Possible satisfaction for any axiom; JR uses the fast paths, PJR
+    and EJR on independent voters the pruned walk (``_first_walked``)."""
     _require_axiom(axiom)
     if axiom == "jr":
         return is_poss_jr(model, w, budget=budget, force_enumeration=force_enumeration)
-    return _poss_by_enumeration(model, committee(w, model.instance), axiom, budget)
+    w = committee(w, model.instance)
+    if not _walks(model, force_enumeration):
+        return _poss_by_enumeration(model, w, axiom, budget)
+    pp = _first_walked(model.instance, _voter_tables(model, budget), frozenset(w), axiom, True)
+    if pp is None:
+        return DecisionResult(False, ENUM)
+    return DecisionResult(True, ENUM, witness_profile=pp)
 
 
 def is_nec_axiom(
     model: Model, w, axiom: str, *, budget: int | None = None,
     force_enumeration: bool = False,
 ) -> DecisionResult:
-    """Necessary satisfaction for any axiom; JR uses the fast paths."""
+    """Necessary satisfaction for any axiom; JR uses the fast paths, PJR
+    and EJR on independent voters the pruned walk (``_first_walked``).
+    The witness violation is the full checker's on the witness profile."""
     _require_axiom(axiom)
     if axiom == "jr":
         return is_nec_jr(model, w, budget=budget, force_enumeration=force_enumeration)
-    return _nec_by_enumeration(model, committee(w, model.instance), axiom, budget)
+    inst = model.instance
+    w = committee(w, inst)
+    if not _walks(model, force_enumeration):
+        return _nec_by_enumeration(model, w, axiom, budget)
+    wset = frozenset(w)
+    pp = _first_walked(inst, _voter_tables(model, budget), wset, axiom, False)
+    if pp is None:
+        return DecisionResult(True, ENUM)
+    return DecisionResult(
+        False, ENUM, witness_profile=pp,
+        witness_violation=_COMMITTEE_FINDERS[axiom](inst, pp.profile, wset),
+    )
 
 
 def exists_nec_axiom(
@@ -360,35 +430,52 @@ def exists_nec_axiom(
     force_enumeration: bool = False,
 ) -> DecisionResult:
     """Is some committee necessarily satisfying ``axiom``?  First
-    lexicographic winner is returned."""
+    lexicographic winner is returned.  For PJR/EJR on independent voters
+    each committee's walk stops at its first pruned node."""
     _require_axiom(axiom)
     if axiom == "jr":
         return exists_nec_jr(model, budget=budget, force_enumeration=force_enumeration)
     inst = model.instance
     _check_committee_count(inst, budget)
-    profiles = [prof for prof, _ in _weighted_profiles(model, budget)[1]]
-    for w in itertools.combinations(range(inst.m), inst.k):
-        if all(map(_satisfaction_test(inst, frozenset(w), axiom), profiles)):
+    committees = itertools.combinations(range(inst.m), inst.k)
+    if not _walks(model, force_enumeration):
+        profiles = [prof for prof, _ in _weighted_profiles(model, budget)[1]]
+        for w in committees:
+            if all(map(_satisfaction_test(inst, frozenset(w), axiom), profiles)):
+                return DecisionResult(True, ENUM, witness_committee=w)
+        return DecisionResult(False, ENUM)
+    tables = _voter_tables(model, budget)
+    for w in committees:
+        if _first_walked(inst, tables, frozenset(w), axiom, False) is None:
             return DecisionResult(True, ENUM, witness_committee=w)
     return DecisionResult(False, ENUM)
 
 
 def exists_poss_axiom(model: Model, axiom: str, *, budget: int | None = None) -> DecisionResult:
     """Is some committee possibly satisfying ``axiom``?  For JR this is
-    always yes; for PJR/EJR it is decided by plain enumeration."""
+    always yes; for PJR/EJR it is decided by enumeration, on independent
+    voters by each committee's pruned walk up to its first leaf."""
     _require_axiom(axiom)
     if axiom == "jr":
         return exists_poss_jr(model)
     inst = model.instance
     _check_committee_count(inst, budget)
-    denom, weighted = _weighted_profiles(model, budget)
-    profiles = list(weighted)
-    for w in itertools.combinations(range(inst.m), inst.k):
-        holds = _satisfaction_test(inst, frozenset(w), axiom)
-        for prof, wt in profiles:
-            if holds(prof):
-                return DecisionResult(
-                    True, ENUM, witness_committee=w,
-                    witness_profile=PlausibleProfile(prof, Fraction(wt, denom)),
-                )
+    committees = itertools.combinations(range(inst.m), inst.k)
+    if isinstance(model, JointModel):
+        denom, weighted = _weighted_profiles(model, budget)
+        profiles = list(weighted)
+        for w in committees:
+            holds = _satisfaction_test(inst, frozenset(w), axiom)
+            for prof, wt in profiles:
+                if holds(prof):
+                    return DecisionResult(
+                        True, ENUM, witness_committee=w,
+                        witness_profile=PlausibleProfile(prof, Fraction(wt, denom)),
+                    )
+        return DecisionResult(False, ENUM)
+    tables = _voter_tables(model, budget)
+    for w in committees:
+        pp = _first_walked(inst, tables, frozenset(w), axiom, True)
+        if pp is not None:
+            return DecisionResult(True, ENUM, witness_committee=w, witness_profile=pp)
     return DecisionResult(False, ENUM)

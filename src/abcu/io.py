@@ -26,6 +26,7 @@ dict lookup each.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -195,25 +196,40 @@ def parse_document(text: str) -> Document:
     return Document(inst, model, com, size)
 
 
+def _text(value) -> str:
+    """``str(value)`` for the numbers a report or document holds.  Python
+    refuses to write an integer longer than ``sys.get_int_max_str_digits()``
+    digits; such a number is an :class:`InputError` naming that limit,
+    which is left as it is."""
+    try:
+        return str(value)
+    except ValueError:
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        raise InputError(
+            f"cannot write an exact number longer than {limit} digits, "
+            "the interpreter's limit for converting an integer to text"
+        ) from None
+
+
 def _model_payload(model: Model) -> dict:
     if isinstance(model, JointModel):
         return {
             "kind": "joint",
-            "entries": [{"prob": str(lam), "profile": prof} for lam, prof in model.entries],
+            "entries": [{"prob": _text(lam), "profile": prof} for lam, prof in model.entries],
         }
     if isinstance(model, LotteryModel):
         return {
             "kind": "lottery",
             "voters": [
-                [{"prob": str(lam), "set": s} for lam, s in voter]
+                [{"prob": _text(lam), "set": s} for lam, s in voter]
                 for voter in model.lotteries
             ],
         }
     if isinstance(model, CandidateProbModel):
         return {"kind": "candidate-probability",
-                "rows": [list(map(str, row)) for row in model.probs]}
+                "rows": [list(map(_text, row)) for row in model.probs]}
     return {"kind": "three-valued",
-            "rows": [list(map(str, row)) for row in model.entries]}
+            "rows": [list(map(_text, row)) for row in model.entries]}
 
 
 def _dumps(value) -> str:
@@ -238,7 +254,7 @@ def _write(value, newline: str, sets: dict) -> str:
     if kind is str:
         return encode_basestring_ascii(value)
     if kind is int:
-        return int.__repr__(value)
+        return _text(value)
     if kind is list or kind is tuple:
         if not value:
             return "[]"

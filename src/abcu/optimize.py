@@ -24,7 +24,7 @@ from .model import (
     approval_profile,
     resolve_budget,
 )
-from .probability import _jr_path, _values_by_enumeration
+from .probability import _jr_path, _scan_values
 from .uncertainty import JointModel, Model, plausible_count
 
 
@@ -45,9 +45,15 @@ def max_axiom(
     """Committee with the highest probability of satisfying ``axiom``.
 
     JR on a Lottery, CandidateProb or ThreeValued model takes each
-    committee's polynomial path, a closed form or the voter DP.  Every
-    other query, JR on a Joint model included, scores all committees in
-    one pass over the plausible profiles.
+    committee's polynomial path, a closed form or the voter DP.  PJR and
+    EJR on these models score all committees in one pruned walk over the
+    voters: each node keeps the committees its prefix does not yet
+    violate, a committee is dropped from a subtree once its prefix
+    violates (a violating group stays violating whatever later voters
+    approve), the walk leaves a subtree that no committee survives, and
+    each leaf adds its weight to the committees still alive there.
+    Joint models and ``force_enumeration`` score all committees in one
+    flat pass over the plausible profiles.
     """
     inst = model.instance
     cap = resolve_budget(budget)
@@ -59,7 +65,7 @@ def max_axiom(
     if axiom == "jr" and not force_enumeration and not isinstance(model, JointModel):
         values = [_jr_path(model, w, budget).value for w in committees]
     else:
-        values = _values_by_enumeration(model, committees, axiom, budget)
+        values = _scan_values(model, committees, axiom, budget, force_enumeration)
     best: Fraction | None = None
     best_w: Committee | None = None
     ties = 0

@@ -30,10 +30,25 @@ in ``n`` for fixed ``m - k``, and never reaches more states than the
 enumeration it replaces visits profile prefixes.  It runs behind the
 same profile-count budget gate as enumeration.
 
-PJR and EJR probabilities, and everything under ``force_enumeration``,
-come from exact enumeration.  For ThreeValued models all plausible
-profiles are equiprobable, so results also carry the exact
-(satisfying, total) profile counts.
+PJR and EJR probabilities come from exact enumeration, tagged
+``enumeration``.  On a Lottery, CandidateProb or ThreeValued model the
+enumeration is a pruned walk over the voters (``axioms._pruned_walk``):
+the profiles form a tree, one level per voter that has more than one
+approval set, with voter 0 outermost and each voter's sets in table
+order, so its leaves are the plausible profiles in enumeration order.
+A violation is a voter group that is large enough for the fixed quota
+``ceil(ell * n / k)``, jointly approves ``ell`` candidates and sees too
+few committee members; all of this depends only on the group's own
+members.  So once the voters of a prefix hold a violating group, every
+completion of the prefix violates too, and the walk drops the whole
+subtree.  When a voter joins, only the groups that contain it can newly
+violate, and only those are tested.  The probability is the sum of the
+weights of the leaves that survive, the same integers the flat scan sums.
+Joint models, and every query under ``force_enumeration``, keep the flat
+scan over ``_weighted_profiles``: the reference the walk is tested
+against.  For ThreeValued models all plausible profiles are
+equiprobable, so results also carry the exact (satisfying, total)
+profile counts.
 """
 
 from __future__ import annotations
@@ -42,7 +57,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .axioms import _jr_test, _satisfaction_tests
+from .axioms import _jr_test, _pruned_walk, _satisfaction_tests
 from .model import Committee, InputError, committee, meets_threshold, min_group_size
 from .uncertainty import (
     JointModel,
@@ -51,6 +66,7 @@ from .uncertainty import (
     ThreeValuedModel,
     _over_common_denominator,
     _require_budget,
+    _voter_tables,
     _weighted_profiles,
 )
 
@@ -153,8 +169,43 @@ def _values_by_enumeration(
     return [Fraction(total, denom) for total in totals]
 
 
-def _by_enumeration(model: Model, w: Committee, axiom: str, budget: int | None) -> ProbResult:
-    return _with_counts(_values_by_enumeration(model, [w], axiom, budget)[0], ENUM, model)
+def _values_by_walk(
+    model: Model, committees: list[Committee], axiom: str, budget: int | None
+) -> list[Fraction]:
+    """``_values_by_enumeration`` for PJR or EJR on a Lottery,
+    CandidateProb or ThreeValued model, from one pruned walk over the
+    voters (``axioms._pruned_walk``): each committee's total is the sum
+    of the weights of the leaves it survives to."""
+    tables = _voter_tables(model, budget)
+    walk = _pruned_walk(
+        model.instance, [t for _, t in tables], [frozenset(w) for w in committees], axiom
+    )
+    totals = [0] * len(committees)
+    for holds, _, wt, alive in walk:
+        if holds:
+            for j in alive:
+                totals[j] += wt
+    denom = math.prod(d for d, _ in tables)
+    return [Fraction(total, denom) for total in totals]
+
+
+def _scan_values(
+    model: Model, committees: list[Committee], axiom: str, budget: int | None,
+    force_enumeration: bool,
+) -> list[Fraction]:
+    """Exact satisfaction probabilities of ``committees`` by a scan over
+    the plausible profiles: the pruned walk for PJR/EJR on independent
+    voters, the flat scan for JR, Joint models and ``force_enumeration``."""
+    if force_enumeration or axiom == "jr" or isinstance(model, JointModel):
+        return _values_by_enumeration(model, committees, axiom, budget)
+    return _values_by_walk(model, committees, axiom, budget)
+
+
+def _by_enumeration(
+    model: Model, w: Committee, axiom: str, budget: int | None, force_enumeration: bool
+) -> ProbResult:
+    value, = _scan_values(model, [w], axiom, budget, force_enumeration)
+    return _with_counts(value, ENUM, model)
 
 
 def _advance(states: dict[int, int], keep: int, moves, high: int) -> dict[int, int]:
@@ -271,7 +322,7 @@ def jr_probability(
     """Exact probability that ``w`` satisfies JR under ``model``."""
     w = committee(w, model.instance)
     if force_enumeration:
-        return _by_enumeration(model, w, "jr", budget)
+        return _by_enumeration(model, w, "jr", budget, True)
     return _jr_path(model, w, budget)
 
 
@@ -292,11 +343,13 @@ def axiom_probability(
     """Exact probability that ``w`` satisfies ``axiom`` (jr/pjr/ejr).
 
     JR dispatches to the joint scan, the closed forms or the voter DP;
-    PJR and EJR are computed by enumeration only.
+    PJR and EJR are computed by enumeration only, as a pruned walk over
+    independent voters unless ``force_enumeration`` asks for the flat
+    scan.
     """
     from .axioms import _require_axiom
 
     _require_axiom(axiom)
     if axiom == "jr":
         return jr_probability(model, w, budget=budget, force_enumeration=force_enumeration)
-    return _by_enumeration(model, committee(w, model.instance), axiom, budget)
+    return _by_enumeration(model, committee(w, model.instance), axiom, budget, force_enumeration)

@@ -199,7 +199,10 @@ def tva_model(inst: Instance, rows: Iterable[Iterable[object]]) -> ThreeValuedMo
 
 
 def _canonical(s) -> bool:
-    return isinstance(s, tuple) and list(s) == sorted(set(s))
+    try:
+        return isinstance(s, tuple) and list(s) == sorted(set(s))
+    except TypeError:  # unhashable or unorderable members
+        return False
 
 
 def _set_errors(s, m: int, where: str, errors: list[str]) -> None:
@@ -273,13 +276,17 @@ def _model_errors(model: Model, check_sets: bool) -> list[str]:
             if len(prof) != inst.n:
                 errors.append(f"entry {r}: profile has {len(prof)} sets, expected n={inst.n}")
             if check_sets:
+                if type(prof) is not tuple:
+                    errors.append(f"entry {r}: profile {prof!r} is not a tuple of approval sets")
                 for i, s in enumerate(prof):
                     if not _set_ok(s, inst.m):
                         _set_errors(s, inst.m, f"entry {r}, voter {i}", errors)
-            if prof in seen:
-                errors.append(f"entry {r}: duplicate of profile in entry {seen[prof]}")
-            else:
-                seen[prof] = r
+            try:
+                first = seen.setdefault(prof, r)
+            except TypeError:  # unhashable, reported above
+                continue
+            if first != r:
+                errors.append(f"entry {r}: duplicate of profile in entry {first}")
         if model.entries:
             num, den = _integer_sum([lam for lam, _ in model.entries])
             if num != den:
@@ -297,7 +304,11 @@ def _model_errors(model: Model, check_sets: bool) -> list[str]:
                     errors.append(f"voter {i}: probability {lam} not in (0, 1]")
                 if check_sets and not _set_ok(s, inst.m):
                     _set_errors(s, inst.m, f"voter {i}", errors)
-                if s in seen_sets:
+                try:
+                    duplicate = s in seen_sets
+                except TypeError:  # unhashable, reported above
+                    continue
+                if duplicate:
                     errors.append(f"voter {i}: duplicate approval set {s}")
                 seen_sets.add(s)
             num, den = _integer_sum([lam for lam, _ in voter])
@@ -492,15 +503,28 @@ def _weighted_profiles(
     for a positive integer ``weight``.  Raises :class:`BudgetError` up
     front when the profile count exceeds the budget.
     """
-    _require_budget(model, budget)
     if isinstance(model, JointModel):
+        _require_budget(model, budget)
         denom, entries = _over_common_denominator(model.entries)
         return denom, iter(entries)
-    if isinstance(model, LotteryModel):
-        tables = [_over_common_denominator(voter) for voter in model.lotteries]
-    else:
-        tables = list(itertools.starmap(_row_table, model.split_rows))
+    tables = _voter_tables(model, budget)
     return math.prod(d for d, _ in tables), _product([t for _, t in tables])
+
+
+def _voter_tables(
+    model: LotteryModel | CandidateProbModel | ThreeValuedModel, budget: int | None
+) -> list[tuple[int, list[tuple[ApprovalSet, int]]]]:
+    """Each voter's ``(denominator, [(approval set, weight)])`` table, in
+    enumeration order: a Lottery voter's entries in input order, a
+    matrix row expanded by ``_row_table``.  A profile's probability is
+    the product of its voters' weights over the product of the
+    denominators.  Raises :class:`BudgetError` up front when the
+    plausible-profile count exceeds the budget, as every scan over the
+    tables does."""
+    _require_budget(model, budget)
+    if isinstance(model, LotteryModel):
+        return [_over_common_denominator(voter) for voter in model.lotteries]
+    return list(itertools.starmap(_row_table, model.split_rows))
 
 
 def enumerate_plausible(model: Model, budget: int | None = None) -> Iterator[PlausibleProfile]:

@@ -14,7 +14,9 @@ enumerators kept here.
 The ``Fraction``-comparison matrix paths (row expansion, the first
 plausible profile, the matrix JR deciders and the three-valued closed
 forms) and the ``json.dumps`` document writer are kept verbatim as the
-references for their integer-native and direct-writer replacements.
+references for their integer-native and direct-writer replacements, and
+the lottery necessary-JR decider that rescans every voter per outside
+candidate as the reference for its one-pass replacement.
 """
 
 import itertools
@@ -448,6 +450,34 @@ def reference_nec_jr_matrix(model, w):
             return DecisionResult(
                 False, POLY,
                 witness_profile=PlausibleProfile(prof, reference_profile_probability(model, prof)),
+                witness_violation=jr_violation(inst, prof, w),
+            )
+    return DecisionResult(True, POLY)
+
+
+def reference_nec_jr_lottery(model, w):
+    """Necessary JR on a lottery, one rescan of every voter's sets per
+    outside candidate: the reference for the one-pass decider."""
+    inst = model.instance
+    wset = frozenset(w)
+    for c in range(inst.m):
+        if c in wset:
+            continue
+        # A voter can contribute to a violation at c only via one single
+        # plausible set that both contains c and avoids the committee.
+        culprits = {}
+        for i, voter in enumerate(model.lotteries):
+            for _, s in voter:
+                if c in s and wset.isdisjoint(s):
+                    culprits[i] = s
+                    break
+        if meets_threshold(len(culprits), 1, inst):
+            prof = tuple(
+                culprits.get(i, model.lotteries[i][0][1]) for i in range(inst.n)
+            )
+            return DecisionResult(
+                False, POLY,
+                witness_profile=PlausibleProfile(prof, profile_probability(model, prof)),
                 witness_violation=jr_violation(inst, prof, w),
             )
     return DecisionResult(True, POLY)

@@ -322,6 +322,30 @@ class TestHostileFiles:
         assert err == (f"error: model.rows[0][0]: cannot parse probability {value!r}: "
                        "decimal exponent above 1000 in magnitude\n")
 
+    @pytest.mark.parametrize("argv", [
+        ["prob", "jr", "--output", "machine"],
+        ["prob", "jr"],
+        ["decide", "nec", "jr", "--witness", "--output", "machine"],
+        ["max", "jr", "--output", "machine"],
+        ["convert", "to-lottery"],
+    ])
+    def test_result_too_long_to_write(self, capsys, tmp_path, argv):
+        # Each entry has a 2,502-digit denominator, so every probability
+        # of a profile has one of more than 4,300 digits.
+        value = "0." + "0" * 2500 + "1"
+        doc = tmp_path / "long.json"
+        doc.write_text(json.dumps({
+            "format": "abcu/1",
+            "instance": {"voters": 2, "candidates": 2, "committee_size": 1},
+            "model": {"kind": "candidate-probability", "rows": [[value, value]] * 2},
+            "committee": [0],
+        }))
+        limit = sys.get_int_max_str_digits()
+        err = self._one_error_line(capsys, *argv, str(doc))
+        assert err == (f"error: cannot write an exact number longer than {limit} digits, "
+                       "the interpreter's limit for converting an integer to text\n")
+        assert sys.get_int_max_str_digits() == limit
+
     def test_out_of_range_probability_is_named_as_written(self, capsys, tmp_path):
         data = json.loads((DOCS / "candidate-probability.json").read_text())
         data["model"]["rows"][0][0] = "1e1000"

@@ -28,6 +28,7 @@ from oracles import (
     nec_oracle,
     poss_oracle,
     recursive_poss_jr_lottery,
+    reference_nec_jr_lottery,
     violation_holds,
 )
 
@@ -219,6 +220,29 @@ class TestIsNecJr:
                 assert pp is not None and pp.prob > 0
                 assert profile_probability(model, pp.profile) == pp.prob
                 assert violation_holds(model.instance, pp.profile, w, result.witness_violation)
+
+    def test_lottery_one_pass_matches_reference(self):
+        """Whole results, witness profile, violation and tag, against the
+        decider that rescans every voter's sets per outside candidate."""
+        rng = random.Random(27)
+        refuted = 0
+        for _ in range(400):
+            n, m = rng.randint(1, 8), rng.randint(1, 6)
+            inst = Instance(n, m, rng.randint(1, m))
+            voters = []
+            for _ in range(n):
+                sets = list({
+                    tuple(sorted(rng.sample(range(m), rng.randint(0, min(3, m)))))
+                    for _ in range(rng.randint(1, 4))
+                })
+                rng.shuffle(sets)
+                voters.append([(Fraction(1, len(sets)), s) for s in sets])
+            model = lottery_model(inst, voters)
+            w = tuple(sorted(rng.sample(range(m), inst.k)))
+            result = is_nec_jr(model, w)
+            assert result == reference_nec_jr_lottery(model, w)
+            refuted += not result.answer
+        assert 40 < refuted < 360  # both answers occur often
 
     def test_necessary_implies_possible(self):
         for model, w in _random_models(80, seed=26):

@@ -22,6 +22,7 @@ from abcu import (
     profile_probability,
     tva_model,
     tva_to_cp,
+    validate,
     validation_errors,
 )
 
@@ -89,6 +90,27 @@ class TestValidation:
             "entry 0, voter 1: approval set (2, 1) is not a canonical sorted tuple",
             "entry 1, voter 0: candidate id 3 out of range for m=3",
         ]
+
+    def test_hand_built_list_sets_reported(self):
+        inst = Instance(2, 3, 1)
+        lottery = LotteryModel(inst, (
+            ((HALF, [0]), (HALF, (0,))),
+            ((Fraction(1), (1,)),),
+        ))
+        assert validation_errors(lottery) == [
+            "voter 0: approval set [0] is not a canonical sorted tuple",
+        ]
+        joint = JointModel(inst, (
+            (HALF, ([0], (1,))), (HALF, ((0,), (1, [2]))), (HALF, [(2,), ()]),
+        ))
+        assert validation_errors(joint) == [
+            "entry 0, voter 0: approval set [0] is not a canonical sorted tuple",
+            "entry 1, voter 1: approval set (1, [2]) is not a canonical sorted tuple",
+            "entry 2: profile [(2,), ()] is not a tuple of approval sets",
+            "profile probabilities sum to 3/2, expected 1",
+        ]
+        with pytest.raises(InputError, match=r"approval set \[0\] is not a canonical"):
+            validate(lottery)
 
     def test_constructors_check_each_set_once(self, monkeypatch):
         from abcu import uncertainty
