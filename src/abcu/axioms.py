@@ -43,12 +43,27 @@ whatever the other voters approve.  A walk over the voters therefore
 drops every subtree whose prefix violates, and when a voter joins a
 prefix that does not violate it tests only the groups that contain the
 new voter.
+
+The same tests also run on lanes (:func:`_lane_test`), for flat scans
+over many profiles: one integer per (voter, candidate), bit ``p`` set
+when that voter approves that candidate in profile ``p``, so a few
+big-integer operations test every profile at once, as in bitsliced DES
+(Biham, "A Fast New DES Implementation in Software", FSE 1997).  A
+voter's count of approvers or of approved committee members becomes a
+bit-sliced counter across the lanes, and a quota test a comparison of
+that counter with a constant (:func:`_at_least`).  PJR and EJR search
+the ``ell``-sets ``T`` depth first over all the lanes together
+(:func:`_common_lanes`): a branch is pruned once no lane has the quota
+of approvers left, and lanes that already violate drop out of every
+later pool.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_, or_
 from typing import Callable, Iterator
 
 from .model import (
@@ -562,38 +577,174 @@ _COMMITTEE_FINDERS = {
 }
 
 
-def _satisfaction_tests(
-    inst: Instance, wsets: list[frozenset[int]], axiom: str
-) -> tuple[Callable[[Profile], object], list[Callable[[object], bool]]]:
-    """``(view, tests)`` with ``tests[j](view(prof))`` telling whether a
-    profile satisfies ``axiom`` for the committee ``wsets[j]``.
-
-    JR tests read the profile itself through the packed counter test.
-    PJR and EJR tests read the profile's bit view, which a scan builds
-    once per profile and hands to every committee's level test.
-    """
-    if axiom == "jr":
-        return _same, [_jr_test(inst, wset) for wset in wsets]
-    level_test = _Levels.ejr if axiom == "ejr" else _Levels.pjr
-    return _bit_view(inst), [
-        lambda view, levels=_Levels(inst, wset): level_test(levels, view) is None
-        for wset in wsets
-    ]
-
-
-def _same(prof: Profile) -> Profile:
-    return prof
-
-
 def _satisfaction_test(
     inst: Instance, wset: frozenset[int], axiom: str
 ) -> Callable[[Profile], bool]:
     """A predicate telling whether a profile satisfies ``axiom`` for the
-    committee ``wset``."""
-    view, (test,) = _satisfaction_tests(inst, [wset], axiom)
+    committee ``wset``: the packed counter test for JR, a level test on
+    the profile's bit view for PJR and EJR."""
     if axiom == "jr":
-        return test
-    return lambda prof: test(view(prof))
+        return _jr_test(inst, wset)
+    view = _bit_view(inst)
+    levels = _Levels(inst, wset)
+    level_test = _Levels.ejr if axiom == "ejr" else _Levels.pjr
+    return lambda prof: level_test(levels, view(prof)) is None
+
+
+# ---------------------------------------------------------------------------
+# lane tests: every profile of a chunk at once
+
+
+def _at_least(xs: list[int], quota: int) -> int:
+    """The lanes in which at least ``quota`` of ``xs`` have their bit set.
+
+    The lanes are counted by a bit-sliced ripple-carry adder, ``count[i]``
+    holding bit ``i`` of every lane's count, which is then compared with
+    ``quota`` from the top bit down.  Quotas of 1, 2 and ``len(xs)`` take
+    a shorter loop.
+    """
+    xs = [x for x in xs if x]
+    if len(xs) < quota:
+        return 0
+    if quota == 1:
+        return reduce(or_, xs)
+    if quota == len(xs):
+        return reduce(and_, xs)
+    if quota == 2:  # the usual JR quota: lanes seen once, then twice
+        once = twice = 0
+        for x in xs:
+            twice |= once & x
+            once |= x
+        return twice
+    count: list[int] = []
+    for x in xs:
+        for i, bit in enumerate(count):
+            count[i] = bit ^ x
+            x &= bit
+            if not x:
+                break
+        else:
+            count.append(x)
+    if quota >> len(count):
+        return 0
+    # Lanes above the quota so far, and lanes equal to it so far.
+    above = 0
+    equal = -1
+    for i in range(len(count) - 1, -1, -1):
+        if quota >> i & 1:
+            equal &= count[i]
+        else:
+            above |= equal & count[i]
+            equal &= ~count[i]
+    return above | equal
+
+
+def _common_lanes(xs: list[int], lanes: list[list[int]], start: int, ell: int, quota: int,
+                  alive: int) -> int:
+    """The lanes of ``alive`` in which some ``ell``-set ``T`` of the
+    candidates from ``start`` on is approved by at least ``quota`` voters
+    of the pool ``xs`` (one lane per voter).
+
+    A depth-first search over ``T`` in ascending order, carried across the
+    lanes: a branch is pruned once no lane still has ``quota`` approvers
+    of its prefix, and the search stops once every lane of ``alive`` has
+    such a ``T``.
+    """
+    hit = 0
+    for c in range(start, len(lanes) - ell + 1):
+        ys = list(map(and_, xs, lanes[c]))
+        now = _at_least(ys, quota) & alive & ~hit
+        if not now:
+            continue
+        if ell > 1:
+            now = _common_lanes(ys, lanes, c + 1, ell - 1, quota, now)
+        hit |= now
+        if hit == alive:
+            break
+    return hit
+
+
+def _any_lanes(lanes: list[list[int]], members) -> list[int]:
+    """Each voter's lanes in which it approves some candidate of ``members``."""
+    union = [0] * len(lanes[0])
+    for c in members:
+        union = list(map(or_, union, lanes[c]))
+    return union
+
+
+def _lane_test(inst: Instance, wset: frozenset[int], axiom: str) -> Callable[[list[list[int]], int], int]:
+    """``_satisfaction_test`` on every profile of a chunk at once: a
+    function from the chunk's lanes (``lanes[c][v]``, see
+    ``uncertainty._lanes``) and its all-ones mask to the mask of the
+    profiles that satisfy ``axiom`` for ``wset``.
+
+    * JR: the lanes where each voter approves no member of ``wset``, then
+      per outside candidate the lanes where at least the quota of those
+      voters approve it.
+    * EJR: each voter's count of approved members, bit-sliced as "at
+      least j" lanes; level ``ell``'s pool is the lanes where a voter
+      approves fewer than ``ell`` members.
+    * PJR: one pool per level ``ell`` and ``S`` (as :class:`_Levels`),
+      the lanes where a voter approves no member outside ``S``.
+
+    A PJR or EJR level violates where its pool holds a quota of voters
+    jointly approving an ``ell``-set (``_common_lanes``).  Lanes that
+    already violate leave every later pool.
+    """
+    members = sorted(wset)
+    if axiom == "jr":
+        quota = min_group_size(1, inst)
+        outside = [c for c in range(inst.m) if c not in wset]
+
+        def jr(lanes: list[list[int]], full: int) -> int:
+            unrepresented = [~x for x in _any_lanes(lanes, members)]
+            violating = 0
+            for c in outside:
+                violating |= _at_least(list(map(and_, lanes[c], unrepresented)), quota)
+                if violating == full:
+                    break
+            return full & ~violating
+
+        return jr
+    levels = _Levels(inst, wset)
+    if axiom == "ejr":
+
+        def ejr(lanes: list[list[int]], full: int) -> int:
+            # approved[j][v]: the lanes where voter v approves j or more members.
+            approved = [[-1] * inst.n]
+            for c in members:
+                col = lanes[c]
+                approved.append(list(map(and_, approved[-1], col)))
+                for j in range(len(approved) - 2, 0, -1):
+                    approved[j] = list(map(or_, approved[j], map(and_, approved[j - 1], col)))
+            violating = 0
+            for ell, quota in levels.quotas:
+                alive = full & ~violating
+                pool = [alive & ~x for x in approved[ell]]
+                violating |= _common_lanes(pool, lanes, 0, ell, quota, alive)
+                if violating == full:
+                    break
+            return full & ~violating
+
+        return ejr
+    # For each level, the members outside each S.
+    specs = [
+        (ell, quota, [[c for c in members if not s >> c & 1] for s in levels.subsets[ell]])
+        for ell, quota in levels.quotas
+    ]
+
+    def pjr(lanes: list[list[int]], full: int) -> int:
+        violating = 0
+        for ell, quota, outsides in specs:
+            for outside in outsides:
+                alive = full & ~violating
+                pool = [alive & ~x for x in _any_lanes(lanes, outside)]
+                violating |= _common_lanes(pool, lanes, 0, ell, quota, alive)
+                if violating == full:
+                    return 0
+        return full & ~violating
+
+    return pjr
 
 
 def axiom_violation(inst: Instance, prof: Profile, w: Committee, axiom: str) -> Violation | None:

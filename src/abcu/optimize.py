@@ -52,8 +52,13 @@ def max_axiom(
     violates (a violating group stays violating whatever later voters
     approve), the walk leaves a subtree that no committee survives, and
     each leaf adds its weight to the committees still alive there.
-    Joint models and ``force_enumeration`` score all committees in one
-    flat pass over the plausible profiles.
+    Joint models and ``force_enumeration`` score the committees on the
+    lanes of the plausible profiles (``uncertainty._lanes``): each
+    committee's lane test marks all the satisfying profiles of a chunk at
+    once, and their integer weights are summed.  A Joint model builds its
+    lanes once and keeps them, so every committee, and every later
+    question on the model, reads the same lanes; independent voters are
+    scanned in chunks of at most 2^12 profiles.
     """
     inst = model.instance
     cap = resolve_budget(budget)

@@ -2,8 +2,9 @@
 
 The probability that a committee satisfies an axiom is the sum, over
 plausible profiles, of the profile probability times the axiom
-indicator.  Joint models are summed directly over their entries.  Two
-ThreeValued cases admit closed forms that avoid enumeration:
+indicator.  Joint models are summed over their entries as lanes (see
+below).  Two ThreeValued cases admit closed forms that avoid
+enumeration:
 
 * When every entry over the committee is certain (0 or 1), the set of
   certainly-unrepresented voters is fixed, and each outside candidate's
@@ -44,11 +45,24 @@ completion of the prefix violates too, and the walk drops the whole
 subtree.  When a voter joins, only the groups that contain it can newly
 violate, and only those are tested.  The probability is the sum of the
 weights of the leaves that survive, the same integers the flat scan sums.
-Joint models, and every query under ``force_enumeration``, keep the flat
-scan over ``_weighted_profiles``: the reference the walk is tested
-against.  For ThreeValued models all plausible profiles are
-equiprobable, so results also carry the exact (satisfying, total)
-profile counts.
+
+Joint models (every axiom, JR tagged ``joint-scan``), and every query
+under ``force_enumeration``, take the flat scan, bit-sliced into lanes
+(``uncertainty._lanes``): one integer per (voter, candidate) whose bit
+``p`` is set when that voter approves that candidate in plausible
+profile ``p``.  A committee's lane test (``axioms._lane_test``) marks
+every satisfying profile of a chunk with a few big-integer operations
+per voter, and the chunk's integer weights, bit-sliced the same way,
+are summed over the marked bits, so one test serves all the profiles
+of a chunk where the per-profile scan ran one test per profile.  A
+Joint model's lanes and weights are built on first use and kept on the
+model, so later questions reuse them; independent voters are scanned
+in chunks of at most ``uncertainty.LANE_CHUNK`` (2^12) profiles, so
+memory stays bounded by the chunk, not the profile count.  The
+per-profile scan is kept in ``tests/oracles.py`` as the reference that
+both the lanes and the walk are tested against.  For ThreeValued
+models all plausible profiles are equiprobable, so results also carry
+the exact (satisfying, total) profile counts.
 """
 
 from __future__ import annotations
@@ -56,18 +70,27 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
-from .axioms import _jr_test, _pruned_walk, _satisfaction_tests
-from .model import Committee, InputError, committee, meets_threshold, min_group_size
+from .axioms import _lane_test, _pruned_walk
+from .model import (
+    Committee,
+    InputError,
+    Instance,
+    committee,
+    meets_threshold,
+    min_group_size,
+)
 from .uncertainty import (
     JointModel,
     LotteryModel,
     Model,
     ThreeValuedModel,
+    _lane_total,
+    _lanes,
     _over_common_denominator,
     _require_budget,
     _voter_tables,
-    _weighted_profiles,
 )
 
 JOINT_SCAN = "joint-scan"
@@ -152,21 +175,29 @@ def _full_committee_counts(model: ThreeValuedModel, w: Committee) -> tuple[int, 
     return count, 2**total_exp
 
 
+def _lane_values(
+    inst: Instance, lanes: tuple[int, Iterable[tuple]], committees: list[Committee], axiom: str
+) -> list[Fraction]:
+    """Exact satisfaction probabilities of ``committees`` from the
+    ``(denominator, chunks)`` of ``uncertainty._lanes``: each committee's
+    lane test marks a chunk's satisfying profiles, whose integer weights
+    are summed."""
+    denom, chunks = lanes
+    tests = [_lane_test(inst, frozenset(w), axiom) for w in committees]
+    totals = [0] * len(tests)
+    for count, chunk, weights in chunks:
+        full = (1 << count) - 1
+        for j, test in enumerate(tests):
+            totals[j] += _lane_total(test(chunk, full), weights)
+    return [Fraction(total, denom) for total in totals]
+
+
 def _values_by_enumeration(
     model: Model, committees: list[Committee], axiom: str, budget: int | None
 ) -> list[Fraction]:
     """Exact satisfaction probabilities of ``committees`` from one pass
-    over the plausible profiles, summing integer weights."""
-    inst = model.instance
-    denom, profiles = _weighted_profiles(model, budget)
-    view, tests = _satisfaction_tests(inst, [frozenset(w) for w in committees], axiom)
-    totals = [0] * len(tests)
-    for prof, wt in profiles:
-        seen = view(prof)
-        for j, holds in enumerate(tests):
-            if holds(seen):
-                totals[j] += wt
-    return [Fraction(total, denom) for total in totals]
+    over the plausible profiles, as lanes."""
+    return _lane_values(model.instance, _lanes(model, budget), committees, axiom)
 
 
 def _values_by_walk(
@@ -195,7 +226,7 @@ def _scan_values(
 ) -> list[Fraction]:
     """Exact satisfaction probabilities of ``committees`` by a scan over
     the plausible profiles: the pruned walk for PJR/EJR on independent
-    voters, the flat scan for JR, Joint models and ``force_enumeration``."""
+    voters, the lanes for JR, Joint models and ``force_enumeration``."""
     if force_enumeration or axiom == "jr" or isinstance(model, JointModel):
         return _values_by_enumeration(model, committees, axiom, budget)
     return _values_by_walk(model, committees, axiom, budget)
@@ -302,10 +333,8 @@ def _jr_path(model: Model, w: Committee, budget: int | None) -> ProbResult:
     DP behind the profile-count budget gate."""
     inst = model.instance
     if isinstance(model, JointModel):
-        holds = _jr_test(inst, frozenset(w))
-        denom, entries = _over_common_denominator(model.entries)
-        total = sum(wt for prof, wt in entries if holds(prof))
-        return ProbResult(Fraction(total, denom), JOINT_SCAN)
+        value, = _lane_values(inst, model.lanes, [w], "jr")
+        return ProbResult(value, JOINT_SCAN)
     if isinstance(model, ThreeValuedModel):
         if _certain_over_committee(model, w):
             return _with_counts(_certain_w_value(model, w), CLOSED_FORM_CERTAIN_W, model)

@@ -24,6 +24,15 @@ voters' weights over the product of their denominators, with no
 over the lcm of their denominators.  Internal scans sum these integers;
 ``enumerate_plausible`` turns each weight back into a ``Fraction``.
 
+Scans that sum over every profile read the same profiles and weights as
+lanes (``_lanes``): one integer per (voter, candidate) with one bit per
+profile, so a test of every profile is a few big-integer operations.
+A Joint model's lanes come column-wise from its entries, with no
+per-profile loop in Python, and are kept on the model with its
+common-denominator weights (``JointModel.lanes``, ``weighted``).
+Independent voters' lanes come from the product structure of their
+tables, in chunks of at most ``LANE_CHUNK`` profiles.
+
 Probabilities are parsed once.  Each constructor call keeps one memo
 from raw value to ``Fraction`` (``_probability_parser``): a string or an
 exact ``int`` is parsed by ``parse_probability`` the first time it
@@ -81,10 +90,36 @@ HALF = Fraction(1, 2)
 
 @dataclass(frozen=True)
 class JointModel:
-    """Distribution over whole approval profiles."""
+    """Distribution over whole approval profiles.
+
+    The entries over their common denominator (``weighted``) and their
+    lanes (``lanes``) are built on first use and kept on the object, like
+    the classified rows of a matrix model.  Neither is a dataclass field,
+    and a pickle leaves both out, so equality, hashing, ``repr``, pickles
+    and the written document see only the entries.
+    """
 
     instance: Instance
     entries: tuple[tuple[Fraction, Profile], ...]
+
+    @cached_property
+    def weighted(self) -> tuple[int, list[tuple[Profile, int]]]:
+        """``(denominator, [(profile, integer weight)])`` in entry order."""
+        return _over_common_denominator(self.entries)
+
+    @cached_property
+    def lanes(self) -> tuple[int, list[tuple]]:
+        """``(denominator, [chunk])``: every entry in one chunk of lanes
+        (see ``_lanes``)."""
+        denom, weighted = self.weighted
+        profiles, weights = zip(*weighted)
+        return denom, [_joint_chunk(self.instance, profiles, weights)]
+
+    def __getstate__(self) -> dict:
+        state = dict(vars(self))
+        state.pop("weighted", None)
+        state.pop("lanes", None)
+        return state
 
 
 @dataclass(frozen=True)
@@ -245,13 +280,43 @@ def _distinct_entries(rows):
     return dict(zip(map(id, flat), flat)).values()
 
 
+def _exact(p) -> bool:
+    """Whether ``p`` is an exact number that the integer checks can read:
+    a ``Fraction`` or an ``int``, never a float or a string."""
+    return isinstance(p, (Fraction, int))
+
+
 def _cp_entry_ok(p) -> bool:
-    return 0 <= p.numerator <= p.denominator
+    return _exact(p) and 0 <= p.numerator <= p.denominator
 
 
 def _tva_entry_ok(p) -> bool:
+    if not _exact(p):
+        return False
     num, den = p.numerator, p.denominator
     return num == 0 or num == den or (num, den) == (1, 2)
+
+
+def _lam_errors(lam, where: str, errors: list[str]) -> None:
+    """The error, if any, of the probability ``lam`` of a Joint entry or
+    a Lottery set: it must be exact and in (0, 1]."""
+    if not _exact(lam):
+        errors.append(f"{where}: {lam!r} is not an exact probability")
+    elif not 0 < lam.numerator <= lam.denominator:
+        errors.append(f"{where}: probability {lam} not in (0, 1]")
+
+
+def _entry_errors(rows, ok, message: str, errors: list[str]) -> None:
+    """One error per matrix entry that fails ``ok``: ``message`` for an
+    exact value, a plain refusal for anything else."""
+    if all(map(ok, _distinct_entries(rows))):
+        return
+    for i, row in enumerate(rows):
+        for c, p in enumerate(row):
+            if not _exact(p):
+                errors.append(f"entry ({i}, {c}): {p!r} is not an exact probability")
+            elif not ok(p):
+                errors.append(f"entry ({i}, {c}): " + message.format(p))
 
 
 def validation_errors(model: Model) -> list[str]:
@@ -271,8 +336,8 @@ def _model_errors(model: Model, check_sets: bool) -> list[str]:
             errors.append("no profiles listed")
         seen: dict[Profile, int] = {}
         for r, (lam, prof) in enumerate(model.entries):
-            if not 0 < lam.numerator <= lam.denominator:
-                errors.append(f"entry {r}: probability {lam} not in (0, 1]")
+            if type(lam) is not Fraction or not 0 < lam.numerator <= lam.denominator:
+                _lam_errors(lam, f"entry {r}", errors)
             if len(prof) != inst.n:
                 errors.append(f"entry {r}: profile has {len(prof)} sets, expected n={inst.n}")
             if check_sets:
@@ -287,8 +352,9 @@ def _model_errors(model: Model, check_sets: bool) -> list[str]:
                 continue
             if first != r:
                 errors.append(f"entry {r}: duplicate of profile in entry {first}")
-        if model.entries:
-            num, den = _integer_sum([lam for lam, _ in model.entries])
+        lams = [lam for lam, _ in model.entries]
+        if lams and all(map(_exact, lams)):
+            num, den = _integer_sum(lams)
             if num != den:
                 errors.append(f"profile probabilities sum to {Fraction(num, den)}, expected 1")
     elif isinstance(model, LotteryModel):
@@ -300,8 +366,8 @@ def _model_errors(model: Model, check_sets: bool) -> list[str]:
                 continue
             seen_sets: set[ApprovalSet] = set()
             for lam, s in voter:
-                if not 0 < lam.numerator <= lam.denominator:
-                    errors.append(f"voter {i}: probability {lam} not in (0, 1]")
+                if type(lam) is not Fraction or not 0 < lam.numerator <= lam.denominator:
+                    _lam_errors(lam, f"voter {i}", errors)
                 if check_sets and not _set_ok(s, inst.m):
                     _set_errors(s, inst.m, f"voter {i}", errors)
                 try:
@@ -311,23 +377,18 @@ def _model_errors(model: Model, check_sets: bool) -> list[str]:
                 if duplicate:
                     errors.append(f"voter {i}: duplicate approval set {s}")
                 seen_sets.add(s)
-            num, den = _integer_sum([lam for lam, _ in voter])
+            lams = [lam for lam, _ in voter]
+            if not all(map(_exact, lams)):
+                continue
+            num, den = _integer_sum(lams)
             if num != den:
                 errors.append(f"voter {i}: set probabilities sum to {Fraction(num, den)}, expected 1")
     elif isinstance(model, CandidateProbModel):
         _matrix_errors(model.probs, inst, errors)
-        if not all(map(_cp_entry_ok, _distinct_entries(model.probs))):
-            for i, row in enumerate(model.probs):
-                for c, p in enumerate(row):
-                    if not _cp_entry_ok(p):
-                        errors.append(f"entry ({i}, {c}): probability {p} not in [0, 1]")
+        _entry_errors(model.probs, _cp_entry_ok, "probability {} not in [0, 1]", errors)
     elif isinstance(model, ThreeValuedModel):
         _matrix_errors(model.entries, inst, errors)
-        if not all(map(_tva_entry_ok, _distinct_entries(model.entries))):
-            for i, row in enumerate(model.entries):
-                for c, p in enumerate(row):
-                    if not _tva_entry_ok(p):
-                        errors.append(f"entry ({i}, {c}): value {p} not in {{0, 1/2, 1}}")
+        _entry_errors(model.entries, _tva_entry_ok, "value {} not in {{0, 1/2, 1}}", errors)
     else:
         raise InputError(f"not an uncertainty model: {model!r}")
     return errors
@@ -505,7 +566,7 @@ def _weighted_profiles(
     """
     if isinstance(model, JointModel):
         _require_budget(model, budget)
-        denom, entries = _over_common_denominator(model.entries)
+        denom, entries = model.weighted
         return denom, iter(entries)
     tables = _voter_tables(model, budget)
     return math.prod(d for d, _ in tables), _product([t for _, t in tables])
@@ -525,6 +586,161 @@ def _voter_tables(
     if isinstance(model, LotteryModel):
         return [_over_common_denominator(voter) for voter in model.lotteries]
     return list(itertools.starmap(_row_table, model.split_rows))
+
+
+# ---------------------------------------------------------------------------
+# lanes
+
+# The most profiles in one chunk of a scan over independent voters.
+LANE_CHUNK = 1 << 12
+
+
+def _lanes(model: Model, budget: int | None) -> tuple[int, Iterator[tuple]]:
+    """The plausible profiles as lanes: ``(denominator, chunks)``.
+
+    A chunk ``(count, lanes, weights)`` holds ``count`` consecutive
+    profiles in enumeration order, profile ``p`` of the chunk at bit
+    ``p``.  ``lanes[c][v]`` has bit ``p`` set when voter ``v`` approves
+    candidate ``c`` in that profile.  ``weights`` is ``(scale,
+    planes)``: the integer weight of profile ``p`` is ``scale`` times the
+    sum of ``1 << b`` over the ``(b, plane)`` of ``planes`` whose plane
+    has bit ``p`` set, and its probability is that weight over the
+    denominator (``_lane_total`` sums a mask of profiles).
+
+    A Joint model is one chunk, stored on the model (``JointModel.lanes``).
+    Independent voters come in chunks of at most ``LANE_CHUNK`` profiles
+    (more only when the last voter alone has more sets), built lazily from
+    the product structure of ``_voter_tables``: voter 0 outermost, so the
+    innermost voters that fit in a chunk vary inside it and the outer
+    voters are fixed for the chunk.  Raises :class:`BudgetError` up front
+    when the plausible-profile count exceeds the budget.
+    """
+    if isinstance(model, JointModel):
+        _require_budget(model, budget)
+        return model.lanes
+    tables = _voter_tables(model, budget)
+    return math.prod(d for d, _ in tables), _table_chunks(model.instance, [t for _, t in tables])
+
+
+def _lane_total(mask: int, weights: tuple[int, list[tuple[int, int]]]) -> int:
+    """The integer weight of the profiles of ``mask``, one bit per
+    profile of its chunk."""
+    scale, planes = weights
+    return scale * sum((mask & plane).bit_count() << b for b, plane in planes)
+
+
+# _DIGITS[i] translates a byte to "1" when its bit i is set, else to "0".
+_DIGITS = [bytes(48 + (x >> i & 1) for x in range(256)) for i in range(8)]
+
+
+def _bit_slices(words: bytes, size: int, width: int) -> list[int]:
+    """Bit-slice a run of little-endian ``size``-byte words, the last
+    word first: lane ``b`` has bit ``p`` set when word ``p`` has bit
+    ``b`` set.  Byte ``i`` of every word is one strided slice, whose
+    digits for one of its bits read as the lane, in C throughout."""
+    return [int(words[b // 8::size].translate(_DIGITS[b % 8]), 2) for b in range(width)]
+
+
+def _weight_planes(weights) -> list[tuple[int, int]]:
+    """``weights`` (one per bit) bit-sliced: ``(b, plane)`` for each bit
+    ``b`` set in some weight, ``plane`` holding the bits whose weight
+    has bit ``b`` set.  Weights over their least common denominator have
+    no common factor, so all-equal weights are all 1: one plane."""
+    width = max(weights).bit_length()
+    size = (width + 7) // 8
+    if size == 1:
+        words = bytes(reversed(weights))
+    else:
+        words = b"".join(map(int.to_bytes, reversed(weights), itertools.repeat(size),
+                             itertools.repeat("little")))
+    planes = enumerate(_bit_slices(words, size, width))
+    return [(b, plane) for b, plane in planes if plane]
+
+
+class _SetWords(dict):
+    """Approval set -> its candidate mask as little-endian bytes, built on
+    first use."""
+
+    __slots__ = ("size",)
+
+    def __init__(self, size: int):
+        super().__init__()
+        self.size = size
+
+    def __missing__(self, s: ApprovalSet) -> bytes:
+        word = self[s] = sum(1 << c for c in s).to_bytes(self.size, "little")
+        return word
+
+
+# The one-byte words of the sets over at most 8 candidates, shared by
+# every model, so a fresh model computes none of them again.  A word
+# depends only on its set, and there are at most 256 such sets.
+_BYTE_WORDS = _SetWords(1)
+
+
+def _joint_chunk(inst: Instance, profiles: tuple[Profile, ...], weights: tuple[int, ...]) -> tuple:
+    """The lanes of a profile list as one chunk.  Every voter's sets, in
+    voter-major order and the last first, become candidate masks of
+    ``ceil(m / 8)`` bytes each; ``_bit_slices`` reads off one integer per
+    candidate holding every voter's lane, ``count`` bits each."""
+    count = len(profiles)
+    size = (inst.m + 7) // 8
+    words = _BYTE_WORDS if size == 1 else _SetWords(size)
+    # Each voter's column of sets, last profile first, last voter first.
+    columns = list(zip(*reversed(profiles)))[::-1]
+    joined = b"".join(map(words.__getitem__, itertools.chain.from_iterable(columns)))
+    full = (1 << count) - 1
+    lanes = [
+        [voters >> (v * count) & full for v in range(inst.n)]
+        for voters in _bit_slices(joined, size, inst.m)
+    ]
+    return count, lanes, (1, _weight_planes(weights))
+
+
+def _table_chunks(inst: Instance, tables: list[list[tuple[ApprovalSet, int]]]) -> Iterator[tuple]:
+    """The chunks of the product of per-voter ``[(set, weight)]`` tables.
+
+    The inner voters, the longest suffix whose product of table sizes
+    fits ``LANE_CHUNK``, vary inside a chunk.  Inner voter ``v``'s
+    ``j``-th set covers the bits whose digit for ``v`` is ``j``: a block
+    of ``stride`` ones (the product of the later voters' table sizes) at
+    ``j * stride``, repeated every ``len(table) * stride`` bits, that is
+    the block pattern times a repunit.  The inner weights are the same in
+    every chunk; the outer voters' sets and weights are fixed per chunk,
+    with their lanes all ones or zero.
+    """
+    n = len(tables)
+    split = n - 1
+    size = len(tables[-1])
+    while split and size * len(tables[split - 1]) <= LANE_CHUNK:
+        split -= 1
+        size *= len(tables[split])
+    full = (1 << size) - 1
+    lanes = [[0] * n for _ in range(inst.m)]
+    weights = [1]
+    stride = size
+    for v in range(split, n):
+        table = tables[v]
+        period = stride
+        stride //= len(table)
+        repunit = full // ((1 << period) - 1)
+        block = (1 << stride) - 1
+        patterns: dict[int, int] = {}
+        for j, (s, _) in enumerate(table):
+            for c in s:
+                patterns[c] = patterns.get(c, 0) | block << (j * stride)
+        for c, pattern in patterns.items():
+            lanes[c][v] = pattern * repunit
+        weights = [a * wt for a in weights for _, wt in table]
+    planes = _weight_planes(weights)
+    for combo in itertools.product(*tables[:split]):
+        chunk = [col[:] for col in lanes]
+        outer = 1
+        for v, (s, wt) in enumerate(combo):
+            outer *= wt
+            for c in s:
+                chunk[c][v] = full
+        yield size, chunk, (outer, planes)
 
 
 def enumerate_plausible(model: Model, budget: int | None = None) -> Iterator[PlausibleProfile]:

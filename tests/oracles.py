@@ -16,7 +16,9 @@ plausible profile, the matrix JR deciders and the three-valued closed
 forms) and the ``json.dumps`` document writer are kept verbatim as the
 references for their integer-native and direct-writer replacements, and
 the lottery necessary-JR decider that rescans every voter per outside
-candidate as the reference for its one-pass replacement.
+candidate as the reference for its one-pass replacement, and the flat
+scan that tests one profile at a time as the reference for the lane
+scan.
 """
 
 import itertools
@@ -37,10 +39,11 @@ from abcu import (
     profile_probability,
     satisfies,
 )
-from abcu.axioms import Violation
+from abcu.axioms import Violation, _satisfaction_test
 from abcu.decide import ENUM, POLY, DecisionResult
 from abcu.io import FORMAT
 from abcu.model import approval_profile, meets_threshold, min_group_size
+from abcu.uncertainty import _weighted_profiles
 
 ONE = Fraction(1)
 HALF = Fraction(1, 2)
@@ -204,6 +207,31 @@ def prob_oracle(model, w, axiom="jr"):
          if satisfies(model.instance, pp.profile, w, axiom)),
         Fraction(0),
     )
+
+
+def reference_values_by_enumeration(model, committees, axiom, budget=None):
+    """Exact satisfaction probabilities of ``committees`` from one pass
+    over the plausible profiles, one profile at a time, summing integer
+    weights: the flat scan the lane scan replaced."""
+    inst = model.instance
+    denom, profiles = _weighted_profiles(model, budget)
+    tests = [_satisfaction_test(inst, frozenset(w), axiom) for w in committees]
+    totals = [0] * len(tests)
+    for prof, wt in profiles:
+        for j, holds in enumerate(tests):
+            if holds(prof):
+                totals[j] += wt
+    return [Fraction(total, denom) for total in totals]
+
+
+def reference_max_axiom(model, axiom, budget=None):
+    """``(committee, value, ties)`` of ``max_axiom`` from the per-profile
+    flat scan over every committee."""
+    inst = model.instance
+    committees = list(itertools.combinations(range(inst.m), inst.k))
+    values = reference_values_by_enumeration(model, committees, axiom, budget)
+    best = max(values)
+    return committees[values.index(best)], best, values.count(best)
 
 
 def exists_nec_oracle(model, axiom="jr"):

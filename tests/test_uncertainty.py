@@ -125,6 +125,34 @@ class TestValidation:
         assert validation_errors(lottery) == validation_errors(joint) == []
         assert len(calls) == 3 + 4
 
+    def test_hand_built_inexact_matrix_entries_reported(self):
+        inst = Instance(1, 1, 1)
+        assert validation_errors(CandidateProbModel(inst, ((0.5,),))) == [
+            "entry (0, 0): 0.5 is not an exact probability",
+        ]
+        assert validation_errors(ThreeValuedModel(inst, (("1/2",),))) == [
+            "entry (0, 0): '1/2' is not an exact probability",
+        ]
+        row = (0.5, Fraction(3, 2), 1, HALF)
+        assert validation_errors(CandidateProbModel(Instance(1, 4, 1), (row,))) == [
+            "entry (0, 0): 0.5 is not an exact probability",
+            "entry (0, 1): probability 3/2 not in [0, 1]",
+        ]
+        assert validation_errors(ThreeValuedModel(Instance(1, 4, 1), (row,))) == [
+            "entry (0, 0): 0.5 is not an exact probability",
+            "entry (0, 1): value 3/2 not in {0, 1/2, 1}",
+        ]
+        with pytest.raises(InputError, match="not an exact probability"):
+            validate(CandidateProbModel(inst, ((None,),)))
+
+    def test_hand_built_inexact_weights_reported(self):
+        inst = Instance(1, 2, 1)
+        lottery = LotteryModel(inst, ((("1/2", (0,)), (HALF, (1,))),))
+        assert validation_errors(lottery) == ["voter 0: '1/2' is not an exact probability"]
+        joint = JointModel(inst, ((0.5, ((0,),)), (HALF, ((1,),))))
+        assert validation_errors(joint) == ["entry 0: 0.5 is not an exact probability"]
+        assert validation_errors(LotteryModel(inst, (((1, (0,)),),))) == []
+
     def test_cp_out_of_range_candidate(self):
         inst = Instance(1, 2, 1)
         with pytest.raises(InputError, match="out of range"):
