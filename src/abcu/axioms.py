@@ -519,49 +519,6 @@ def _pruned_walk(
                 frames.append((iter(tables[order[d + 1]]), wt, grown, kept))
 
 
-class _PackedSets(dict):
-    """Approval set -> packed per-candidate counter increments, built on
-    first use: one field per candidate, +1 in each approved candidate's
-    field for a set disjoint from the committee, 0 for any other set."""
-
-    __slots__ = ("wset", "width")
-
-    def __init__(self, wset: frozenset[int], width: int):
-        super().__init__()
-        self.wset = wset
-        self.width = width
-
-    def __missing__(self, s: ApprovalSet) -> int:
-        packed = 0
-        if self.wset.isdisjoint(s):
-            for c in s:
-                packed |= 1 << (self.width * c)
-        self[s] = packed
-        return packed
-
-
-def _jr_test(inst: Instance, wset: frozenset[int]) -> Callable[[Profile], bool]:
-    """A predicate equal to ``_jr_violation(inst, prof, wset) is None``.
-
-    Sums the profile's packed sets, so each outside candidate's field
-    holds its number of unrepresented approvers (at most ``n``, below
-    ``2**(width - 1)``).  A bias of ``2**(width - 1) - quota`` in each
-    outside field sets that field's top bit exactly when the count
-    reaches the quota, and no field carries into the next.
-    """
-    width = inst.n.bit_length() + 1
-    top = 1 << (width - 1)
-    quota = min_group_size(1, inst)
-    bias = high = 0
-    for c in range(inst.m):
-        if c not in wset:
-            bias += (top - quota) << (width * c)
-            high |= top << (width * c)
-    packed = _PackedSets(wset, width)
-    lookup = packed.__getitem__
-    return lambda prof: not (sum(map(lookup, prof), bias) & high)
-
-
 _VIOLATION_FINDERS = {
     "jr": jr_violation,
     "pjr": pjr_violation,
@@ -575,20 +532,6 @@ _COMMITTEE_FINDERS = {
     "pjr": _pjr_violation,
     "ejr": _ejr_violation,
 }
-
-
-def _satisfaction_test(
-    inst: Instance, wset: frozenset[int], axiom: str
-) -> Callable[[Profile], bool]:
-    """A predicate telling whether a profile satisfies ``axiom`` for the
-    committee ``wset``: the packed counter test for JR, a level test on
-    the profile's bit view for PJR and EJR."""
-    if axiom == "jr":
-        return _jr_test(inst, wset)
-    view = _bit_view(inst)
-    levels = _Levels(inst, wset)
-    level_test = _Levels.ejr if axiom == "ejr" else _Levels.pjr
-    return lambda prof: level_test(levels, view(prof)) is None
 
 
 # ---------------------------------------------------------------------------
@@ -673,10 +616,11 @@ def _any_lanes(lanes: list[list[int]], members) -> list[int]:
 
 
 def _lane_test(inst: Instance, wset: frozenset[int], axiom: str) -> Callable[[list[list[int]], int], int]:
-    """``_satisfaction_test`` on every profile of a chunk at once: a
+    """The single-profile tests on every profile of a chunk at once: a
     function from the chunk's lanes (``lanes[c][v]``, see
     ``uncertainty._lanes``) and its all-ones mask to the mask of the
-    profiles that satisfy ``axiom`` for ``wset``.
+    profiles that satisfy ``axiom`` for ``wset``, as ``_COMMITTEE_FINDERS``
+    would find no violation in them.
 
     * JR: the lanes where each voter approves no member of ``wset``, then
       per outside candidate the lanes where at least the quota of those

@@ -30,16 +30,13 @@ from .io import (
 )
 from .model import BudgetError, InputError
 from .uncertainty import (
-    CandidateProbModel,
     JointModel,
     LotteryModel,
     PlausibleProfile,
-    ThreeValuedModel,
     cp_to_lottery,
     first_plausible,
     lottery_to_joint,
     plausible_count,
-    tva_to_cp,
 )
 
 
@@ -146,19 +143,13 @@ def cmd_validate(args) -> int:
 def cmd_convert(args) -> int:
     doc = _load_document(args.file)
     model = doc.model
-    if args.target == "to-lottery":
-        if isinstance(model, ThreeValuedModel):
-            model = cp_to_lottery(tva_to_cp(model), args.budget)
-        elif isinstance(model, CandidateProbModel):
-            model = cp_to_lottery(model, args.budget)
-        elif isinstance(model, JointModel):
+    if isinstance(model, JointModel):
+        if args.target == "to-lottery":
             raise InputError("a joint model has no lottery representation in general")
     else:
-        if isinstance(model, ThreeValuedModel):
-            model = lottery_to_joint(cp_to_lottery(tva_to_cp(model), args.budget), args.budget)
-        elif isinstance(model, CandidateProbModel):
-            model = lottery_to_joint(cp_to_lottery(model, args.budget), args.budget)
-        elif isinstance(model, LotteryModel):
+        if not isinstance(model, LotteryModel):
+            model = cp_to_lottery(model, args.budget)
+        if args.target == "to-joint":
             model = lottery_to_joint(model, args.budget)
     sys.stdout.write(emit_document(document_for(model, doc.committee, doc.size)))
     return 0
@@ -179,16 +170,10 @@ def cmd_check(args) -> int:
 def cmd_decide(args) -> int:
     doc = _load_document(args.file)
     w = _need_committee(doc)
-    if args.mode == "poss":
-        result = decide.is_poss_axiom(
-            doc.model, w, args.axiom,
-            budget=args.budget, force_enumeration=args.force_enumeration,
-        )
-    else:
-        result = decide.is_nec_axiom(
-            doc.model, w, args.axiom,
-            budget=args.budget, force_enumeration=args.force_enumeration,
-        )
+    ask = decide.is_poss_axiom if args.mode == "poss" else decide.is_nec_axiom
+    result = ask(
+        doc.model, w, args.axiom, budget=args.budget, force_enumeration=args.force_enumeration
+    )
     _render(_decision_payload(result, args.witness), args.output)
     return 0
 
@@ -297,7 +282,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="enumeration cap (profiles/committees; default 2^20)")
     common.add_argument("--force-enumeration", action="store_true",
                         help="skip polynomial special cases, enumerate everything")
-    common.add_argument("--seed", type=int, default=0, help="generator seed")
     common.add_argument("--witness", action="store_true",
                         help="include witnesses in the report")
     common.add_argument("--output", choices=("human", "machine"), default="human",
@@ -373,6 +357,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--candidates", type=int, required=True)
     p.add_argument("--committee-size", type=int, required=True)
     p.add_argument("--uncertainty", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="generator seed")
     p.set_defaults(handler=cmd_gen)
 
     return parser

@@ -4,7 +4,7 @@
 means all of them do.  Polynomial procedures exist for several
 model/problem combinations and are used automatically:
 
-* Joint models are decided by scanning their explicit profile list.
+* Joint-model JR is decided by checking the listed profiles in order.
 * CandidateProb/ThreeValued possible-JR reduces to a single check on the
   best-case completion: approving every committee member with positive
   probability and, outside the committee, only forced approvals can only
@@ -19,23 +19,17 @@ model/problem combinations and are used automatically:
   strictly interior probability matrices (only the full candidate set
   can be necessarily JR, so the answer is yes iff k = m).
 
-Everything else is decided by exact enumeration over plausible profiles
-(and, for existence questions, over committees in lexicographic order).
-All searches return the first witness in scan order.
-
-PJR and EJR questions on Lottery, CandidateProb and ThreeValued models
-walk the profiles as a tree over the voters (``axioms._pruned_walk``),
-whose leaves come in enumeration order.  A violating group depends only
-on its own members, and its quota is fixed by the instance, so a prefix
-that violates violates in every completion, and its subtree is dropped.
-The first surviving leaf is therefore the first satisfying profile, and
-the first dropped subtree starts with the first violating profile: its
-prefix with every later voter on its first set.  Possible satisfaction
-stops at the first leaf, necessary satisfaction at the first dropped
-subtree, and the existence questions run one such walk per committee.
-Witnesses are those of the flat scan, which Joint models and
-``force_enumeration`` keep, and a refutation's violation comes from the
-full single-profile checker.
+Every other question is decided by ``_first``, the first plausible
+profile in enumeration order that satisfies or violates the axiom (for
+existence questions, per committee in lexicographic order).  PJR and
+EJR on Lottery, CandidateProb and ThreeValued models walk the profiles
+as a tree over the voters (``axioms._pruned_walk``): a violating prefix
+violates in every completion, so its subtree is dropped, the first leaf
+is the first satisfying profile, and the first dropped subtree starts
+with the first violating one.  Joint models and ``force_enumeration``
+test a chunk of profiles at once on lanes (``axioms._lane_test``), and
+the witness is the lowest bit of the first nonzero mask.  A
+refutation's violation comes from the full single-profile checker.
 """
 
 from __future__ import annotations
@@ -50,9 +44,9 @@ from .axioms import (
     Violation,
     greedy_jr_committee,
     jr_violation,
+    _lane_test,
     _pruned_walk,
     _require_axiom,
-    _satisfaction_test,
 )
 from .model import (
     BudgetError,
@@ -62,6 +56,7 @@ from .model import (
     meets_threshold,
     resolve_budget,
 )
+from .probability import _walks
 from .uncertainty import (
     CandidateProbModel,
     JointModel,
@@ -70,9 +65,11 @@ from .uncertainty import (
     PlausibleProfile,
     ThreeValuedModel,
     _cp_rows,
+    _lanes,
+    _profile_at,
     _profile_probability,
+    _table_chunks,
     _voter_tables,
-    _weighted_profiles,
     first_plausible,
 )
 
@@ -90,10 +87,6 @@ class DecisionResult:
     witness_profile: PlausibleProfile | None = None
     witness_violation: Violation | None = None
     witness_committee: Committee | None = None
-
-
-def _matrix_like(model: Model) -> bool:
-    return isinstance(model, (CandidateProbModel, ThreeValuedModel))
 
 
 def _check_committee_count(inst: Instance, budget: int | None) -> None:
@@ -115,28 +108,28 @@ def is_poss_jr(
     inst = model.instance
     w = committee(w, inst)
     if force_enumeration:
-        return _poss_by_enumeration(model, w, "jr", budget)
+        return is_poss_axiom(model, w, "jr", budget=budget, force_enumeration=True)
     if isinstance(model, JointModel):
         for lam, prof in model.entries:
             if jr_violation(inst, prof, w) is None:
                 return DecisionResult(True, POLY, witness_profile=PlausibleProfile(prof, lam))
         return DecisionResult(False, POLY)
-    if _matrix_like(model):
-        wset = set(w)
-        prof = tuple(
-            tuple(sorted(
-                [c for c in w if row[c].numerator]
-                + [c for c in forced if c not in wset]
-            ))
-            for row, (forced, _) in zip(_cp_rows(model), model.split_rows)
+    if isinstance(model, LotteryModel):
+        return _poss_jr_lottery(model, w, budget)
+    wset = set(w)
+    prof = tuple(
+        tuple(sorted(
+            [c for c in w if row[c].numerator]
+            + [c for c in forced if c not in wset]
+        ))
+        for row, (forced, _) in zip(_cp_rows(model), model.split_rows)
+    )
+    if jr_violation(inst, prof, w) is None:
+        return DecisionResult(
+            True, POLY,
+            witness_profile=PlausibleProfile(prof, _profile_probability(model, prof)),
         )
-        if jr_violation(inst, prof, w) is None:
-            return DecisionResult(
-                True, POLY,
-                witness_profile=PlausibleProfile(prof, _profile_probability(model, prof)),
-            )
-        return DecisionResult(False, POLY)
-    return _poss_jr_lottery(model, w, budget)
+    return DecisionResult(False, POLY)
 
 
 def _poss_jr_lottery(model: LotteryModel, w: Committee, budget: int | None) -> DecisionResult:
@@ -215,7 +208,7 @@ def is_nec_jr(
     inst = model.instance
     w = committee(w, inst)
     if force_enumeration:
-        return _nec_by_enumeration(model, w, "jr", budget)
+        return is_nec_axiom(model, w, "jr", budget=budget, force_enumeration=True)
     if isinstance(model, JointModel):
         for lam, prof in model.entries:
             viol = jr_violation(inst, prof, w)
@@ -313,7 +306,7 @@ def exists_nec_jr(
                 if c not in mandatory:
                     chosen.append(c)
             return DecisionResult(True, POLY, witness_committee=tuple(sorted(chosen)))
-        if _matrix_like(model):
+        if isinstance(model, (CandidateProbModel, ThreeValuedModel)):
             if all(len(free) == inst.m for _, free in model.split_rows):
                 # Every candidate can be the unanimous favourite, so only
                 # the full candidate set is necessarily JR.
@@ -328,74 +321,62 @@ def exists_nec_jr(
 
 
 # ---------------------------------------------------------------------------
-# PJR / EJR via enumeration (and the generic enumeration fallbacks)
+# the first-witness scan, behind PJR/EJR and every forced question
 
 
-def _poss_by_enumeration(model: Model, w: Committee, axiom: str, budget: int | None) -> DecisionResult:
-    denom, profiles = _weighted_profiles(model, budget)
-    holds = _satisfaction_test(model.instance, frozenset(w), axiom)
-    for prof, wt in profiles:
-        if holds(prof):
-            return DecisionResult(
-                True, ENUM, witness_profile=PlausibleProfile(prof, Fraction(wt, denom))
-            )
-    return DecisionResult(False, ENUM)
-
-
-def _nec_by_enumeration(model: Model, w: Committee, axiom: str, budget: int | None) -> DecisionResult:
-    inst = model.instance
-    wset = frozenset(w)
-    denom, profiles = _weighted_profiles(model, budget)
-    holds = _satisfaction_test(inst, wset, axiom)
-    for prof, wt in profiles:
-        if not holds(prof):
-            return DecisionResult(
-                False, ENUM,
-                witness_profile=PlausibleProfile(prof, Fraction(wt, denom)),
-                witness_violation=_COMMITTEE_FINDERS[axiom](inst, prof, wset),
-            )
-    return DecisionResult(True, ENUM)
-
-
-def _first_walked(
-    inst: Instance, tables: list, wset: frozenset[int], axiom: str, holds: bool
+def _first(
+    model: Model, wset: frozenset[int], axiom: str, holds: bool, budget: int | None,
+    force: bool, tables: list | None = None,
 ) -> PlausibleProfile | None:
     """The first plausible profile, in enumeration order, that satisfies
-    (``holds``) or violates PJR/EJR ``axiom`` for ``wset``, or None, by
-    the pruned walk over the voter ``tables`` (``_voter_tables``).
-
-    The first leaf of the walk is the first satisfying profile: every
-    profile before it lies in a pruned subtree.  The first pruned node
-    gives the first violating one: the profiles before its subtree are
-    leaves, and its subtree's first profile violates, since a violation
-    in a prefix survives every completion.
-    """
-    walk = _pruned_walk(inst, [t for _, t in tables], [wset], axiom)
-    for satisfied, prof, wt, _ in walk:
-        if satisfied == holds:
-            return PlausibleProfile(tuple(prof), Fraction(wt, math.prod(d for d, _ in tables)))
+    (``holds``) or violates ``axiom`` for ``wset``, or None: the first
+    leaf or pruned node of the walk where ``probability._walks`` says
+    so, else the lowest bit of the first chunk's lane mask that has one.
+    Bit ``p`` is a Joint model's entry ``p``; for independent voters the
+    chunk's offset plus ``p`` are the digits, voter 0 most significant,
+    of the profile in the mixed radix of ``tables`` (``_voter_tables``,
+    built here unless a scan over many committees passes them)."""
+    inst = model.instance
+    if isinstance(model, JointModel):
+        denom, chunks = _lanes(model, budget)
+    else:
+        if tables is None:
+            tables = _voter_tables(model, budget)
+        denom = math.prod(d for d, _ in tables)
+        sets = [t for _, t in tables]
+        if _walks(model, axiom, force):
+            for satisfied, prof, wt, _ in _pruned_walk(inst, sets, [wset], axiom):
+                if satisfied == holds:
+                    return PlausibleProfile(tuple(prof), Fraction(wt, denom))
+            return None
+        chunks = _table_chunks(inst, sets)
+    test = _lane_test(inst, wset, axiom)
+    offset = 0
+    for count, lanes, _ in chunks:
+        full = (1 << count) - 1
+        mask = test(lanes, full)
+        if not holds:
+            mask = full & ~mask
+        if mask:
+            p = offset + (mask & -mask).bit_length() - 1
+            prof, wt = model.weighted[1][p] if tables is None else _profile_at(sets, p)
+            return PlausibleProfile(prof, Fraction(wt, denom))
+        offset += count
     return None
-
-
-def _walks(model: Model, force_enumeration: bool) -> bool:
-    """Whether a PJR/EJR scan over ``model`` takes the pruned walk: on
-    independent voters, unless enumeration is forced."""
-    return not force_enumeration and not isinstance(model, JointModel)
 
 
 def is_poss_axiom(
     model: Model, w, axiom: str, *, budget: int | None = None,
     force_enumeration: bool = False,
 ) -> DecisionResult:
-    """Possible satisfaction for any axiom; JR uses the fast paths, PJR
-    and EJR on independent voters the pruned walk (``_first_walked``)."""
+    """Possible satisfaction for any axiom; JR uses the fast paths unless
+    ``force_enumeration``, every other question the first satisfying
+    profile of ``_first``."""
     _require_axiom(axiom)
-    if axiom == "jr":
-        return is_poss_jr(model, w, budget=budget, force_enumeration=force_enumeration)
+    if axiom == "jr" and not force_enumeration:
+        return is_poss_jr(model, w, budget=budget)
     w = committee(w, model.instance)
-    if not _walks(model, force_enumeration):
-        return _poss_by_enumeration(model, w, axiom, budget)
-    pp = _first_walked(model.instance, _voter_tables(model, budget), frozenset(w), axiom, True)
+    pp = _first(model, frozenset(w), axiom, True, budget, force_enumeration)
     if pp is None:
         return DecisionResult(False, ENUM)
     return DecisionResult(True, ENUM, witness_profile=pp)
@@ -405,18 +386,16 @@ def is_nec_axiom(
     model: Model, w, axiom: str, *, budget: int | None = None,
     force_enumeration: bool = False,
 ) -> DecisionResult:
-    """Necessary satisfaction for any axiom; JR uses the fast paths, PJR
-    and EJR on independent voters the pruned walk (``_first_walked``).
-    The witness violation is the full checker's on the witness profile."""
+    """Necessary satisfaction for any axiom; JR uses the fast paths unless
+    ``force_enumeration``, every other question the first violating
+    profile of ``_first``.  The witness violation is the full checker's
+    on the witness profile."""
     _require_axiom(axiom)
-    if axiom == "jr":
-        return is_nec_jr(model, w, budget=budget, force_enumeration=force_enumeration)
+    if axiom == "jr" and not force_enumeration:
+        return is_nec_jr(model, w, budget=budget)
     inst = model.instance
-    w = committee(w, inst)
-    if not _walks(model, force_enumeration):
-        return _nec_by_enumeration(model, w, axiom, budget)
-    wset = frozenset(w)
-    pp = _first_walked(inst, _voter_tables(model, budget), wset, axiom, False)
+    wset = frozenset(committee(w, inst))
+    pp = _first(model, wset, axiom, False, budget, force_enumeration)
     if pp is None:
         return DecisionResult(True, ENUM)
     return DecisionResult(
@@ -430,52 +409,32 @@ def exists_nec_axiom(
     force_enumeration: bool = False,
 ) -> DecisionResult:
     """Is some committee necessarily satisfying ``axiom``?  First
-    lexicographic winner is returned.  For PJR/EJR on independent voters
-    each committee's walk stops at its first pruned node."""
+    lexicographic winner is returned; each committee's scan stops at its
+    first violating profile."""
     _require_axiom(axiom)
     if axiom == "jr":
         return exists_nec_jr(model, budget=budget, force_enumeration=force_enumeration)
     inst = model.instance
     _check_committee_count(inst, budget)
-    committees = itertools.combinations(range(inst.m), inst.k)
-    if not _walks(model, force_enumeration):
-        profiles = [prof for prof, _ in _weighted_profiles(model, budget)[1]]
-        for w in committees:
-            if all(map(_satisfaction_test(inst, frozenset(w), axiom), profiles)):
-                return DecisionResult(True, ENUM, witness_committee=w)
-        return DecisionResult(False, ENUM)
-    tables = _voter_tables(model, budget)
-    for w in committees:
-        if _first_walked(inst, tables, frozenset(w), axiom, False) is None:
+    tables = None if isinstance(model, JointModel) else _voter_tables(model, budget)
+    for w in itertools.combinations(range(inst.m), inst.k):
+        if _first(model, frozenset(w), axiom, False, budget, force_enumeration, tables) is None:
             return DecisionResult(True, ENUM, witness_committee=w)
     return DecisionResult(False, ENUM)
 
 
 def exists_poss_axiom(model: Model, axiom: str, *, budget: int | None = None) -> DecisionResult:
     """Is some committee possibly satisfying ``axiom``?  For JR this is
-    always yes; for PJR/EJR it is decided by enumeration, on independent
-    voters by each committee's pruned walk up to its first leaf."""
+    always yes; for PJR/EJR each committee's scan stops at its first
+    satisfying profile."""
     _require_axiom(axiom)
     if axiom == "jr":
         return exists_poss_jr(model)
     inst = model.instance
     _check_committee_count(inst, budget)
-    committees = itertools.combinations(range(inst.m), inst.k)
-    if isinstance(model, JointModel):
-        denom, weighted = _weighted_profiles(model, budget)
-        profiles = list(weighted)
-        for w in committees:
-            holds = _satisfaction_test(inst, frozenset(w), axiom)
-            for prof, wt in profiles:
-                if holds(prof):
-                    return DecisionResult(
-                        True, ENUM, witness_committee=w,
-                        witness_profile=PlausibleProfile(prof, Fraction(wt, denom)),
-                    )
-        return DecisionResult(False, ENUM)
-    tables = _voter_tables(model, budget)
-    for w in committees:
-        pp = _first_walked(inst, tables, frozenset(w), axiom, True)
+    tables = None if isinstance(model, JointModel) else _voter_tables(model, budget)
+    for w in itertools.combinations(range(inst.m), inst.k):
+        pp = _first(model, frozenset(w), axiom, True, budget, False, tables)
         if pp is not None:
             return DecisionResult(True, ENUM, witness_committee=w, witness_profile=pp)
     return DecisionResult(False, ENUM)

@@ -220,16 +220,22 @@ def _values_by_walk(
     return [Fraction(total, denom) for total in totals]
 
 
+def _walks(model: Model, axiom: str, force_enumeration: bool) -> bool:
+    """Whether a scan of ``axiom`` over ``model`` takes the pruned walk:
+    PJR/EJR on independent voters, unless enumeration is forced.  Every
+    other scan reads the lanes."""
+    return axiom != "jr" and not force_enumeration and not isinstance(model, JointModel)
+
+
 def _scan_values(
     model: Model, committees: list[Committee], axiom: str, budget: int | None,
     force_enumeration: bool,
 ) -> list[Fraction]:
     """Exact satisfaction probabilities of ``committees`` by a scan over
-    the plausible profiles: the pruned walk for PJR/EJR on independent
-    voters, the lanes for JR, Joint models and ``force_enumeration``."""
-    if force_enumeration or axiom == "jr" or isinstance(model, JointModel):
-        return _values_by_enumeration(model, committees, axiom, budget)
-    return _values_by_walk(model, committees, axiom, budget)
+    the plausible profiles: the pruned walk or the lanes (``_walks``)."""
+    if _walks(model, axiom, force_enumeration):
+        return _values_by_walk(model, committees, axiom, budget)
+    return _values_by_enumeration(model, committees, axiom, budget)
 
 
 def _by_enumeration(

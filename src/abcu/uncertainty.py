@@ -24,9 +24,10 @@ voters' weights over the product of their denominators, with no
 over the lcm of their denominators.  Internal scans sum these integers;
 ``enumerate_plausible`` turns each weight back into a ``Fraction``.
 
-Scans that sum over every profile read the same profiles and weights as
-lanes (``_lanes``): one integer per (voter, candidate) with one bit per
-profile, so a test of every profile is a few big-integer operations.
+Flat scans, which sum over every profile or look for the first witness,
+read the same profiles and weights as lanes (``_lanes``): one integer
+per (voter, candidate) with one bit per profile, so a test of every
+profile is a few big-integer operations; ``_profile_at`` decodes a bit.
 A Joint model's lanes come column-wise from its entries, with no
 per-profile loop in Python, and are kept on the model with its
 common-denominator weights (``JointModel.lanes``, ``weighted``).
@@ -525,9 +526,12 @@ def first_plausible(model: Model) -> PlausibleProfile:
 
 def _over_common_denominator(entries) -> tuple[int, list]:
     """``(probability, item)`` pairs as ``(denominator, [(item, weight)])``
-    with ``probability == weight / denominator`` for every item."""
-    denom = math.lcm(*(lam.denominator for lam, _ in entries))
-    return denom, [(item, lam.numerator * (denom // lam.denominator)) for lam, item in entries]
+    with ``probability == weight / denominator`` for every item.  Each
+    probability is read once, by one ``as_integer_ratio`` call, since
+    the ``Fraction`` properties cost more than the integer arithmetic."""
+    ratios = [(lam.as_integer_ratio(), item) for lam, item in entries]
+    denom = math.lcm(*{den for (_, den), _ in ratios})
+    return denom, [(item, num * (denom // den)) for (num, den), item in ratios]
 
 
 def _product(tables) -> Iterator[tuple[Profile, int]]:
@@ -741,6 +745,20 @@ def _table_chunks(inst: Instance, tables: list[list[tuple[ApprovalSet, int]]]) -
             for c in s:
                 chunk[c][v] = full
         yield size, chunk, (outer, planes)
+
+
+def _profile_at(tables: list[list[tuple[ApprovalSet, int]]], p: int) -> tuple[Profile, int]:
+    """Profile ``p`` of the product of per-voter ``[(set, weight)]`` tables
+    and its weight: ``p``'s digits in the mixed radix of the table sizes,
+    voter 0 most significant, index each voter's table."""
+    sets = []
+    weight = 1
+    for table in reversed(tables):
+        p, j = divmod(p, len(table))
+        s, wt = table[j]
+        sets.append(s)
+        weight *= wt
+    return tuple(reversed(sets)), weight
 
 
 def enumerate_plausible(model: Model, budget: int | None = None) -> Iterator[PlausibleProfile]:

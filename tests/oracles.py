@@ -17,8 +17,9 @@ forms) and the ``json.dumps`` document writer are kept verbatim as the
 references for their integer-native and direct-writer replacements, and
 the lottery necessary-JR decider that rescans every voter per outside
 candidate as the reference for its one-pass replacement, and the flat
-scan that tests one profile at a time as the reference for the lane
-scan.
+scans that test one profile at a time (``_satisfaction_test`` over the
+enumeration kernel) as the reference for the lane scan and for the
+deciders' first-witness scan.
 """
 
 import itertools
@@ -39,7 +40,7 @@ from abcu import (
     profile_probability,
     satisfies,
 )
-from abcu.axioms import Violation, _satisfaction_test
+from abcu.axioms import _COMMITTEE_FINDERS, Violation, _bit_view, _Levels
 from abcu.decide import ENUM, POLY, DecisionResult
 from abcu.io import FORMAT
 from abcu.model import approval_profile, meets_threshold, min_group_size
@@ -207,6 +208,105 @@ def prob_oracle(model, w, axiom="jr"):
          if satisfies(model.instance, pp.profile, w, axiom)),
         Fraction(0),
     )
+
+
+# ---------------------------------------------------------------------------
+# per-profile scans: one test per plausible profile
+
+
+class _PackedSets(dict):
+    """Approval set -> packed per-candidate counter increments, built on
+    first use: one field per candidate, +1 in each approved candidate's
+    field for a set disjoint from the committee, 0 for any other set."""
+
+    __slots__ = ("wset", "width")
+
+    def __init__(self, wset, width):
+        super().__init__()
+        self.wset = wset
+        self.width = width
+
+    def __missing__(self, s):
+        packed = 0
+        if self.wset.isdisjoint(s):
+            for c in s:
+                packed |= 1 << (self.width * c)
+        self[s] = packed
+        return packed
+
+
+def _jr_test(inst, wset):
+    """A predicate equal to ``_jr_violation(inst, prof, wset) is None``.
+
+    Sums the profile's packed sets, so each outside candidate's field
+    holds its number of unrepresented approvers (at most ``n``, below
+    ``2**(width - 1)``).  A bias of ``2**(width - 1) - quota`` in each
+    outside field sets that field's top bit exactly when the count
+    reaches the quota, and no field carries into the next.
+    """
+    width = inst.n.bit_length() + 1
+    top = 1 << (width - 1)
+    quota = min_group_size(1, inst)
+    bias = high = 0
+    for c in range(inst.m):
+        if c not in wset:
+            bias += (top - quota) << (width * c)
+            high |= top << (width * c)
+    packed = _PackedSets(wset, width)
+    lookup = packed.__getitem__
+    return lambda prof: not (sum(map(lookup, prof), bias) & high)
+
+
+def _satisfaction_test(inst, wset, axiom):
+    """A predicate telling whether a profile satisfies ``axiom`` for the
+    committee ``wset``: the packed counter test for JR, a level test on
+    the profile's bit view for PJR and EJR."""
+    if axiom == "jr":
+        return _jr_test(inst, wset)
+    view = _bit_view(inst)
+    levels = _Levels(inst, wset)
+    level_test = _Levels.ejr if axiom == "ejr" else _Levels.pjr
+    return lambda prof: level_test(levels, view(prof)) is None
+
+
+def reference_first(model, wset, axiom, holds, budget=None):
+    """The first plausible profile, in enumeration order, that satisfies
+    (``holds``) or violates ``axiom`` for ``wset``, or None, testing one
+    profile at a time: the flat scan ``decide._first`` replaced."""
+    denom, profiles = _weighted_profiles(model, budget)
+    test = _satisfaction_test(model.instance, wset, axiom)
+    for prof, wt in profiles:
+        if test(prof) == holds:
+            return PlausibleProfile(prof, Fraction(wt, denom))
+    return None
+
+
+def reference_decision(model, w, axiom, mode, budget=None):
+    """``is_poss_axiom`` (``mode`` "poss") or ``is_nec_axiom`` ("nec")
+    under ``force_enumeration``, from ``reference_first``."""
+    inst = model.instance
+    wset = frozenset(w)
+    pp = reference_first(model, wset, axiom, mode == "poss", budget)
+    if pp is None:
+        return DecisionResult(mode == "nec", ENUM)
+    if mode == "poss":
+        return DecisionResult(True, ENUM, witness_profile=pp)
+    return DecisionResult(
+        False, ENUM, witness_profile=pp,
+        witness_violation=_COMMITTEE_FINDERS[axiom](inst, pp.profile, wset),
+    )
+
+
+def reference_exists(model, axiom, mode, budget=None):
+    """``exists_poss_axiom`` ("poss") or ``exists_nec_axiom`` ("nec") by
+    ``reference_first`` over every committee in lexicographic order."""
+    for w in itertools.combinations(range(model.instance.m), model.instance.k):
+        pp = reference_first(model, frozenset(w), axiom, mode == "poss", budget)
+        if mode == "poss" and pp is not None:
+            return DecisionResult(True, ENUM, witness_committee=w, witness_profile=pp)
+        if mode == "nec" and pp is None:
+            return DecisionResult(True, ENUM, witness_committee=w)
+    return DecisionResult(False, ENUM)
 
 
 def reference_values_by_enumeration(model, committees, axiom, budget=None):

@@ -273,6 +273,16 @@ class TestExitCodes:
         assert code == 2
         assert "three-valued" in err
 
+    def test_seed_belongs_to_gen_only(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["prob", "jr", str(DOCS / "three-valued.json"), "--seed", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+        code, out, _ = run(capsys, "gen", "--kind", "cp", "--voters", "2", "--candidates", "3",
+                           "--committee-size", "1", "--uncertainty", "2", "--seed", "3")
+        assert code == 0
+        parse_document(out)
+
 
 class TestHostileFiles:
     """Inputs that once escaped as tracebacks with exit 1."""

@@ -23,10 +23,11 @@ from abcu import (
     profile_probability,
     tva_model,
 )
-from abcu.axioms import Violation, _satisfaction_test
+from abcu.axioms import Violation
 from abcu.cli import main
 from oracles import (
     BRUTE,
+    _satisfaction_test,
     brute_pjr,
     reference_ejr_violation,
     reference_pjr_violation,

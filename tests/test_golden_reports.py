@@ -25,11 +25,15 @@ ROOT = Path(__file__).parent.parent
 GOLDEN = Path(__file__).parent / "golden"
 REPORTS = GOLDEN / "reports"
 DOCUMENTS = sorted(ROOT.glob("docs/examples/*.json")) + sorted(GOLDEN.glob("*.json"))
+FORCE = "--force-enumeration"
 QUERIES = (
     [("prob", axiom) for axiom in ("jr", "pjr", "ejr")]
     + [("decide", mode, axiom) for mode in ("poss", "nec") for axiom in ("jr", "pjr", "ejr")]
     + [("max", axiom) for axiom in ("jr", "pjr", "ejr")]
     + [("exists", question) for question in ("poss-jr", "nec-jr", "nec-pjr", "nec-ejr")]
+    # The scan orders of the forced deciders, which the default paths bypass.
+    + [("decide", mode, axiom, FORCE) for mode in ("poss", "nec") for axiom in ("jr", "pjr", "ejr")]
+    + [("exists", question, FORCE) for question in ("nec-jr", "nec-pjr", "nec-ejr")]
 )
 CASES = [(doc, query) for doc in DOCUMENTS for query in QUERIES]
 
@@ -41,12 +45,17 @@ def _report(doc: Path, query: tuple[str, ...]) -> tuple[int, str]:
     return code, out.getvalue()
 
 
+def _name(query: tuple[str, ...]) -> str:
+    """``decide-poss-jr``, or ``decide-poss-jr-force-enumeration`` with the flag."""
+    return "-".join(part.lstrip("-") for part in query)
+
+
 def _golden_file(doc: Path, query: tuple[str, ...]) -> Path:
-    return REPORTS / doc.stem / ("-".join(query) + ".out")
+    return REPORTS / doc.stem / (_name(query) + ".out")
 
 
 @pytest.mark.parametrize(
-    "doc, query", CASES, ids=[f"{doc.stem}-{'-'.join(query)}" for doc, query in CASES]
+    "doc, query", CASES, ids=[f"{doc.stem}-{_name(query)}" for doc, query in CASES]
 )
 def test_report_matches_golden_file(doc, query):
     code, out = _report(doc, query)

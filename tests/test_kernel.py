@@ -23,8 +23,7 @@ from abcu import (
     plausible_count,
     tva_model,
 )
-from abcu.axioms import _jr_test
-from oracles import brute_jr, random_profile, reference_plausible
+from oracles import _jr_test, brute_jr, random_profile, reference_plausible
 
 KINDS = ("joint", "lottery", "cp", "3va")
 

@@ -30,10 +30,9 @@ from abcu import (
     plausible_count,
     tva_model,
 )
-from abcu.axioms import _satisfaction_test
 from abcu.decide import ENUM, DecisionResult
 from abcu.uncertainty import _weighted_profiles
-from oracles import BRUTE, reference_plausible, violation_holds
+from oracles import BRUTE, _satisfaction_test, reference_plausible, violation_holds
 
 AXIOMS = ("pjr", "ejr")
 
