@@ -36,13 +36,13 @@ fits inside some ``S`` (see :func:`pjr_violation`), so every witness
 and the scan order are those of the brute force over voter groups.
 
 The same level tests also run one voter at a time (:class:`_Growth`),
-for scans over models with independent voters (:func:`_pruned_walk`).
-A violating group, its quota and its common set depend only on the
-group's own members, so a violation among some voters stays one
-whatever the other voters approve.  A walk over the voters therefore
-drops every subtree whose prefix violates, and when a voter joins a
-prefix that does not violate it tests only the groups that contain the
-new voter.
+for the search for a first witness over independent voters
+(:func:`_pruned_walk`).  A violating group, its quota and its common set
+depend only on the group's own members, so a violation among some
+voters stays one whatever the other voters approve.  A walk over the
+voters therefore drops every subtree whose prefix violates, and when a
+voter joins a prefix that does not violate it tests only the groups
+that contain the new voter.
 
 The same tests also run on lanes (:func:`_lane_test`), for flat scans
 over many profiles: one integer per (voter, candidate), bit ``p`` set
@@ -51,8 +51,10 @@ big-integer operations test every profile at once, as in bitsliced DES
 (Biham, "A Fast New DES Implementation in Software", FSE 1997).  A
 voter's count of approvers or of approved committee members becomes a
 bit-sliced counter across the lanes, and a quota test a comparison of
-that counter with a constant (:func:`_at_least`).  PJR and EJR search
-the ``ell``-sets ``T`` depth first over all the lanes together
+that counter with a constant (:func:`_at_least`).  Voters with a single
+approval set have no lanes: they are counted once per distinct set, and
+their count is taken off the quota.  PJR and EJR search the
+``ell``-sets ``T`` depth first over all the lanes together
 (:func:`_common_lanes`): a branch is pruned once no lane has the quota
 of approvers left, and lanes that already violate drop out of every
 later pool.
@@ -423,50 +425,30 @@ class _Growth:
 
 
 def _pruned_walk(
-    inst: Instance, tables: list[list[tuple[ApprovalSet, int]]],
-    wsets: list[frozenset[int]], axiom: str,
-) -> Iterator[tuple[bool, list[ApprovalSet], int, list[int]]]:
+    inst: Instance, tables: list[list[tuple[ApprovalSet, int]]], wset: frozenset[int],
+    axiom: str,
+) -> Iterator[tuple[bool, list[ApprovalSet], int]]:
     """The profiles of independent voters as a tree, pruned for PJR or
-    EJR (``axiom``) of each committee of ``wsets``.
+    EJR (``axiom``) of the committee ``wset``.
 
     ``tables[i]`` lists voter ``i``'s ``(set, weight)`` entries in
     enumeration order.  Voters with a single entry are added first, at
     the root; the others branch, in index order, each over its entries
-    in table order, so leaves come in enumeration order.  A committee is
-    dropped from a subtree as soon as :class:`_Growth` finds a violation
-    in its prefix: every profile below violates too.  Yields
-    ``(holds, profile, weight, committees)`` in walk order:
-
-    * at a leaf, ``holds`` is True and ``committees`` lists the indices
-      of the committees the profile satisfies;
-    * where committees are dropped, ``holds`` is False, and ``profile``
-      is the subtree's first profile, every later voter on its first
-      entry, which is the first violating profile of the subtree.
-
-    ``weight`` is the product of the profile's weights.  ``profile`` is
-    one list, updated in place; copy it to keep it.  The walk keeps an
-    explicit stack, one frame per branching voter.
+    in table order, so leaves come in enumeration order.  A subtree is
+    dropped as soon as :class:`_Growth` finds a violation in its prefix:
+    every profile below violates too.  Yields ``(holds, profile,
+    weight)`` in walk order: ``holds`` is True at a leaf, and False at a
+    dropped subtree, whose ``profile`` is then its first profile, every
+    later voter on its first entry, the first violating profile of the
+    subtree.  ``weight`` is the product of the profile's weights.
+    ``profile`` is one list, updated in place; copy it to keep it.  The
+    walk keeps an explicit stack, one frame per branching voter.
     """
-    growths = [_Growth(inst, wset, axiom) for wset in wsets]
-
-    def advance(alive, bit, s, approvers):
-        """The committees of ``alive`` that survive voter ``bit`` joining
-        with ``s``, with their states, and those that do not."""
-        kept = []
-        dead = []
-        for j, pools in alive:
-            pools = growths[j].step(pools, bit, s, approvers)
-            if pools is None:
-                dead.append(j)
-            else:
-                kept.append((j, pools))
-        return kept, dead
-
+    growth = _Growth(inst, wset, axiom)
     profile = [table[0][0] for table in tables]
     approvers = [0] * inst.m
-    alive = [(j, g.start) for j, g in enumerate(growths)]
+    pools = growth.start
     weight = 1
-    dead = []
     order = []
     for i, table in enumerate(tables):
         if len(table) > 1:
@@ -477,25 +459,24 @@ def _pruned_walk(
         bit = 1 << i
         for c in s:
             approvers[c] |= bit
-        alive, lost = advance(alive, bit, s, approvers)
-        dead += lost
+        if pools is not None:
+            pools = growth.step(pools, bit, s, approvers)
     # first[d]: the weight of every branching voter from the d-th on
     # taking its first entry.
     first = [1] * (len(order) + 1)
     for d in range(len(order) - 1, -1, -1):
         first[d] = first[d + 1] * tables[order[d]][0][1]
-    if dead:
-        yield False, profile, weight * first[0], dead
-    if not alive:
+    if pools is None:
+        yield False, profile, weight * first[0]
         return
     if not order:
-        yield True, profile, weight, [j for j, _ in alive]
+        yield True, profile, weight
         return
     last = len(order) - 1
-    frames = [(iter(tables[order[0]]), weight, approvers, alive)]
+    frames = [(iter(tables[order[0]]), weight, approvers, pools)]
     while frames:
         d = len(frames) - 1
-        entries, weight, approvers, alive = frames[-1]
+        entries, weight, approvers, pools = frames[-1]
         i = order[d]
         entry = next(entries, None)
         if entry is None:
@@ -508,15 +489,14 @@ def _pruned_walk(
         grown = approvers[:]
         for c in s:
             grown[c] |= bit
-        kept, dead = advance(alive, bit, s, grown)
         profile[i] = s
-        if dead:
-            yield False, profile, wt * first[d + 1], dead
-        if kept:
-            if d == last:
-                yield True, profile, wt, [j for j, _ in kept]
-            else:
-                frames.append((iter(tables[order[d + 1]]), wt, grown, kept))
+        kept = growth.step(pools, bit, s, grown)
+        if kept is None:
+            yield False, profile, wt * first[d + 1]
+        elif d == last:
+            yield True, profile, wt
+        else:
+            frames.append((iter(tables[order[d + 1]]), wt, grown, kept))
 
 
 _VIOLATION_FINDERS = {
@@ -544,8 +524,10 @@ def _at_least(xs: list[int], quota: int) -> int:
     The lanes are counted by a bit-sliced ripple-carry adder, ``count[i]``
     holding bit ``i`` of every lane's count, which is then compared with
     ``quota`` from the top bit down.  Quotas of 1, 2 and ``len(xs)`` take
-    a shorter loop.
+    a shorter loop, and a quota of 0 or less holds in every lane (-1).
     """
+    if quota <= 0:
+        return -1
     xs = [x for x in xs if x]
     if len(xs) < quota:
         return 0
@@ -583,10 +565,11 @@ def _at_least(xs: list[int], quota: int) -> int:
 
 
 def _common_lanes(xs: list[int], lanes: list[list[int]], start: int, ell: int, quota: int,
-                  alive: int) -> int:
+                  alive: int, fixed: list[tuple[int, int]]) -> int:
     """The lanes of ``alive`` in which some ``ell``-set ``T`` of the
     candidates from ``start`` on is approved by at least ``quota`` voters
-    of the pool ``xs`` (one lane per voter).
+    of the pool: ``xs`` (one lane per voter with lanes) and ``fixed``
+    (``(candidate mask, count)`` of the voters without lanes).
 
     A depth-first search over ``T`` in ascending order, carried across the
     lanes: a branch is pruned once no lane still has ``quota`` approvers
@@ -596,11 +579,13 @@ def _common_lanes(xs: list[int], lanes: list[list[int]], start: int, ell: int, q
     hit = 0
     for c in range(start, len(lanes) - ell + 1):
         ys = list(map(and_, xs, lanes[c]))
-        now = _at_least(ys, quota) & alive & ~hit
+        held = [f for f in fixed if f[0] >> c & 1] if fixed else fixed
+        need = quota - sum(count for _, count in held) if held else quota
+        now = _at_least(ys, need) & alive & ~hit
         if not now:
             continue
         if ell > 1:
-            now = _common_lanes(ys, lanes, c + 1, ell - 1, quota, now)
+            now = _common_lanes(ys, lanes, c + 1, ell - 1, quota, now, held)
         hit |= now
         if hit == alive:
             break
@@ -615,12 +600,12 @@ def _any_lanes(lanes: list[list[int]], members) -> list[int]:
     return union
 
 
-def _lane_test(inst: Instance, wset: frozenset[int], axiom: str) -> Callable[[list[list[int]], int], int]:
+def _lane_test(inst: Instance, wset: frozenset[int], axiom: str) -> Callable[..., int]:
     """The single-profile tests on every profile of a chunk at once: a
-    function from the chunk's lanes (``lanes[c][v]``, see
-    ``uncertainty._lanes``) and its all-ones mask to the mask of the
-    profiles that satisfy ``axiom`` for ``wset``, as ``_COMMITTEE_FINDERS``
-    would find no violation in them.
+    function from the chunk's lanes (``lanes[c][v]``), its all-ones mask
+    and its ``fixed`` voters (see ``uncertainty._lanes``) to the mask of
+    the profiles that satisfy ``axiom`` for ``wset``, as
+    ``_COMMITTEE_FINDERS`` would find no violation in them.
 
     * JR: the lanes where each voter approves no member of ``wset``, then
       per outside candidate the lanes where at least the quota of those
@@ -633,19 +618,23 @@ def _lane_test(inst: Instance, wset: frozenset[int], axiom: str) -> Callable[[li
 
     A PJR or EJR level violates where its pool holds a quota of voters
     jointly approving an ``ell``-set (``_common_lanes``).  Lanes that
-    already violate leave every later pool.
+    already violate leave every later pool.  A fixed voter is in a pool
+    in every lane or in none, so its count is taken off the quota.
     """
     members = sorted(wset)
+    wmask = _mask(wset)
     if axiom == "jr":
         quota = min_group_size(1, inst)
         outside = [c for c in range(inst.m) if c not in wset]
 
-        def jr(lanes: list[list[int]], full: int) -> int:
+        def jr(lanes: list[list[int]], full: int, fixed: list[tuple[int, int]]) -> int:
             unrepresented = [~x for x in _any_lanes(lanes, members)]
+            fixed = [f for f in fixed if not f[0] & wmask]
             violating = 0
             for c in outside:
-                violating |= _at_least(list(map(and_, lanes[c], unrepresented)), quota)
-                if violating == full:
+                count = sum(k for mask, k in fixed if mask >> c & 1) if fixed else 0
+                violating |= _at_least(list(map(and_, lanes[c], unrepresented)), quota - count)
+                if violating & full == full:
                     break
             return full & ~violating
 
@@ -653,9 +642,9 @@ def _lane_test(inst: Instance, wset: frozenset[int], axiom: str) -> Callable[[li
     levels = _Levels(inst, wset)
     if axiom == "ejr":
 
-        def ejr(lanes: list[list[int]], full: int) -> int:
+        def ejr(lanes: list[list[int]], full: int, fixed: list[tuple[int, int]]) -> int:
             # approved[j][v]: the lanes where voter v approves j or more members.
-            approved = [[-1] * inst.n]
+            approved = [[-1] * len(lanes[0])]
             for c in members:
                 col = lanes[c]
                 approved.append(list(map(and_, approved[-1], col)))
@@ -665,25 +654,28 @@ def _lane_test(inst: Instance, wset: frozenset[int], axiom: str) -> Callable[[li
             for ell, quota in levels.quotas:
                 alive = full & ~violating
                 pool = [alive & ~x for x in approved[ell]]
-                violating |= _common_lanes(pool, lanes, 0, ell, quota, alive)
+                held = [f for f in fixed if (f[0] & wmask).bit_count() < ell]
+                violating |= _common_lanes(pool, lanes, 0, ell, quota, alive, held)
                 if violating == full:
                     break
             return full & ~violating
 
         return ejr
-    # For each level, the members outside each S.
+    # For each level, the members outside each S, as a list and a mask.
     specs = [
-        (ell, quota, [[c for c in members if not s >> c & 1] for s in levels.subsets[ell]])
+        (ell, quota, [([c for c in members if not s >> c & 1], wmask & ~s)
+                      for s in levels.subsets[ell]])
         for ell, quota in levels.quotas
     ]
 
-    def pjr(lanes: list[list[int]], full: int) -> int:
+    def pjr(lanes: list[list[int]], full: int, fixed: list[tuple[int, int]]) -> int:
         violating = 0
         for ell, quota, outsides in specs:
-            for outside in outsides:
+            for outside, out in outsides:
                 alive = full & ~violating
                 pool = [alive & ~x for x in _any_lanes(lanes, outside)]
-                violating |= _common_lanes(pool, lanes, 0, ell, quota, alive)
+                held = [f for f in fixed if not f[0] & out]
+                violating |= _common_lanes(pool, lanes, 0, ell, quota, alive, held)
                 if violating == full:
                     return 0
         return full & ~violating

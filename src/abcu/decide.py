@@ -22,14 +22,18 @@ model/problem combinations and are used automatically:
 Every other question is decided by ``_first``, the first plausible
 profile in enumeration order that satisfies or violates the axiom (for
 existence questions, per committee in lexicographic order).  PJR and
-EJR on Lottery, CandidateProb and ThreeValued models walk the profiles
-as a tree over the voters (``axioms._pruned_walk``): a violating prefix
-violates in every completion, so its subtree is dropped, the first leaf
-is the first satisfying profile, and the first dropped subtree starts
-with the first violating one.  Joint models and ``force_enumeration``
-test a chunk of profiles at once on lanes (``axioms._lane_test``), and
-the witness is the lowest bit of the first nonzero mask.  A
-refutation's violation comes from the full single-profile checker.
+EJR on Lottery, CandidateProb and ThreeValued models, unless
+``force_enumeration``, walk the profiles as a tree over the voters
+(``axioms._pruned_walk``): a violating prefix violates in every
+completion, so its subtree is dropped, the first leaf is the first
+satisfying profile, and the first dropped subtree starts with the first
+violating one.  It stops at the first witness, which usually lies near
+profile 0, where it measured faster than testing a whole chunk of lanes
+(probabilities, which visit every profile, read the lanes).  Joint
+models and ``force_enumeration`` test a chunk of profiles at once on
+lanes (``axioms._lane_test``), and the witness is the lowest bit of the
+first nonzero mask.  A refutation's violation comes from the full
+single-profile checker.
 """
 
 from __future__ import annotations
@@ -56,7 +60,6 @@ from .model import (
     meets_threshold,
     resolve_budget,
 )
-from .probability import _walks
 from .uncertainty import (
     CandidateProbModel,
     JointModel,
@@ -315,7 +318,7 @@ def exists_nec_jr(
                 return DecisionResult(False, POLY)
     _check_committee_count(inst, budget)
     for w in itertools.combinations(range(inst.m), inst.k):
-        if is_nec_jr(model, w, budget=budget).answer:
+        if is_nec_jr(model, w, budget=budget, force_enumeration=force_enumeration).answer:
             return DecisionResult(True, ENUM, witness_committee=w)
     return DecisionResult(False, ENUM)
 
@@ -330,12 +333,13 @@ def _first(
 ) -> PlausibleProfile | None:
     """The first plausible profile, in enumeration order, that satisfies
     (``holds``) or violates ``axiom`` for ``wset``, or None: the first
-    leaf or pruned node of the walk where ``probability._walks`` says
-    so, else the lowest bit of the first chunk's lane mask that has one.
-    Bit ``p`` is a Joint model's entry ``p``; for independent voters the
-    chunk's offset plus ``p`` are the digits, voter 0 most significant,
-    of the profile in the mixed radix of ``tables`` (``_voter_tables``,
-    built here unless a scan over many committees passes them)."""
+    leaf or pruned node of the walk for PJR/EJR on independent voters
+    unless ``force``, else the lowest bit of the first chunk's lane mask
+    that has one.  Bit ``p`` is a Joint model's entry ``p``; for
+    independent voters the chunk's offset plus ``p`` are the digits,
+    voter 0 most significant, of the profile in the mixed radix of
+    ``tables`` (``_voter_tables``, built here unless a scan over many
+    committees passes them), where a voter of one entry has radix 1."""
     inst = model.instance
     if isinstance(model, JointModel):
         denom, chunks = _lanes(model, budget)
@@ -344,17 +348,17 @@ def _first(
             tables = _voter_tables(model, budget)
         denom = math.prod(d for d, _ in tables)
         sets = [t for _, t in tables]
-        if _walks(model, axiom, force):
-            for satisfied, prof, wt, _ in _pruned_walk(inst, sets, [wset], axiom):
+        if axiom != "jr" and not force:
+            for satisfied, prof, wt in _pruned_walk(inst, sets, wset, axiom):
                 if satisfied == holds:
                     return PlausibleProfile(tuple(prof), Fraction(wt, denom))
             return None
         chunks = _table_chunks(inst, sets)
     test = _lane_test(inst, wset, axiom)
     offset = 0
-    for count, lanes, _ in chunks:
+    for count, lanes, _, fixed in chunks:
         full = (1 << count) - 1
-        mask = test(lanes, full)
+        mask = test(lanes, full, fixed)
         if not holds:
             mask = full & ~mask
         if mask:

@@ -45,20 +45,17 @@ def max_axiom(
     """Committee with the highest probability of satisfying ``axiom``.
 
     JR on a Lottery, CandidateProb or ThreeValued model takes each
-    committee's polynomial path, a closed form or the voter DP.  PJR and
-    EJR on these models score all committees in one pruned walk over the
-    voters: each node keeps the committees its prefix does not yet
-    violate, a committee is dropped from a subtree once its prefix
-    violates (a violating group stays violating whatever later voters
-    approve), the walk leaves a subtree that no committee survives, and
-    each leaf adds its weight to the committees still alive there.
-    Joint models and ``force_enumeration`` score the committees on the
-    lanes of the plausible profiles (``uncertainty._lanes``): each
-    committee's lane test marks all the satisfying profiles of a chunk at
-    once, and their integer weights are summed.  A Joint model builds its
-    lanes once and keeps them, so every committee, and every later
-    question on the model, reads the same lanes; independent voters are
-    scanned in chunks of at most 2^12 profiles.
+    committee's polynomial path, a closed form or the voter DP.  Every
+    other question (PJR and EJR, Joint models and ``force_enumeration``)
+    scores all committees in one pass over the lanes of the plausible
+    profiles (``uncertainty._lanes``): each committee's lane test marks
+    all the satisfying profiles of a chunk at once, and their integer
+    weights are summed.  A Joint model builds its lanes once and keeps
+    them, so every committee, and every later question on the model,
+    reads the same lanes; independent voters are scanned in chunks of at
+    most 2^12 profiles, each built once for all the committees, with the
+    voters of a single approval set counted per distinct set instead of
+    given lanes.
     """
     inst = model.instance
     cap = resolve_budget(budget)
@@ -70,7 +67,7 @@ def max_axiom(
     if axiom == "jr" and not force_enumeration and not isinstance(model, JointModel):
         values = [_jr_path(model, w, budget).value for w in committees]
     else:
-        values = _scan_values(model, committees, axiom, budget, force_enumeration)
+        values = _scan_values(model, committees, axiom, budget)
     best: Fraction | None = None
     best_w: Committee | None = None
     ties = 0

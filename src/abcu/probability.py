@@ -32,37 +32,26 @@ enumeration it replaces visits profile prefixes.  It runs behind the
 same profile-count budget gate as enumeration.
 
 PJR and EJR probabilities come from exact enumeration, tagged
-``enumeration``.  On a Lottery, CandidateProb or ThreeValued model the
-enumeration is a pruned walk over the voters (``axioms._pruned_walk``):
-the profiles form a tree, one level per voter that has more than one
-approval set, with voter 0 outermost and each voter's sets in table
-order, so its leaves are the plausible profiles in enumeration order.
-A violation is a voter group that is large enough for the fixed quota
-``ceil(ell * n / k)``, jointly approves ``ell`` candidates and sees too
-few committee members; all of this depends only on the group's own
-members.  So once the voters of a prefix hold a violating group, every
-completion of the prefix violates too, and the walk drops the whole
-subtree.  When a voter joins, only the groups that contain it can newly
-violate, and only those are tested.  The probability is the sum of the
-weights of the leaves that survive, the same integers the flat scan sums.
-
-Joint models (every axiom, JR tagged ``joint-scan``), and every query
-under ``force_enumeration``, take the flat scan, bit-sliced into lanes
-(``uncertainty._lanes``): one integer per (voter, candidate) whose bit
-``p`` is set when that voter approves that candidate in plausible
-profile ``p``.  A committee's lane test (``axioms._lane_test``) marks
-every satisfying profile of a chunk with a few big-integer operations
-per voter, and the chunk's integer weights, bit-sliced the same way,
-are summed over the marked bits, so one test serves all the profiles
-of a chunk where the per-profile scan ran one test per profile.  A
+``enumeration``, as do probabilities on Joint models (JR tagged
+``joint-scan``) and every query under ``force_enumeration``.  The scan
+is bit-sliced into lanes (``uncertainty._lanes``): one integer per
+(voter, candidate) whose bit ``p`` is set when that voter approves that
+candidate in plausible profile ``p``.  A committee's lane test
+(``axioms._lane_test``) marks every satisfying profile of a chunk with a
+few big-integer operations per voter, and the chunk's integer weights,
+bit-sliced the same way, are summed over the marked bits, so one test
+serves all the profiles of a chunk.  Voters with a single approval set
+get no lanes: they are counted once per distinct set, and each quota
+test subtracts their count, so a model of many certain voters and a few
+uncertain ones costs about as much as its uncertain voters alone.  A
 Joint model's lanes and weights are built on first use and kept on the
-model, so later questions reuse them; independent voters are scanned
-in chunks of at most ``uncertainty.LANE_CHUNK`` (2^12) profiles, so
-memory stays bounded by the chunk, not the profile count.  The
-per-profile scan is kept in ``tests/oracles.py`` as the reference that
-both the lanes and the walk are tested against.  For ThreeValued
-models all plausible profiles are equiprobable, so results also carry
-the exact (satisfying, total) profile counts.
+model, so later questions reuse them; independent voters are scanned in
+chunks of at most ``uncertainty.LANE_CHUNK`` (2^12) profiles, so memory
+stays bounded by the chunk, not the profile count, and nothing is kept.
+The per-profile scan is kept in ``tests/oracles.py`` as the reference
+the lanes are tested against.  For ThreeValued models all plausible
+profiles are equiprobable, so results also carry the exact (satisfying,
+total) profile counts.
 """
 
 from __future__ import annotations
@@ -72,7 +61,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .axioms import _lane_test, _pruned_walk
+from .axioms import _lane_test
 from .model import (
     Committee,
     InputError,
@@ -90,7 +79,6 @@ from .uncertainty import (
     _lanes,
     _over_common_denominator,
     _require_budget,
-    _voter_tables,
 )
 
 JOINT_SCAN = "joint-scan"
@@ -185,14 +173,14 @@ def _lane_values(
     denom, chunks = lanes
     tests = [_lane_test(inst, frozenset(w), axiom) for w in committees]
     totals = [0] * len(tests)
-    for count, chunk, weights in chunks:
+    for count, chunk, weights, fixed in chunks:
         full = (1 << count) - 1
         for j, test in enumerate(tests):
-            totals[j] += _lane_total(test(chunk, full), weights)
+            totals[j] += _lane_total(test(chunk, full, fixed), weights)
     return [Fraction(total, denom) for total in totals]
 
 
-def _values_by_enumeration(
+def _scan_values(
     model: Model, committees: list[Committee], axiom: str, budget: int | None
 ) -> list[Fraction]:
     """Exact satisfaction probabilities of ``committees`` from one pass
@@ -200,48 +188,8 @@ def _values_by_enumeration(
     return _lane_values(model.instance, _lanes(model, budget), committees, axiom)
 
 
-def _values_by_walk(
-    model: Model, committees: list[Committee], axiom: str, budget: int | None
-) -> list[Fraction]:
-    """``_values_by_enumeration`` for PJR or EJR on a Lottery,
-    CandidateProb or ThreeValued model, from one pruned walk over the
-    voters (``axioms._pruned_walk``): each committee's total is the sum
-    of the weights of the leaves it survives to."""
-    tables = _voter_tables(model, budget)
-    walk = _pruned_walk(
-        model.instance, [t for _, t in tables], [frozenset(w) for w in committees], axiom
-    )
-    totals = [0] * len(committees)
-    for holds, _, wt, alive in walk:
-        if holds:
-            for j in alive:
-                totals[j] += wt
-    denom = math.prod(d for d, _ in tables)
-    return [Fraction(total, denom) for total in totals]
-
-
-def _walks(model: Model, axiom: str, force_enumeration: bool) -> bool:
-    """Whether a scan of ``axiom`` over ``model`` takes the pruned walk:
-    PJR/EJR on independent voters, unless enumeration is forced.  Every
-    other scan reads the lanes."""
-    return axiom != "jr" and not force_enumeration and not isinstance(model, JointModel)
-
-
-def _scan_values(
-    model: Model, committees: list[Committee], axiom: str, budget: int | None,
-    force_enumeration: bool,
-) -> list[Fraction]:
-    """Exact satisfaction probabilities of ``committees`` by a scan over
-    the plausible profiles: the pruned walk or the lanes (``_walks``)."""
-    if _walks(model, axiom, force_enumeration):
-        return _values_by_walk(model, committees, axiom, budget)
-    return _values_by_enumeration(model, committees, axiom, budget)
-
-
-def _by_enumeration(
-    model: Model, w: Committee, axiom: str, budget: int | None, force_enumeration: bool
-) -> ProbResult:
-    value, = _scan_values(model, [w], axiom, budget, force_enumeration)
+def _by_enumeration(model: Model, w: Committee, axiom: str, budget: int | None) -> ProbResult:
+    value, = _scan_values(model, [w], axiom, budget)
     return _with_counts(value, ENUM, model)
 
 
@@ -357,7 +305,7 @@ def jr_probability(
     """Exact probability that ``w`` satisfies JR under ``model``."""
     w = committee(w, model.instance)
     if force_enumeration:
-        return _by_enumeration(model, w, "jr", budget, True)
+        return _by_enumeration(model, w, "jr", budget)
     return _jr_path(model, w, budget)
 
 
@@ -377,14 +325,13 @@ def axiom_probability(
 ) -> ProbResult:
     """Exact probability that ``w`` satisfies ``axiom`` (jr/pjr/ejr).
 
-    JR dispatches to the joint scan, the closed forms or the voter DP;
-    PJR and EJR are computed by enumeration only, as a pruned walk over
-    independent voters unless ``force_enumeration`` asks for the flat
-    scan.
+    JR dispatches to the joint scan, the closed forms or the voter DP
+    unless ``force_enumeration``; PJR and EJR are computed by the lane
+    scan only.
     """
     from .axioms import _require_axiom
 
     _require_axiom(axiom)
     if axiom == "jr":
         return jr_probability(model, w, budget=budget, force_enumeration=force_enumeration)
-    return _by_enumeration(model, committee(w, model.instance), axiom, budget, force_enumeration)
+    return _by_enumeration(model, committee(w, model.instance), axiom, budget)

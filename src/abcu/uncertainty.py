@@ -32,7 +32,8 @@ A Joint model's lanes come column-wise from its entries, with no
 per-profile loop in Python, and are kept on the model with its
 common-denominator weights (``JointModel.lanes``, ``weighted``).
 Independent voters' lanes come from the product structure of their
-tables, in chunks of at most ``LANE_CHUNK`` profiles.
+tables, in chunks of at most ``LANE_CHUNK`` profiles; a voter with one
+table entry gets no lanes and is counted with the others of its set.
 
 Probabilities are parsed once.  Each constructor call keeps one memo
 from raw value to ``Fraction`` (``_probability_parser``): a string or an
@@ -602,10 +603,13 @@ LANE_CHUNK = 1 << 12
 def _lanes(model: Model, budget: int | None) -> tuple[int, Iterator[tuple]]:
     """The plausible profiles as lanes: ``(denominator, chunks)``.
 
-    A chunk ``(count, lanes, weights)`` holds ``count`` consecutive
-    profiles in enumeration order, profile ``p`` of the chunk at bit
-    ``p``.  ``lanes[c][v]`` has bit ``p`` set when voter ``v`` approves
-    candidate ``c`` in that profile.  ``weights`` is ``(scale,
+    A chunk ``(count, lanes, weights, fixed)`` holds ``count``
+    consecutive profiles in enumeration order, profile ``p`` of the chunk
+    at bit ``p``.  ``lanes[c][v]`` has bit ``p`` set when the ``v``-th
+    voter with lanes approves candidate ``c`` in that profile.  The
+    voters without lanes approve the same set in every profile: ``fixed``
+    lists ``(candidate mask, number of such voters)`` per distinct set
+    (none on a Joint model).  ``weights`` is ``(scale,
     planes)``: the integer weight of profile ``p`` is ``scale`` times the
     sum of ``1 << b`` over the ``(b, plane)`` of ``planes`` whose plane
     has bit ``p`` set, and its probability is that weight over the
@@ -698,14 +702,17 @@ def _joint_chunk(inst: Instance, profiles: tuple[Profile, ...], weights: tuple[i
         [voters >> (v * count) & full for v in range(inst.n)]
         for voters in _bit_slices(joined, size, inst.m)
     ]
-    return count, lanes, (1, _weight_planes(weights))
+    return count, lanes, (1, _weight_planes(weights)), ()
 
 
 def _table_chunks(inst: Instance, tables: list[list[tuple[ApprovalSet, int]]]) -> Iterator[tuple]:
     """The chunks of the product of per-voter ``[(set, weight)]`` tables.
 
-    The inner voters, the longest suffix whose product of table sizes
-    fits ``LANE_CHUNK``, vary inside a chunk.  Inner voter ``v``'s
+    A voter with one entry approves the same set in every profile, with
+    probability 1 (weight 1 over denominator 1), so it gets no lanes:
+    such voters are counted per distinct set in ``fixed``.  Of the other
+    voters, the inner ones, the longest suffix whose product of table
+    sizes fits ``LANE_CHUNK``, vary inside a chunk.  Inner voter ``v``'s
     ``j``-th set covers the bits whose digit for ``v`` is ``j``: a block
     of ``stride`` ones (the product of the later voters' table sizes) at
     ``j * stride``, repeated every ``len(table) * stride`` bits, that is
@@ -713,18 +720,27 @@ def _table_chunks(inst: Instance, tables: list[list[tuple[ApprovalSet, int]]]) -
     every chunk; the outer voters' sets and weights are fixed per chunk,
     with their lanes all ones or zero.
     """
-    n = len(tables)
-    split = n - 1
-    size = len(tables[-1])
-    while split and size * len(tables[split - 1]) <= LANE_CHUNK:
+    counts: dict[ApprovalSet, int] = {}
+    varying = []
+    for table in tables:
+        if len(table) > 1:
+            varying.append(table)
+        else:
+            (s, _), = table
+            counts[s] = counts.get(s, 0) + 1
+    fixed = [(sum(1 << c for c in s), count) for s, count in counts.items()]
+    n = len(varying)
+    split = max(n - 1, 0)
+    size = len(varying[-1]) if varying else 1
+    while split and size * len(varying[split - 1]) <= LANE_CHUNK:
         split -= 1
-        size *= len(tables[split])
+        size *= len(varying[split])
     full = (1 << size) - 1
     lanes = [[0] * n for _ in range(inst.m)]
     weights = [1]
     stride = size
     for v in range(split, n):
-        table = tables[v]
+        table = varying[v]
         period = stride
         stride //= len(table)
         repunit = full // ((1 << period) - 1)
@@ -737,14 +753,14 @@ def _table_chunks(inst: Instance, tables: list[list[tuple[ApprovalSet, int]]]) -
             lanes[c][v] = pattern * repunit
         weights = [a * wt for a in weights for _, wt in table]
     planes = _weight_planes(weights)
-    for combo in itertools.product(*tables[:split]):
+    for combo in itertools.product(*varying[:split]):
         chunk = [col[:] for col in lanes]
         outer = 1
         for v, (s, wt) in enumerate(combo):
             outer *= wt
             for c in s:
                 chunk[c][v] = full
-        yield size, chunk, (outer, planes)
+        yield size, chunk, (outer, planes), fixed
 
 
 def _profile_at(tables: list[list[tuple[ApprovalSet, int]]], p: int) -> tuple[Profile, int]:

@@ -20,6 +20,7 @@ from abcu import (
     BudgetError,
     JointModel,
     exists_nec_axiom,
+    exists_nec_jr,
     exists_poss_axiom,
     is_nec_axiom,
     is_nec_jr,
@@ -27,7 +28,7 @@ from abcu import (
     is_poss_jr,
     plausible_count,
 )
-from abcu import uncertainty
+from abcu import decide, uncertainty
 from abcu.decide import _first
 from oracles import reference_decision, reference_exists, reference_first
 from test_lanes import random_any
@@ -98,3 +99,21 @@ def test_existence_budget_counts_profiles():
             with pytest.raises(BudgetError) as err:
                 exists_poss_axiom(model, axiom, budget=count - 1)
             assert err.value.count == count
+
+
+def test_forced_exists_nec_jr_reads_first(monkeypatch):
+    """Under ``force_enumeration``, ``exists_nec_jr`` asks ``_first`` for
+    a violating profile of each committee in lexicographic order, up to
+    the first that has none, and answers as the per-profile reference."""
+    asked = []
+    first = decide._first
+    monkeypatch.setattr(
+        decide, "_first", lambda *args: asked.append(args[1:4]) or first(*args)
+    )
+    for model, committees in _models(9, 30):
+        asked.clear()
+        want = reference_exists(model, "jr", "nec")
+        assert exists_nec_jr(model, force_enumeration=True) == want
+        scanned = committees[:committees.index(want.witness_committee) + 1] if want.answer \
+            else committees
+        assert asked == [(frozenset(w), "jr", False) for w in scanned]

@@ -15,6 +15,7 @@ forced scan.
 
 import itertools
 import pickle
+from collections import Counter
 import random
 import tracemalloc
 from fractions import Fraction
@@ -39,7 +40,7 @@ from abcu import (
 from abcu import uncertainty
 from abcu.axioms import _at_least
 from abcu.io import document_for, emit_document, parse_document
-from abcu.probability import JOINT_SCAN, _values_by_enumeration
+from abcu.probability import JOINT_SCAN, _scan_values
 from abcu.uncertainty import _lanes, _weighted_profiles
 from oracles import (
     BRUTE,
@@ -85,21 +86,39 @@ def _committees(inst):
 def _assert_lanes_match(model):
     committees = _committees(model.instance)
     for axiom in AXIOMS:
-        assert _values_by_enumeration(model, committees, axiom, None) == (
+        assert _scan_values(model, committees, axiom, None) == (
             reference_values_by_enumeration(model, committees, axiom)
         ), axiom
 
 
-def _decode(inst, lanes):
-    """The ``(profile, weight)`` pairs of ``_lanes``, read bit by bit."""
+def _decode(model, lanes):
+    """The ``(profile, weight)`` pairs of ``_lanes``, read bit by bit.
+
+    On independent voters, a voter with one table entry has no lanes: its
+    set is read from its table, and each chunk's ``fixed`` must count
+    those voters per distinct set.  The other voters' lanes come in voter
+    order."""
+    inst = model.instance
+    single = {}
+    if not isinstance(model, JointModel):
+        for v, (_, table) in enumerate(uncertainty._voter_tables(model, None)):
+            if len(table) == 1:
+                single[v] = table[0][0]
+    varying = [v for v in range(inst.n) if v not in single]
+    masks = Counter(sum(1 << c for c in s) for s in single.values())
     denom, chunks = lanes
     out = []
-    for count, chunk, (scale, planes) in chunks:
+    for count, chunk, (scale, planes), fixed in chunks:
+        assert sorted(fixed) == sorted(masks.items())
+        assert all(len(col) == len(varying) for col in chunk)
         for p in range(count):
-            prof = tuple(
-                tuple(c for c in range(inst.m) if chunk[c][v] >> p & 1) for v in range(inst.n)
-            )
-            out.append((prof, scale * sum((plane >> p & 1) << b for b, plane in planes)))
+            prof = dict(single)
+            for j, v in enumerate(varying):
+                prof[v] = tuple(c for c in range(inst.m) if chunk[c][j] >> p & 1)
+            out.append((
+                tuple(prof[v] for v in range(inst.n)),
+                scale * sum((plane >> p & 1) << b for b, plane in planes),
+            ))
     return denom, out
 
 
@@ -130,7 +149,7 @@ class TestLaneForm:
         rng = random.Random(seed)
         for _ in range(60):
             model = random_any(rng)
-            denom, pairs = _decode(model.instance, _lanes(model, None))
+            denom, pairs = _decode(model, _lanes(model, None))
             kernel_denom, kernel = _weighted_profiles(model)
             assert denom == kernel_denom and pairs == list(kernel)
 
@@ -140,19 +159,27 @@ class TestLaneForm:
         rng = random.Random(bound)
         for _ in range(40):
             model = random_model(rng)
-            denom, pairs = _decode(model.instance, _lanes(model, None))
+            denom, pairs = _decode(model, _lanes(model, None))
             kernel_denom, kernel = _weighted_profiles(model)
             assert denom == kernel_denom and pairs == list(kernel)
-            tables = uncertainty._voter_tables(model, None)
-            largest = max(bound, len(tables[-1][1]))
-            assert all(count <= largest for count, _, _ in _lanes(model, None)[1])
+            # More only when the last voter with lanes alone has more sets.
+            sizes = [len(t) for _, t in uncertainty._voter_tables(model, None) if len(t) > 1]
+            largest = max([bound] + sizes[-1:])
+            assert all(count <= largest for count, *_ in _lanes(model, None)[1])
 
     def test_forced_chunks_are_bounded(self):
         # 2^14 plausible profiles, one free entry in each of 14 rows.
         inst = Instance(14, 3, 2)
         model = tva_model(inst, [["1/2", 1, 0]] * 14)
-        counts = [count for count, _, _ in _lanes(model, None)[1]]
+        counts = [count for count, *_ in _lanes(model, None)[1]]
         assert counts == [uncertainty.LANE_CHUNK] * 4
+        # Certain voters add no lanes and no profiles: 2^14 still.
+        model = tva_model(Instance(40, 3, 2), [["1/2", 1, 0]] * 14 + [[1, 0, 1]] * 26)
+        chunks = list(_lanes(model, None)[1])
+        assert [count for count, *_ in chunks] == [uncertainty.LANE_CHUNK] * 4
+        for _, lanes, _, fixed in chunks:
+            assert all(len(col) == 14 for col in lanes)
+            assert fixed == [(0b101, 26)]
 
     def test_budget_error_up_front(self):
         from abcu import BudgetError
@@ -229,7 +256,7 @@ class TestAgainstBruteForce:
             plausible = reference_plausible(model)
             committees = _committees(inst)
             for axiom in AXIOMS:
-                values = _values_by_enumeration(model, committees, axiom, None)
+                values = _scan_values(model, committees, axiom, None)
                 for w, value in zip(committees, values):
                     assert value == sum(
                         (pp.prob for pp in plausible if BRUTE[axiom](inst, pp.profile, w)),
@@ -301,7 +328,7 @@ class TestEdgeCases:
         model = random_joint(rng, inst, 25)
         committees = rng.sample(_committees(inst), 8)
         for axiom in AXIOMS:
-            assert _values_by_enumeration(model, committees, axiom, None) == (
+            assert _scan_values(model, committees, axiom, None) == (
                 reference_values_by_enumeration(model, committees, axiom)
             )
         lottery = lottery_model(inst, [
@@ -310,7 +337,7 @@ class TestEdgeCases:
             [(Fraction(1, 4), []), (Fraction(3, 4), [1, m - 1])],
         ])
         for axiom in AXIOMS:
-            assert _values_by_enumeration(lottery, committees, axiom, None) == (
+            assert _scan_values(lottery, committees, axiom, None) == (
                 reference_values_by_enumeration(lottery, committees, axiom)
             )
 
@@ -323,7 +350,7 @@ class TestEdgeCases:
         assert len({prof[0] for _, prof in model.entries}) == 300
         committees = rng.sample(_committees(inst), 6)
         for axiom in AXIOMS:
-            assert _values_by_enumeration(model, committees, axiom, None) == (
+            assert _scan_values(model, committees, axiom, None) == (
                 reference_values_by_enumeration(model, committees, axiom)
             )
 

@@ -1,12 +1,17 @@
-"""Differential tests for the pruned voter-tree scan of PJR and EJR.
+"""Differential tests for PJR and EJR on independent voters.
 
-On Lottery, CandidateProb and ThreeValued models, PJR/EJR probabilities,
-``max_axiom``, the possible/necessary deciders and both existence
-questions walk the voters as a tree and drop every subtree whose prefix
-already violates.  Each result is compared whole (values, method tags,
-tie counts, witnesses) with the flat scan that ``force_enumeration=True``
-keeps, and, on smaller models, with the brute force over voter groups
-and the ``Fraction``-product enumerator of ``tests/oracles.py``.
+On Lottery, CandidateProb and ThreeValued models, PJR/EJR probabilities
+and ``max_axiom`` scan the lanes, where the voters of a single approval
+set have no lanes and are counted per distinct set; they are compared
+with the per-profile scan of ``tests/oracles.py``
+(``reference_values_by_enumeration``, ``reference_max_axiom``), also on
+20-200-voter models of mostly repeated certain sets.  The
+possible/necessary deciders and both existence questions walk the voters
+as a tree and drop every subtree whose prefix already violates; they are
+compared whole (answers, method tags, witnesses) with the lane scan that
+``force_enumeration=True`` keeps.  On smaller models every result is
+also compared with the brute force over voter groups and the
+``Fraction``-product enumerator of ``tests/oracles.py``.
 """
 
 import itertools
@@ -18,6 +23,7 @@ import pytest
 
 from abcu import (
     Instance,
+    MaxResult,
     PlausibleProfile,
     axiom_probability,
     cp_model,
@@ -30,9 +36,18 @@ from abcu import (
     plausible_count,
     tva_model,
 )
+from abcu import axioms
 from abcu.decide import ENUM, DecisionResult
-from abcu.uncertainty import _weighted_profiles
-from oracles import BRUTE, _satisfaction_test, reference_plausible, violation_holds
+from abcu.model import min_group_size
+from abcu.uncertainty import _lanes, _weighted_profiles
+from oracles import (
+    BRUTE,
+    _satisfaction_test,
+    reference_max_axiom,
+    reference_plausible,
+    reference_values_by_enumeration,
+    violation_holds,
+)
 
 AXIOMS = ("pjr", "ejr")
 
@@ -99,20 +114,28 @@ def _brute_first(model, w, axiom, holds):
     return None
 
 
+def _assert_probability(model, w, axiom):
+    """``axiom_probability`` is the per-profile scan's value, tagged
+    ``enumeration``, with exact counts on a ThreeValued model."""
+    want, = reference_values_by_enumeration(model, [w], axiom)
+    got = axiom_probability(model, w, axiom)
+    assert (got.value, got.method) == (want, ENUM)
+    if got.counts is not None:
+        assert got.counts == (want * plausible_count(model), plausible_count(model))
+
+
 class TestAgainstFlatScan:
     @pytest.mark.parametrize("seed", range(4))
     def test_probabilities(self, seed):
         for model, w in _models(seed, 120):
             for axiom in AXIOMS:
-                assert axiom_probability(model, w, axiom) == axiom_probability(
-                    model, w, axiom, force_enumeration=True
-                )
+                _assert_probability(model, w, axiom)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_max_axiom(self, seed):
         for model, _ in _models(100 + seed, 80):
             for axiom in AXIOMS:
-                assert max_axiom(model, axiom) == max_axiom(model, axiom, force_enumeration=True)
+                assert max_axiom(model, axiom) == MaxResult(*reference_max_axiom(model, axiom))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_possible_and_necessary_decisions(self, seed):
@@ -216,7 +239,7 @@ class TestShapes:
         for axiom in AXIOMS:
             assert axiom_probability(model, (0,), axiom).value == 0
             assert axiom_probability(model, (1,), axiom).value == 1
-            assert max_axiom(model, axiom) == max_axiom(model, axiom, force_enumeration=True)
+            assert max_axiom(model, axiom) == MaxResult(*reference_max_axiom(model, axiom))
             assert is_nec_axiom(model, (0,), axiom) == is_nec_axiom(
                 model, (0,), axiom, force_enumeration=True
             )
@@ -226,10 +249,80 @@ class TestShapes:
         model = tva_model(inst, [["1/2", "1", "0", "1/2"], ["0", "1/2", "1/2", "1"]])
         for axiom in AXIOMS:
             for w in itertools.combinations(range(4), 3):
-                assert axiom_probability(model, w, axiom) == axiom_probability(
-                    model, w, axiom, force_enumeration=True
-                )
-            assert max_axiom(model, axiom) == max_axiom(model, axiom, force_enumeration=True)
+                _assert_probability(model, w, axiom)
+            assert max_axiom(model, axiom) == MaxResult(*reference_max_axiom(model, axiom))
+
+
+def _crowded(rng):
+    """A model of 20-200 voters, most of them certain on a few repeated
+    sets, with quotas of 4 or more.  A quota's worth of certain voters,
+    less 3 or 4, approve one target candidate alone, and 5-7 free voters,
+    most of them approving nothing else, may approve it too; the other
+    sets avoid the target, and one of them is held by most of the
+    remaining voters."""
+    n = rng.randint(20, 200)
+    m = rng.randint(3, 4)
+    k = rng.randint(2, m)
+    inst = Instance(n, m, k)
+    target = rng.randrange(m)
+    others = [c for c in range(m) if c != target]
+    pool = [tuple(sorted(rng.sample(others, rng.randint(1, 2)))) for _ in range(3)]
+    free = rng.randint(5, 7)
+    certain = [(target,)] * (min_group_size(1, inst) - rng.randint(3, 4))
+    certain += [pool[0] if rng.random() < 0.7 else rng.choice(pool)
+                for _ in range(n - free - len(certain))]
+    voters = [(s, False) for s in certain]
+    voters += [(rng.choice(pool + [()] * 3), True) for _ in range(free)]
+    rng.shuffle(voters)
+    kind = rng.choice(("lottery", "cp", "3va"))
+    if kind == "lottery":
+        return lottery_model(inst, [
+            [(Fraction(1, 3), s), (Fraction(2, 3), tuple(sorted({*s, target})))]
+            if uncertain else [(1, s)]
+            for s, uncertain in voters
+        ])
+    rows = []
+    for s, uncertain in voters:
+        row = [int(c in s) for c in range(m)]
+        if uncertain:
+            row[target] = "1/2" if kind == "3va" else rng.choice(("1/3", "3/4"))
+        rows.append(row)
+    return (tva_model if kind == "3va" else cp_model)(inst, rows)
+
+
+class TestRepeatedCertainSets:
+    """Certain voters are counted per distinct set and taken off the
+    quota; these models repeat each certain set many times, often more
+    often than the quota, and leave remaining quotas of 3 or more for the
+    free voters' lanes, so the general counter of ``_at_least`` runs."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_against_the_per_profile_scan(self, monkeypatch, seed):
+        calls = []
+        at_least = axioms._at_least
+        monkeypatch.setattr(
+            axioms, "_at_least",
+            lambda xs, quota: calls.append((quota, sum(1 for x in xs if x))) or at_least(xs, quota),
+        )
+        rng = random.Random(700 + seed)
+        counts = []
+        for _ in range(8):
+            model = _crowded(rng)
+            inst = model.instance
+            for _, _, _, fixed in _lanes(model, None)[1]:
+                counts += [count for _, count in fixed]
+            for axiom in ("jr",) + AXIOMS:
+                committees = list(itertools.combinations(range(inst.m), inst.k))
+                values = reference_values_by_enumeration(model, committees, axiom)
+                best = max(values)
+                want = MaxResult(committees[values.index(best)], best, values.count(best))
+                assert max_axiom(model, axiom, force_enumeration=axiom == "jr") == want
+                w = rng.choice(committees)
+                got = axiom_probability(model, w, axiom, force_enumeration=True)
+                assert got.value == values[committees.index(w)]
+        assert max(counts) > 20
+        assert any(quota <= 0 for quota, _ in calls)
+        assert any(3 <= quota < nonzero for quota, nonzero in calls)
 
 
 class TestDeepModel:
