@@ -19,6 +19,10 @@ model/problem combinations and are used automatically:
   strictly interior probability matrices (only the full candidate set
   can be necessarily JR, so the answer is yes iff k = m).
 
+Lottery possible-JR, NP-hard (``reduce_3sat``), backtracks over one set
+per voter and remembers each dead subtree with the nodes it took, so its
+node counts, witnesses and budget errors are the plain search's.
+
 Every other question is decided by ``_first``, the first plausible
 profile in enumeration order that satisfies or violates the axiom (for
 existence questions, per committee in lexicographic order).  PJR and
@@ -58,6 +62,7 @@ from .model import (
     Instance,
     committee,
     meets_threshold,
+    min_group_size,
     resolve_budget,
 )
 from .uncertainty import (
@@ -144,23 +149,63 @@ def _poss_jr_lottery(model: LotteryModel, w: Committee, budget: int | None) -> D
     index order, sets in input order) is the witness.  Every set tried
     is one search node.  The search keeps an explicit stack, one level
     per voter, so its depth is not bounded by the interpreter's.
+
+    When voter ``i`` runs out of sets, the key of the state it was
+    entered in is stored with the nodes its subtree took; a later entry
+    with that key adds the count and backs out, so node counts and budget
+    errors are the plain search's.  The key is ``i``, which sets of voters
+    ``i`` on are dead (``blocks[i]``) and, for quotas of 3 or more, their
+    candidates' counts, those one short of the quota as 0 (every later
+    set holding one is dead).  The tables are built at the first
+    backtrack, so a search that never backtracks pays nothing for them.
     """
     cap = resolve_budget(budget)
     inst = model.instance
+    n, lotteries = inst.n, model.lotteries
     wset = frozenset(w)
+    quota = min_group_size(1, inst)
+    top = quota - 1
     counts = [0] * inst.m
     chosen: list[tuple[int, ...]] = []
-    bumps: list[list[int]] = []
-    # next_set[i]: index of the next set to try for voter i on the current branch.
-    next_set = [0] * inst.n
+    bumps: list[tuple[int, ...]] = []
+    # next_set[i]: the next set to try for voter i on the current branch (one
+    # past the end for a remembered dead state); entered[i]: nodes on entry.
+    next_set = [0] * n
+    entered = [0] * (n + 1)
+    memo: dict | None = None
+
+    def key(j):  # ``% top`` writes a count at ``top`` as 0; ``later`` is empty below quota 3
+        return (j, blocks[j] >> off[j], *[counts[c] % top for c in later[j]])
+
     nodes = 0
     i = 0
-    while i < inst.n:
-        voter = model.lotteries[i]
-        if next_set[i] == len(voter):
+    while i < n:
+        voter = lotteries[i]
+        if next_set[i] >= len(voter):
             # Voter i is exhausted: undo voter i - 1's choice and move on.
             if i == 0:
                 return DecisionResult(False, ENUM)
+            if memo is None:
+                # holders[c]: a bit per (voter, set) slot that avoids w and holds c;
+                # with a quota of 1 no set is bumped, and blocks stay 0.
+                memo, off, holders = {}, [0] * (n + 1), [0] * inst.m
+                for j, sets in enumerate(lotteries):
+                    off[j + 1] = off[j] + len(sets)
+                    for t, (_, s) in enumerate(sets):
+                        if wset.isdisjoint(s):
+                            for c in s:
+                                holders[c] |= 1 << (off[j] + t)
+                later = [[c for c, h in enumerate(holders) if h.bit_length() > o]
+                         for o in off] if top > 1 else [()] * (n + 1)
+                blocks, replay = [0] * (n + 1), [0] * inst.m
+                for j, bumped in enumerate(bumps):
+                    blocks[j + 1] = blocks[j]
+                    for c in bumped:
+                        replay[c] += 1
+                        if replay[c] == top:
+                            blocks[j + 1] |= holders[c]
+            if next_set[i] == len(voter):
+                memo[key(i)] = nodes - entered[i]
             next_set[i] = 0
             i -= 1
             chosen.pop()
@@ -172,11 +217,11 @@ def _poss_jr_lottery(model: LotteryModel, w: Committee, budget: int | None) -> D
         nodes += 1
         if nodes > cap:
             raise BudgetError(nodes, cap)
-        bumped = [] if wset & set(s) else list(s)
+        bumped = s if wset.isdisjoint(s) else ()
         dead = False
         for c in bumped:
             counts[c] += 1
-            if meets_threshold(counts[c], 1, inst):
+            if counts[c] >= quota:
                 dead = True
         if dead:
             for c in bumped:
@@ -185,6 +230,19 @@ def _poss_jr_lottery(model: LotteryModel, w: Committee, budget: int | None) -> D
         chosen.append(s)
         bumps.append(bumped)
         i += 1
+        entered[i] = nodes
+        if memo is not None and i < n:
+            b = blocks[i - 1]
+            for c in bumped:
+                if counts[c] == top:
+                    b |= holders[c]
+            blocks[i] = b
+            done = memo.get(key(i))
+            if done is not None:
+                nodes += done
+                if nodes > cap:
+                    raise BudgetError(cap + 1, cap)
+                next_set[i] = len(lotteries[i]) + 1
     prof = tuple(chosen)
     return DecisionResult(
         True, ENUM,

@@ -443,6 +443,8 @@ def _row_table(forced, free) -> tuple[int, list[tuple[ApprovalSet, int]]]:
     """A classified row as ``(denominator, [(set, weight)])``: free
     candidates ascending, the first outermost, disapprove before approve;
     each weight is one integer product over the free entries."""
+    if not free:  # a certain row: ``forced`` is already ascending
+        return 1, [(tuple(forced), 1)]
     den = 1
     table: list[tuple[tuple[int, ...], int]] = [((), 1)]
     for c, num, d in free:

@@ -410,9 +410,10 @@ def _enumerate_matrix(inst, rows):
         yield PlausibleProfile(prof, lam)
 
 
-def recursive_poss_jr_lottery(model, w, budget=None):
+def recursive_poss_jr_lottery(model, w, budget=None, count_nodes=False):
     """Possible JR on a lottery by recursive backtracking, one call per
-    voter: the reference for the search's witness and node count."""
+    voter: the reference for the search's witness and node count.  With
+    ``count_nodes``, returns ``(result, nodes)``, the sets tried."""
     cap = DEFAULT_BUDGET if budget is None else budget
     inst = model.instance
     wset = frozenset(w)
@@ -445,11 +446,13 @@ def recursive_poss_jr_lottery(model, w, budget=None):
 
     if search(0):
         prof = tuple(chosen)
-        return DecisionResult(
+        result = DecisionResult(
             True, ENUM,
             witness_profile=PlausibleProfile(prof, profile_probability(model, prof)),
         )
-    return DecisionResult(False, ENUM)
+    else:
+        result = DecisionResult(False, ENUM)
+    return (result, nodes) if count_nodes else result
 
 
 # ---------------------------------------------------------------------------

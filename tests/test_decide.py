@@ -5,6 +5,7 @@ import pytest
 
 from abcu import (
     BudgetError,
+    CnfFormula,
     Instance,
     exists_nec_axiom,
     exists_nec_jr,
@@ -21,9 +22,11 @@ from abcu import (
     cp_model,
     tva_model,
     profile_probability,
+    reduce_3sat,
     satisfies,
 )
 from oracles import (
+    brute_sat,
     exists_nec_oracle,
     nec_oracle,
     poss_oracle,
@@ -122,6 +125,36 @@ def _deep_lottery(n, seed, represented_first):
     return lottery_model(Instance(n, 6, 2), lotteries)
 
 
+def _formula(seed, clauses, num_vars):
+    """A seeded random 3-CNF formula, three distinct variables a clause."""
+    rng = random.Random(seed)
+    return CnfFormula(num_vars, tuple(
+        tuple(v if rng.random() < 0.5 else -v for v in rng.sample(range(1, num_vars + 1), 3))
+        for _ in range(clauses)
+    ))
+
+
+def _overlapping_lotteries(count, seed):
+    """Random lotteries whose sets share candidates and mostly avoid the
+    committee, so the search backtracks; quotas 1, 2 and 3+ in turn."""
+    rng = random.Random(seed)
+    for i in range(count):
+        quota = 1 + i % 3 + (rng.randint(0, 2) if i % 3 == 2 else 0)
+        k = rng.randint(1, 3)
+        n = rng.randint((quota - 1) * k + 1, quota * k)
+        m = rng.randint(k + 2, k + 5)
+        w = tuple(sorted(rng.sample(range(m), k)))
+        outside = [c for c in range(m) if c not in w]
+        lotteries = []
+        for _ in range(n):
+            sets = set()
+            for _ in range(rng.randint(1, 4)):
+                pool = outside if rng.random() < 0.85 else range(m)
+                sets.add(tuple(sorted(rng.sample(pool, rng.randint(1, min(3, len(pool)))))))
+            lotteries.append([(Fraction(1, len(sets)), s) for s in sets])
+        yield lottery_model(Instance(n, m, k), lotteries), w
+
+
 class TestPossJrLotterySearch:
     def test_matches_recursive_search(self):
         rng = random.Random(61)
@@ -141,6 +174,44 @@ class TestPossJrLotterySearch:
         for seed in range(6):
             model = _deep_lottery(8, seed, represented_first=False)
             assert is_poss_jr(model, (0, 1)) == recursive_poss_jr_lottery(model, (0, 1))
+
+    def test_node_counts_match_recursive_search(self):
+        # A remembered dead subtree adds the nodes it took, so the search
+        # tries exactly the reference's N nodes: it answers at budget N and
+        # raises BudgetError(N, N - 1) one below.
+        cases = list(_overlapping_lotteries(240, seed=71))
+        gadgets = [_formula(seed, 8 + 2 * (seed % 5), 3 + seed % 4) for seed in range(30)]
+        assert {brute_sat(f) for f in gadgets} == {True, False}
+        cases += [(model, w) for model, _, w in map(reduce_3sat, gadgets)]
+        for model, w in cases:
+            want, nodes = recursive_poss_jr_lottery(model, w, count_nodes=True)
+            assert is_poss_jr(model, w) == want
+            assert is_poss_jr(model, w, budget=nodes) == want
+            with pytest.raises(BudgetError) as exc:
+                is_poss_jr(model, w, budget=nodes - 1)
+            assert (exc.value.count, exc.value.budget) == (nodes, nodes - 1)
+
+    def test_unsatisfiable_gadget_within_default_budget(self):
+        # 30 clauses over 4 variables: the search tries 160,827 nodes
+        # (counted by the recursive reference), most of them remembered.
+        f = _formula(19, 30, 4)
+        assert not brute_sat(f)
+        model, _, w = reduce_3sat(f)
+        assert is_poss_jr(model, w).answer is False
+        assert is_poss_jr(model, w, budget=160_827).answer is False
+        with pytest.raises(BudgetError) as exc:
+            is_poss_jr(model, w, budget=160_826)
+        assert (exc.value.count, exc.value.budget) == (160_827, 160_826)
+
+    def test_unsatisfiable_gadget_over_default_budget(self):
+        # 60 clauses over 6 variables: the plain search tries more than
+        # 2**20 nodes and raises at the first one past the cap.
+        f = _formula(1, 60, 6)
+        assert not brute_sat(f)
+        model, _, w = reduce_3sat(f)
+        with pytest.raises(BudgetError) as exc:
+            is_poss_jr(model, w)
+        assert (exc.value.count, exc.value.budget) == (2**20 + 1, 2**20)
 
     def test_twelve_hundred_voters(self):
         model = _deep_lottery(1200, seed=1, represented_first=True)
