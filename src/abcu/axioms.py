@@ -116,6 +116,44 @@ def _jr_violation(inst: Instance, prof: Profile, wset: frozenset[int]) -> Violat
     return None
 
 
+def _approvers(m: int, prof: Profile) -> list[int]:
+    """Each candidate's approvers in ``prof``, as a voter bitset: the
+    per-candidate view that every polynomial JR question reads.  Each
+    candidate's binary digits are written into one buffer, the last voter
+    first, and parsed once."""
+    digits = [bytearray(b"0") * len(prof) for _ in range(m)]
+    j = len(prof)
+    for s in prof:
+        j -= 1
+        for c in s:
+            digits[c][j] = 49  # "1"
+    return [int(column, 2) for column in digits]
+
+
+def _covered(approvers: list[int], members) -> int:
+    """The voters approving some candidate of ``members``."""
+    return reduce(or_, [approvers[c] for c in members], 0)
+
+
+def _jr_on_bits(quota: int, approvers: list[int], covered: int,
+                wset: frozenset[int]) -> Violation | None:
+    """The JR test on a per-candidate view: the first candidate ``c``
+    outside ``wset``, in ascending order, whose approvers
+    (``approvers[c]``, a voter bitset) outside ``covered`` number at
+    least ``quota``, as the violation with those voters, ascending, as
+    its group; None when there is none.  On a profile's own view, with
+    ``covered`` the voters approving a member, this is
+    :func:`jr_violation`; the deciders pass the views of a model's best
+    and worst completions instead."""
+    uncovered = ~covered
+    for c, bits in enumerate(approvers):
+        if c not in wset:
+            bits &= uncovered
+            if bits.bit_count() >= quota:
+                return Violation("jr", 1, _voters(bits), (c,))
+    return None
+
+
 def jr_violation(inst: Instance, prof: Profile, w: Committee) -> Violation | None:
     """First JR violation of committee ``w``, or None if JR holds.
 
@@ -223,7 +261,10 @@ _View = tuple[list[tuple[int, int]], list[int]]
 
 def _bit_view(inst: Instance) -> Callable[[Profile], _View]:
     """A function from a profile to its bit view, sharing one table of
-    set masks across every profile it is given."""
+    set masks across every profile it is given.  The approvers are ORed
+    from the voters of each distinct set, which the set masks need
+    anyway; on the few-voter profiles enumeration feeds it, that is
+    cheaper than :func:`_approvers`."""
     masks = _SetMasks()
     m = inst.m
 
@@ -241,7 +282,8 @@ def _bit_view(inst: Instance) -> Callable[[Profile], _View]:
 
 
 def _voters(bits: int) -> tuple[int, ...]:
-    return tuple(i for i in range(bits.bit_length()) if bits >> i & 1)
+    """The set bits of ``bits``, ascending, read off its binary digits."""
+    return tuple(i for i, digit in enumerate(bin(bits)[:1:-1]) if digit == "1")
 
 
 def _approvers_of(common: tuple[int, ...], view: _View, pool: int) -> int:
@@ -713,20 +755,27 @@ def greedy_jr_committee(inst: Instance, prof: Profile) -> Committee:
     the lowest-indexed unused candidates.  Each pick represents a quota
     of voters, so at most ``k`` picks happen before the loop stops.
     """
+    return _greedy_jr(inst, _approvers(inst.m, prof))
+
+
+def _greedy_jr(inst: Instance, approvers: list[int]) -> Committee:
+    """:func:`greedy_jr_committee` on the profile's per-candidate view
+    (:func:`_approvers`): a pick is one popcount per candidate, and the
+    voters it represents leave the unrepresented bitset."""
+    quota = min_group_size(1, inst)
     chosen: list[int] = []
-    unrepresented = set(range(inst.n))
+    unrepresented = -1
     while len(chosen) < inst.k:
-        counts = [0] * inst.m
-        for i in unrepresented:
-            for c in prof[i]:
-                counts[c] += 1
-        for c in chosen:
-            counts[c] = -1
-        best = max(range(inst.m), key=lambda c: (counts[c], -c))
-        if not meets_threshold(counts[best], 1, inst):
+        best = top = -1
+        for c, bits in enumerate(approvers):
+            if c not in chosen:
+                count = (bits & unrepresented).bit_count()
+                if count > top:
+                    best, top = c, count
+        if top < quota:
             break
         chosen.append(best)
-        unrepresented = {i for i in unrepresented if best not in prof[i]}
+        unrepresented &= ~approvers[best]
     for c in range(inst.m):
         if len(chosen) == inst.k:
             break

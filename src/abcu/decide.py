@@ -19,6 +19,20 @@ model/problem combinations and are used automatically:
   strictly interior probability matrices (only the full candidate set
   can be necessarily JR, so the answer is yes iff k = m).
 
+Joint and matrix JR questions read the per-candidate views stored on the
+model (``JointModel.approvers``, ``columns``; see ``uncertainty``) and
+run one test, ``axioms._jr_on_bits``: ``O(m)`` big-integer ORs and
+popcounts against the quota ``ceil(n/k)``.  A Joint entry is tested on
+its own approvers.  The best case of a matrix model leaves uncovered the
+voters with no committee entry above 0 (the OR of the committee's forced
+and free columns) and counts the forced columns outside it; the worst
+case leaves uncovered the voters with no forced committee entry and
+counts forced and free columns together.  Witnesses are priced from
+per-candidate products (``column_products``), built only for a witness:
+a possible-JR witness approves the committee's free entries and misses
+every other one; a necessary-JR refutation misses every free entry but
+those of its group at the violated candidate, whose column is read once.
+
 Lottery possible-JR, NP-hard (``reduce_3sat``), backtracks over one set
 per voter and remembers each dead subtree with the nodes it took, so its
 node counts, witnesses and budget errors are the plain search's.
@@ -46,15 +60,20 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import or_
 
 from .axioms import (
     _COMMITTEE_FINDERS,
     Violation,
-    greedy_jr_committee,
     jr_violation,
+    _approvers,
+    _covered,
+    _greedy_jr,
+    _jr_on_bits,
     _lane_test,
     _pruned_walk,
     _require_axiom,
+    _voters,
 )
 from .model import (
     BudgetError,
@@ -117,27 +136,33 @@ def is_poss_jr(
     w = committee(w, inst)
     if force_enumeration:
         return is_poss_axiom(model, w, "jr", budget=budget, force_enumeration=True)
-    if isinstance(model, JointModel):
-        for lam, prof in model.entries:
-            if jr_violation(inst, prof, w) is None:
-                return DecisionResult(True, POLY, witness_profile=PlausibleProfile(prof, lam))
-        return DecisionResult(False, POLY)
     if isinstance(model, LotteryModel):
         return _poss_jr_lottery(model, w, budget)
-    wset = set(w)
-    prof = tuple(
-        tuple(sorted(
-            [c for c in w if row[c].numerator]
-            + [c for c in forced if c not in wset]
-        ))
-        for row, (forced, _) in zip(_cp_rows(model), model.split_rows)
+    quota = min_group_size(1, inst)
+    wset = frozenset(w)
+    if isinstance(model, JointModel):
+        for (lam, prof), approvers in zip(model.entries, model.approvers):
+            if _jr_on_bits(quota, approvers, _covered(approvers, w), wset) is None:
+                return DecisionResult(True, POLY, witness_profile=PlausibleProfile(prof, lam))
+        return DecisionResult(False, POLY)
+    # The best case approves every member of positive probability and,
+    # outside the committee, only the forced approvals.
+    forced, free = model.columns
+    if _jr_on_bits(quota, forced, _covered(forced, w) | _covered(free, w), wset) is not None:
+        return DecisionResult(False, POLY)
+    added: dict[int, list[int]] = {}
+    for c in w:
+        for i in _voters(free[c]):
+            added.setdefault(i, []).append(c)
+    rows = model.split_rows
+    sets = [tuple(row_forced) for row_forced, _ in rows]
+    for i, members in added.items():
+        sets[i] = tuple(sorted(rows[i][0] + members))
+    approve, miss, den = model.column_products
+    num = math.prod([approve[c] if c in wset else miss[c] for c in range(inst.m)])
+    return DecisionResult(
+        True, POLY, witness_profile=PlausibleProfile(tuple(sets), Fraction(num, den)),
     )
-    if jr_violation(inst, prof, w) is None:
-        return DecisionResult(
-            True, POLY,
-            witness_profile=PlausibleProfile(prof, _profile_probability(model, prof)),
-        )
-    return DecisionResult(False, POLY)
 
 
 def _poss_jr_lottery(model: LotteryModel, w: Committee, budget: int | None) -> DecisionResult:
@@ -252,9 +277,17 @@ def _poss_jr_lottery(model: LotteryModel, w: Committee, budget: int | None) -> D
 
 def exists_poss_jr(model: Model) -> DecisionResult:
     """Always yes: every profile admits a JR committee, so build one
-    greedily for the first plausible profile."""
+    greedily for the first plausible profile, on its per-candidate view:
+    a matrix model's forced approvals, a Joint model's first entry."""
+    inst = model.instance
     pp = first_plausible(model)
-    w = greedy_jr_committee(model.instance, pp.profile)
+    if isinstance(model, JointModel):
+        approvers = model.approvers[0]
+    elif isinstance(model, LotteryModel):
+        approvers = _approvers(inst.m, pp.profile)
+    else:
+        approvers = model.columns[0]
+    w = _greedy_jr(inst, approvers)
     return DecisionResult(True, POLY, witness_committee=w, witness_profile=pp)
 
 
@@ -271,8 +304,10 @@ def is_nec_jr(
     if force_enumeration:
         return is_nec_axiom(model, w, "jr", budget=budget, force_enumeration=True)
     if isinstance(model, JointModel):
-        for lam, prof in model.entries:
-            viol = jr_violation(inst, prof, w)
+        quota = min_group_size(1, inst)
+        wset = frozenset(w)
+        for (lam, prof), approvers in zip(model.entries, model.approvers):
+            viol = _jr_on_bits(quota, approvers, _covered(approvers, w), wset)
             if viol is not None:
                 return DecisionResult(
                     False, POLY,
@@ -320,28 +355,38 @@ def _nec_jr_lottery(model: LotteryModel, w: Committee) -> DecisionResult:
 
 
 def _nec_jr_matrix(model: CandidateProbModel | ThreeValuedModel, w: Committee) -> DecisionResult:
+    """The worst case: the voters who can dodge the committee (no forced
+    approval inside it) each approve the outside candidate ``c`` when
+    they can.  ``c`` is violated in some profile iff a quota of them
+    approve it with positive probability.  The witness puts the first
+    such ``c`` on that group, every other approval at its forced value;
+    its violation is ``c`` with the same group, since every earlier
+    outside candidate has fewer dodging approvers than the quota."""
     inst = model.instance
-    rows = _cp_rows(model)
     wset = frozenset(w)
-    forced = [f for f, _ in model.split_rows]
-    # Voters who can dodge the committee: no forced approval inside it.
-    dodgers = [i for i in range(inst.n) if wset.isdisjoint(forced[i])]
-    for c in range(inst.m):
-        if c in wset:
-            continue
-        group = [i for i in dodgers if rows[i][c].numerator]
-        if meets_threshold(len(group), 1, inst):
-            in_group = set(group)
-            prof = tuple(
-                tuple(sorted({*forced[i], c})) if i in in_group else tuple(forced[i])
-                for i in range(inst.n)
-            )
-            return DecisionResult(
-                False, POLY,
-                witness_profile=PlausibleProfile(prof, _profile_probability(model, prof)),
-                witness_violation=jr_violation(inst, prof, w),
-            )
-    return DecisionResult(True, POLY)
+    forced, free = model.columns
+    possible = list(map(or_, forced, free))
+    viol = _jr_on_bits(min_group_size(1, inst), possible, _covered(forced, w), wset)
+    if viol is None:
+        return DecisionResult(True, POLY)
+    (c,) = viol.common
+    group = frozenset(viol.group)
+    prof = tuple(
+        tuple(sorted({*row_forced, c})) if i in group else tuple(row_forced)
+        for i, (row_forced, _) in enumerate(model.split_rows)
+    )
+    # Every free entry is missed but those of the group at ``c``.
+    _, miss, den = model.column_products
+    rows = _cp_rows(model)
+    num = math.prod(miss[:c]) * math.prod(miss[c + 1:])
+    for i in _voters(free[c]):
+        p_num, p_den = rows[i][c].as_integer_ratio()
+        num *= p_num if i in group else p_den - p_num
+    return DecisionResult(
+        False, POLY,
+        witness_profile=PlausibleProfile(prof, Fraction(num, den)),
+        witness_violation=viol,
+    )
 
 
 def exists_nec_jr(

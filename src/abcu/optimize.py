@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .axioms import _jr_violation, _require_axiom
+from .axioms import _approvers, _covered, _jr_on_bits, _require_axiom
 from .model import (
     BudgetError,
     Committee,
@@ -22,6 +22,7 @@ from .model import (
     Instance,
     Profile,
     approval_profile,
+    min_group_size,
     resolve_budget,
 )
 from .probability import _jr_path, _scan_values
@@ -85,12 +86,15 @@ def size_jr(inst: Instance, prof: Profile, r: int) -> tuple[bool, Committee | No
 
     The quota stays ``n/k`` with the instance's original ``k``; only the
     committee itself is smaller.  Returns the first suitable committee
-    in lexicographic order.
+    in lexicographic order.  The profile's per-candidate view is built
+    once, and each committee is tested on it in ``O(m)`` bitset
+    operations.
     """
     if not isinstance(r, int) or isinstance(r, bool) or not 1 <= r < inst.k:
         raise InputError(f"target size r={r!r} must satisfy 1 <= r < k={inst.k}")
-    prof = approval_profile(prof, inst)
+    approvers = _approvers(inst.m, approval_profile(prof, inst))
+    quota = min_group_size(1, inst)
     for w in itertools.combinations(range(inst.m), r):
-        if _jr_violation(inst, prof, frozenset(w)) is None:
+        if _jr_on_bits(quota, approvers, _covered(approvers, w), frozenset(w)) is None:
             return True, w
     return False, None

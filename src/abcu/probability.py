@@ -12,7 +12,9 @@ enumeration:
   Events over disjoint fair coins are independent, so the satisfaction
   probability is a product over outside candidates of one minus the
   violation probability, itself a binomial tail count over that
-  candidate's unknowns.
+  candidate's unknowns.  The model's stored per-candidate bitsets
+  (``columns``, see ``uncertainty``) give each candidate's certain and
+  unknown unrepresented approvers as two popcounts.
 
 * When ``k = n`` the quota is one voter, so a profile satisfies JR iff
   every voter either approves a committee member or approves nothing.
@@ -61,7 +63,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .axioms import _lane_test
+from .axioms import _covered, _lane_test
 from .model import (
     Committee,
     InputError,
@@ -113,27 +115,23 @@ def _with_counts(value: Fraction, method: str, model: Model) -> ProbResult:
 
 
 def _certain_over_committee(model: ThreeValuedModel, w: Committee) -> bool:
-    return all(row[c].denominator == 1 for row in model.entries for c in w)
+    free = model.columns[1]
+    return not any([free[c] for c in w])
 
 
 def _certain_w_value(model: ThreeValuedModel, w: Committee) -> Fraction:
     inst = model.instance
     wset = set(w)
-    # The certainly-unrepresented voters (every committee entry 0), as
-    # bitmasks of their forced and free candidates.
-    unrepresented = []
-    for forced, free in model.split_rows:
-        if wset.isdisjoint(forced) and wset.isdisjoint(c for c, _, _ in free):
-            unrepresented.append((
-                sum(1 << c for c in forced), sum(1 << c for c, _, _ in free),
-            ))
+    forced, free = model.columns
+    # The unrepresented voters: every committee entry is certain, so 0.
+    unrepresented = ~_covered(forced, w)
     num = 1
     unknowns = 0
     for c in range(inst.m):
         if c in wset:
             continue
-        n1 = sum(forced >> c & 1 for forced, _ in unrepresented)
-        nu = sum(free >> c & 1 for _, free in unrepresented)
+        n1 = (forced[c] & unrepresented).bit_count()
+        nu = (free[c] & unrepresented).bit_count()
         if meets_threshold(n1, 1, inst):
             return Fraction(0)
         # Smallest number of unknown approvals that pushes the group of

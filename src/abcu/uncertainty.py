@@ -57,6 +57,19 @@ result (``split_rows``), so a model asked many questions pays for one
 pass.  The stored rows are not a dataclass field: equality, hashing,
 ``repr`` and the written document see only the matrix.
 
+The polynomial JR questions read a model by candidate, not by voter,
+and each model keeps that view too, built on first use: a matrix
+model's voters per candidate as two bitsets, its forced and its free
+entries (``columns``), and apart from them, since only witness prices
+need them, each candidate's products of its free entries' numerators,
+of their complements and of the denominators (``column_products``); a
+Joint model's approvers per candidate, one list of voter bitsets per
+entry, each built the first time it is read, so a scan builds only as
+far as it reads (``approvers``).  None of these is a dataclass field
+and a pickle leaves them out, with the classified rows; ``tva_to_cp``
+hands on what is built.  Two threads reading a view at once may both
+build it, and both build the same value.
+
 Enumeration order is fixed: Joint entries in input order; Lottery
 combinations with voter 0 outermost and each voter's sets in input
 order; CandidateProb/ThreeValued branch over the undetermined
@@ -73,6 +86,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Union
 
+from .axioms import _approvers
 from .model import (
     _INT_TYPES,
     ApprovalSet,
@@ -86,7 +100,6 @@ from .model import (
     resolve_budget,
 )
 
-ONE = Fraction(1)
 HALF = Fraction(1, 2)
 
 
@@ -94,10 +107,11 @@ HALF = Fraction(1, 2)
 class JointModel:
     """Distribution over whole approval profiles.
 
-    The entries over their common denominator (``weighted``) and their
-    lanes (``lanes``) are built on first use and kept on the object, like
-    the classified rows of a matrix model.  Neither is a dataclass field,
-    and a pickle leaves both out, so equality, hashing, ``repr``, pickles
+    The entries over their common denominator (``weighted``), their
+    lanes (``lanes``) and each entry's per-candidate approvers
+    (``approvers``) are built on first use and kept on the object, like
+    the classified rows of a matrix model.  None is a dataclass field,
+    and a pickle leaves them out, so equality, hashing, ``repr``, pickles
     and the written document see only the entries.
     """
 
@@ -117,11 +131,45 @@ class JointModel:
         profiles, weights = zip(*weighted)
         return denom, [_joint_chunk(self.instance, profiles, weights)]
 
+    @cached_property
+    def approvers(self) -> _EntryApprovers:
+        """For each entry, each candidate's approvers as a voter bitset
+        (``axioms._approvers``), in entry order; an entry's list is built
+        the first time it is read."""
+        return _EntryApprovers(self.instance.m, self.entries)
+
     def __getstate__(self) -> dict:
-        state = dict(vars(self))
-        state.pop("weighted", None)
-        state.pop("lanes", None)
-        return state
+        return _without(vars(self), ("weighted", "lanes", "approvers"))
+
+
+class _EntryApprovers:
+    """A Joint model's per-entry approver bitsets, each built the first
+    time it is read, so a scan that stops at its first entry builds
+    one."""
+
+    __slots__ = ("m", "entries", "built")
+
+    def __init__(self, m: int, entries: tuple[tuple[Fraction, Profile], ...]):
+        self.m = m
+        self.entries = entries
+        self.built: list[list[int] | None] = [None] * len(entries)
+
+    def __getitem__(self, p: int) -> list[int]:
+        # Each slot is filled on its own, so readers in two threads at
+        # most build the same entry twice, never shift one into another.
+        approvers = self.built[p]
+        if approvers is None:
+            approvers = self.built[p] = _approvers(self.m, self.entries[p][1])
+        return approvers
+
+    def __iter__(self) -> Iterator[list[int]]:
+        return map(self.__getitem__, range(len(self.entries)))
+
+
+def _without(state: dict, stored: tuple[str, ...]) -> dict:
+    """An object's attributes less the ``stored`` ones built on first use:
+    the state a pickle keeps."""
+    return {name: value for name, value in state.items() if name not in stored}
 
 
 @dataclass(frozen=True)
@@ -134,12 +182,50 @@ class LotteryModel:
 
 class _MatrixRows:
     """The rows of a CandidateProb or ThreeValued model, classified by
-    ``_split_row`` on first use and kept on the object.  Callers read
-    the lists and never change them."""
+    ``_split_row`` on first use and kept on the object, with two views of
+    the classification by candidate, each also built on first use.  A
+    pickle leaves all three out.  Callers read the lists and never change
+    them."""
 
     @cached_property
     def split_rows(self) -> list[tuple[list[int], list[tuple[int, int, int]]]]:
         return list(map(_split_row, _cp_rows(self)))
+
+    @cached_property
+    def columns(self) -> tuple[list[int], list[int]]:
+        """``(forced, free)``: for each candidate, the voters whose entry
+        is 1 and the voters whose entry is strictly between 0 and 1, as
+        voter bitsets."""
+        m = self.instance.m
+        rows = self.split_rows
+        return (_approvers(m, [row_forced for row_forced, _ in rows]),
+                _approvers(m, [[c for c, _, _ in row_free] for _, row_free in rows]))
+
+    @cached_property
+    def column_products(self) -> tuple[list[int], list[int], int]:
+        """``(approve, miss, den)``: for each candidate, the product of
+        ``num`` and the product of ``den - num`` over its free entries
+        ``num/den``, and the product of every free entry's ``den``.  A
+        profile that approves the free entries of some columns and misses
+        those of the others has probability ``approve`` of the first times
+        ``miss`` of the rest, over ``den``."""
+        m = self.instance.m
+        approve = [1] * m
+        miss = [1] * m
+        dens = [1] * m
+        for _, row_free in self.split_rows:
+            for c, num, den in row_free:
+                approve[c] *= num
+                miss[c] *= den - num
+                dens[c] *= den
+        return approve, miss, math.prod(dens)
+
+    def __getstate__(self) -> dict:
+        return _without(vars(self), _MATRIX_STORED)
+
+
+# The attributes a matrix model builds on first use.
+_MATRIX_STORED = ("split_rows", "columns", "column_products")
 
 
 @dataclass(frozen=True)
@@ -414,9 +500,12 @@ def _validated(model: Model, check_sets: bool) -> Model:
 
 def tva_to_cp(model: ThreeValuedModel) -> CandidateProbModel:
     """Embed a ThreeValued model into CandidateProb (entries unchanged).
-    The rows are the same, so their classification is handed on."""
+    The rows are the same, so their classification is handed on, with
+    the views of it by candidate that are already built."""
     cp = CandidateProbModel(model.instance, model.entries)
     vars(cp)["split_rows"] = model.split_rows
+    stored = vars(model)
+    vars(cp).update((name, stored[name]) for name in _MATRIX_STORED[1:] if name in stored)
     return cp
 
 
@@ -509,22 +598,19 @@ def first_plausible(model: Model) -> PlausibleProfile:
         lam, prof = model.entries[0]
         return PlausibleProfile(prof, lam)
     if isinstance(model, LotteryModel):
-        lam = ONE
+        num = den = 1
         sets = []
         for voter in model.lotteries:
             entry_lam, s = voter[0]
-            lam *= entry_lam
+            entry_num, entry_den = entry_lam.as_integer_ratio()
+            num *= entry_num
+            den *= entry_den
             sets.append(s)
-        return PlausibleProfile(tuple(sets), lam)
+        return PlausibleProfile(tuple(sets), Fraction(num, den))
     # Forced approvals only: every free entry is disapproved.
-    sets = []
-    num = den = 1
-    for forced, free in model.split_rows:
-        sets.append(tuple(forced))
-        for _, p_num, p_den in free:
-            num *= p_den - p_num
-            den *= p_den
-    return PlausibleProfile(tuple(sets), Fraction(num, den))
+    _, miss, den = model.column_products
+    sets = tuple(tuple(forced) for forced, _ in model.split_rows)
+    return PlausibleProfile(sets, Fraction(math.prod(miss), den))
 
 
 def _over_common_denominator(entries) -> tuple[int, list]:
@@ -807,8 +893,9 @@ def _profile_probability(model: Model, prof: Profile) -> Fraction:
         for voter, s in zip(model.lotteries, prof):
             for entry_lam, entry_set in voter:
                 if entry_set == s:
-                    num *= entry_lam.numerator
-                    den *= entry_lam.denominator
+                    entry_num, entry_den = entry_lam.as_integer_ratio()
+                    num *= entry_num
+                    den *= entry_den
                     break
             else:
                 return Fraction(0)

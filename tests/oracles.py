@@ -5,7 +5,9 @@ voter groups, so they share no code path with the checkers under test;
 ``subset_pjr`` checks PJR by its subset characterisation on sets, for
 profiles too large for a scan over voter groups.  The frozenset
 checkers that brute-force voter groups are kept as the reference for
-the bitmask checkers' witnesses.
+the bitmask checkers' witnesses, and the greedy JR committee that
+recounts the approval sets at every pick as the reference for the
+bitset greedy.
 The model-level oracles combine plausible-profile enumeration with the
 axiom checkers; they are the reference for every polynomial shortcut.
 Because they share ``enumerate_plausible`` with the solver, that
@@ -453,6 +455,31 @@ def recursive_poss_jr_lottery(model, w, budget=None, count_nodes=False):
     else:
         result = DecisionResult(False, ENUM)
     return (result, nodes) if count_nodes else result
+
+
+def reference_greedy_jr_committee(inst, prof):
+    """The greedy JR committee recounted from the approval sets at every
+    pick: the reference for the bitset greedy."""
+    chosen = []
+    unrepresented = set(range(inst.n))
+    while len(chosen) < inst.k:
+        counts = [0] * inst.m
+        for i in unrepresented:
+            for c in prof[i]:
+                counts[c] += 1
+        for c in chosen:
+            counts[c] = -1
+        best = max(range(inst.m), key=lambda c: (counts[c], -c))
+        if not meets_threshold(counts[best], 1, inst):
+            break
+        chosen.append(best)
+        unrepresented = {i for i in unrepresented if best not in prof[i]}
+    for c in range(inst.m):
+        if len(chosen) == inst.k:
+            break
+        if c not in chosen:
+            chosen.append(c)
+    return tuple(sorted(chosen))
 
 
 # ---------------------------------------------------------------------------
