@@ -36,7 +36,7 @@ fits inside some ``S`` (see :func:`pjr_violation`), so every witness
 and the scan order are those of the brute force over voter groups.
 
 The same level tests also run one voter at a time (:class:`_Growth`),
-for the search for a first witness over independent voters
+for the search for a first satisfying profile of independent voters
 (:func:`_pruned_walk`).  A violating group, its quota and its common set
 depend only on the group's own members, so a violation among some
 voters stays one whatever the other voters approve.  A walk over the
@@ -469,22 +469,19 @@ class _Growth:
 def _pruned_walk(
     inst: Instance, tables: list[list[tuple[ApprovalSet, int]]], wset: frozenset[int],
     axiom: str,
-) -> Iterator[tuple[bool, list[ApprovalSet], int]]:
-    """The profiles of independent voters as a tree, pruned for PJR or
-    EJR (``axiom``) of the committee ``wset``.
+) -> tuple[Profile, int] | None:
+    """The first profile of independent voters, in enumeration order,
+    that satisfies PJR or EJR (``axiom``) for the committee ``wset``,
+    with the product of its weights, or None: the first leaf of the
+    profiles as a tree, pruned.
 
     ``tables[i]`` lists voter ``i``'s ``(set, weight)`` entries in
     enumeration order.  Voters with a single entry are added first, at
     the root; the others branch, in index order, each over its entries
     in table order, so leaves come in enumeration order.  A subtree is
     dropped as soon as :class:`_Growth` finds a violation in its prefix:
-    every profile below violates too.  Yields ``(holds, profile,
-    weight)`` in walk order: ``holds`` is True at a leaf, and False at a
-    dropped subtree, whose ``profile`` is then its first profile, every
-    later voter on its first entry, the first violating profile of the
-    subtree.  ``weight`` is the product of the profile's weights.
-    ``profile`` is one list, updated in place; copy it to keep it.  The
-    walk keeps an explicit stack, one frame per branching voter.
+    every profile below violates too.  The walk keeps an explicit stack,
+    one frame per branching voter.
     """
     growth = _Growth(inst, wset, axiom)
     profile = [table[0][0] for table in tables]
@@ -501,19 +498,11 @@ def _pruned_walk(
         bit = 1 << i
         for c in s:
             approvers[c] |= bit
-        if pools is not None:
-            pools = growth.step(pools, bit, s, approvers)
-    # first[d]: the weight of every branching voter from the d-th on
-    # taking its first entry.
-    first = [1] * (len(order) + 1)
-    for d in range(len(order) - 1, -1, -1):
-        first[d] = first[d + 1] * tables[order[d]][0][1]
-    if pools is None:
-        yield False, profile, weight * first[0]
-        return
+        pools = growth.step(pools, bit, s, approvers)
+        if pools is None:
+            return None
     if not order:
-        yield True, profile, weight
-        return
+        return tuple(profile), weight
     last = len(order) - 1
     frames = [(iter(tables[order[0]]), weight, approvers, pools)]
     while frames:
@@ -523,7 +512,6 @@ def _pruned_walk(
         entry = next(entries, None)
         if entry is None:
             frames.pop()
-            profile[i] = tables[i][0][0]
             continue
         s, wt = entry
         wt *= weight
@@ -534,11 +522,11 @@ def _pruned_walk(
         profile[i] = s
         kept = growth.step(pools, bit, s, grown)
         if kept is None:
-            yield False, profile, wt * first[d + 1]
-        elif d == last:
-            yield True, profile, wt
-        else:
-            frames.append((iter(tables[order[d + 1]]), wt, grown, kept))
+            continue
+        if d == last:
+            return tuple(profile), wt
+        frames.append((iter(tables[order[d + 1]]), wt, grown, kept))
+    return None
 
 
 _VIOLATION_FINDERS = {

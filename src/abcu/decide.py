@@ -39,19 +39,20 @@ node counts, witnesses and budget errors are the plain search's.
 
 Every other question is decided by ``_first``, the first plausible
 profile in enumeration order that satisfies or violates the axiom (for
-existence questions, per committee in lexicographic order).  PJR and
-EJR on Lottery, CandidateProb and ThreeValued models, unless
+existence questions, per committee in lexicographic order).  Possible
+PJR and EJR on Lottery, CandidateProb and ThreeValued models, unless
 ``force_enumeration``, walk the profiles as a tree over the voters
 (``axioms._pruned_walk``): a violating prefix violates in every
-completion, so its subtree is dropped, the first leaf is the first
-satisfying profile, and the first dropped subtree starts with the first
-violating one.  It stops at the first witness, which usually lies near
-profile 0, where it measured faster than testing a whole chunk of lanes
-(probabilities, which visit every profile, read the lanes).  Joint
-models and ``force_enumeration`` test a chunk of profiles at once on
-lanes (``axioms._lane_test``), and the witness is the lowest bit of the
-first nonzero mask.  A refutation's violation comes from the full
-single-profile checker.
+completion, so its subtree is dropped, and the first leaf is the first
+satisfying profile.  It stops there, which is usually near profile 0,
+where it measured faster than testing a whole chunk of lanes.  Every
+other question, necessary PJR and EJR included (the pruning gains
+nothing when violations are sought), tests a chunk of profiles at once
+on lanes (``axioms._lane_test``), and the witness is the lowest bit of
+the first nonzero mask.  The lanes of independent voters are read from
+the model's stored scan plan (see ``uncertainty``), so the scans of one
+model over many committees build its tables and inner lane block once.
+A refutation's violation comes from the full single-profile checker.
 """
 
 from __future__ import annotations
@@ -95,7 +96,6 @@ from .uncertainty import (
     _lanes,
     _profile_at,
     _profile_probability,
-    _table_chunks,
     _voter_tables,
     first_plausible,
 )
@@ -432,31 +432,26 @@ def exists_nec_jr(
 
 def _first(
     model: Model, wset: frozenset[int], axiom: str, holds: bool, budget: int | None,
-    force: bool, tables: list | None = None,
+    force: bool,
 ) -> PlausibleProfile | None:
     """The first plausible profile, in enumeration order, that satisfies
     (``holds``) or violates ``axiom`` for ``wset``, or None: the first
-    leaf or pruned node of the walk for PJR/EJR on independent voters
-    unless ``force``, else the lowest bit of the first chunk's lane mask
-    that has one.  Bit ``p`` is a Joint model's entry ``p``; for
-    independent voters the chunk's offset plus ``p`` are the digits,
-    voter 0 most significant, of the profile in the mixed radix of
-    ``tables`` (``_voter_tables``, built here unless a scan over many
-    committees passes them), where a voter of one entry has radix 1."""
+    leaf of the walk for a satisfying PJR/EJR profile on independent
+    voters unless ``force``, else the lowest bit of the first chunk's
+    lane mask that has one.  Bit ``p`` is a Joint model's entry ``p``;
+    for independent voters the chunk's offset plus ``p`` are the digits,
+    voter 0 most significant, of the profile in the mixed radix of the
+    model's voter tables, where a voter of one entry has radix 1."""
     inst = model.instance
-    if isinstance(model, JointModel):
-        denom, chunks = _lanes(model, budget)
-    else:
-        if tables is None:
-            tables = _voter_tables(model, budget)
-        denom = math.prod(d for d, _ in tables)
-        sets = [t for _, t in tables]
-        if axiom != "jr" and not force:
-            for satisfied, prof, wt in _pruned_walk(inst, sets, wset, axiom):
-                if satisfied == holds:
-                    return PlausibleProfile(tuple(prof), Fraction(wt, denom))
+    joint = isinstance(model, JointModel)
+    if holds and axiom != "jr" and not force and not joint:
+        tables = _voter_tables(model, budget)
+        leaf = _pruned_walk(inst, [t for _, t in tables], wset, axiom)
+        if leaf is None:
             return None
-        chunks = _table_chunks(inst, sets)
+        prof, wt = leaf
+        return PlausibleProfile(prof, Fraction(wt, math.prod(d for d, _ in tables)))
+    denom, chunks = _lanes(model, budget)
     test = _lane_test(inst, wset, axiom)
     offset = 0
     for count, lanes, _, fixed in chunks:
@@ -466,7 +461,7 @@ def _first(
             mask = full & ~mask
         if mask:
             p = offset + (mask & -mask).bit_length() - 1
-            prof, wt = model.weighted[1][p] if tables is None else _profile_at(sets, p)
+            prof, wt = model.weighted[1][p] if joint else _profile_at(model.tables, p)
             return PlausibleProfile(prof, Fraction(wt, denom))
         offset += count
     return None
@@ -523,9 +518,8 @@ def exists_nec_axiom(
         return exists_nec_jr(model, budget=budget, force_enumeration=force_enumeration)
     inst = model.instance
     _check_committee_count(inst, budget)
-    tables = None if isinstance(model, JointModel) else _voter_tables(model, budget)
     for w in itertools.combinations(range(inst.m), inst.k):
-        if _first(model, frozenset(w), axiom, False, budget, force_enumeration, tables) is None:
+        if _first(model, frozenset(w), axiom, False, budget, force_enumeration) is None:
             return DecisionResult(True, ENUM, witness_committee=w)
     return DecisionResult(False, ENUM)
 
@@ -539,9 +533,8 @@ def exists_poss_axiom(model: Model, axiom: str, *, budget: int | None = None) ->
         return exists_poss_jr(model)
     inst = model.instance
     _check_committee_count(inst, budget)
-    tables = None if isinstance(model, JointModel) else _voter_tables(model, budget)
     for w in itertools.combinations(range(inst.m), inst.k):
-        pp = _first(model, frozenset(w), axiom, True, budget, False, tables)
+        pp = _first(model, frozenset(w), axiom, True, budget, False)
         if pp is not None:
             return DecisionResult(True, ENUM, witness_committee=w, witness_profile=pp)
     return DecisionResult(False, ENUM)

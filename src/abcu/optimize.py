@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from .axioms import _approvers, _covered, _jr_on_bits, _require_axiom
 from .model import (
+    _INT_TYPES,
     BudgetError,
     Committee,
     InputError,
@@ -92,9 +93,28 @@ def size_jr(inst: Instance, prof: Profile, r: int) -> tuple[bool, Committee | No
     """
     if not isinstance(r, int) or isinstance(r, bool) or not 1 <= r < inst.k:
         raise InputError(f"target size r={r!r} must satisfy 1 <= r < k={inst.k}")
-    approvers = _approvers(inst.m, approval_profile(prof, inst))
+    approvers = _approvers(inst.m, _plain_profile(prof, inst))
     quota = min_group_size(1, inst)
     for w in itertools.combinations(range(inst.m), r):
         if _jr_on_bits(quota, approvers, _covered(approvers, w), frozenset(w)) is None:
             return True, w
     return False, None
+
+
+# The containers ``_plain_profile`` reads as they are.
+_SEQUENCES = {tuple, list}
+
+
+def _plain_profile(prof, inst: Instance) -> Profile:
+    """``prof`` itself when it is a tuple or list of ``n`` tuples or
+    lists of ``int`` candidate ids in ``0..m-1``: ``_approvers`` reads
+    such sets as it reads their canonical forms, so they are checked in
+    bulk, not canonicalised one by one.  Anything else goes through
+    ``approval_profile``, so its errors are unchanged."""
+    if type(prof) in _SEQUENCES and len(prof) == inst.n and {*map(type, prof)} <= _SEQUENCES:
+        members = list(itertools.chain.from_iterable(prof))
+        if {*map(type, members)} <= _INT_TYPES and (
+            not members or (min(members) >= 0 and max(members) < inst.m)
+        ):
+            return prof
+    return approval_profile(prof, inst)

@@ -47,9 +47,12 @@ get no lanes: they are counted once per distinct set, and each quota
 test subtracts their count, so a model of many certain voters and a few
 uncertain ones costs about as much as its uncertain voters alone.  A
 Joint model's lanes and weights are built on first use and kept on the
-model, so later questions reuse them; independent voters are scanned in
+model, so later questions reuse them.  Independent voters are scanned in
 chunks of at most ``uncertainty.LANE_CHUNK`` (2^12) profiles, so memory
-stays bounded by the chunk, not the profile count, and nothing is kept.
+stays bounded by the chunk, not the profile count; the part every chunk
+shares, the inner voters' lanes and weights, is built on first use and
+kept on the model with its voter tables (``block``, ``tables``), and
+each chunk adds only its outer voters.
 The per-profile scan is kept in ``tests/oracles.py`` as the reference
 the lanes are tested against.  For ThreeValued models all plausible
 profiles are equiprobable, so results also carry the exact (satisfying,
@@ -79,7 +82,6 @@ from .uncertainty import (
     ThreeValuedModel,
     _lane_total,
     _lanes,
-    _over_common_denominator,
     _require_budget,
 )
 
@@ -101,14 +103,10 @@ class ProbResult:
     counts: tuple[int, int] | None = None
 
 
-def _total_unknowns(model: ThreeValuedModel) -> int:
-    return sum(len(free) for _, free in model.split_rows)
-
-
 def _with_counts(value: Fraction, method: str, model: Model) -> ProbResult:
     if not isinstance(model, ThreeValuedModel):
         return ProbResult(value, method)
-    total = 2 ** _total_unknowns(model)
+    total = model.profile_count
     count = value * total
     assert count.denominator == 1
     return ProbResult(value, method, (count.numerator, total))
@@ -233,8 +231,7 @@ def _jr_dp(model: Model, w: Committee) -> Fraction:
     states = {start: 1}
     denom = 1
     if isinstance(model, LotteryModel):
-        for voter in model.lotteries:
-            den, table = _over_common_denominator(voter)
+        for den, table in model.tables:
             # Sets that meet ``w`` or are empty keep the state; the others
             # bump the counters of their candidates.
             keep = 0

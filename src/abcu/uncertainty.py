@@ -57,6 +57,15 @@ result (``split_rows``), so a model asked many questions pays for one
 pass.  The stored rows are not a dataclass field: equality, hashing,
 ``repr`` and the written document see only the matrix.
 
+A Lottery, CandidateProb or ThreeValued model keeps its scan plan the
+same way, each part built on first use: its voter tables (``tables``),
+its plausible-profile count (``profile_count``, which the budget gate
+of every scan reads in O(1)) and the inner block of its lanes
+(``block``: the inner voters' lanes and bit-sliced weights and the
+``fixed`` counts, sized by ``LANE_CHUNK`` when built).  So every scan
+of a model after the first pays only for the outer voters of each
+chunk and for its tests.
+
 The polynomial JR questions read a model by candidate, not by voter,
 and each model keeps that view too, built on first use: a matrix
 model's voters per candidate as two bitsets, its forced and its free
@@ -66,9 +75,9 @@ of their complements and of the denominators (``column_products``); a
 Joint model's approvers per candidate, one list of voter bitsets per
 entry, each built the first time it is read, so a scan builds only as
 far as it reads (``approvers``).  None of these is a dataclass field
-and a pickle leaves them out, with the classified rows; ``tva_to_cp``
-hands on what is built.  Two threads reading a view at once may both
-build it, and both build the same value.
+and a pickle leaves them out, with the classified rows and the scan
+plan; ``tva_to_cp`` hands on what is built.  Two threads reading a view
+at once may both build it, and both build the same value.
 
 Enumeration order is fixed: Joint entries in input order; Lottery
 combinations with voter 0 outermost and each voter's sets in input
@@ -172,20 +181,57 @@ def _without(state: dict, stored: tuple[str, ...]) -> dict:
     return {name: value for name, value in state.items() if name not in stored}
 
 
+class _IndependentVoters:
+    """The scan plan of a model of independent voters (Lottery,
+    CandidateProb, ThreeValued): what every scan needs and no committee
+    changes, built on first use and kept on the object.  The voter
+    tables (``tables``), the plausible-profile count (``profile_count``)
+    and the inner block of the lanes (``block``).  A pickle leaves them
+    out, with every other view built on first use.  Callers read them
+    and never change them."""
+
+    @cached_property
+    def tables(self) -> list[tuple[int, list[tuple[ApprovalSet, int]]]]:
+        """Each voter's ``(denominator, [(approval set, weight)])`` table,
+        in enumeration order: a Lottery voter's entries in input order, a
+        matrix row expanded by ``_row_table``.  A profile's probability is
+        the product of its voters' weights over the product of the
+        denominators."""
+        if isinstance(self, LotteryModel):
+            return [_over_common_denominator(voter) for voter in self.lotteries]
+        return list(itertools.starmap(_row_table, self.split_rows))
+
+    @cached_property
+    def profile_count(self) -> int:
+        """The number of plausible profiles, the product of the table
+        sizes, computed without building a table."""
+        if isinstance(self, LotteryModel):
+            return math.prod(map(len, self.lotteries))
+        return 2 ** sum(len(free) for _, free in self.split_rows)
+
+    @cached_property
+    def block(self) -> tuple:
+        """The part of every lane chunk that no chunk changes
+        (``_lane_block``), sized by ``LANE_CHUNK`` as it is when built."""
+        return _lane_block(self.instance.m, self.tables)
+
+    def __getstate__(self) -> dict:
+        return _without(vars(self), _STORED)
+
+
 @dataclass(frozen=True)
-class LotteryModel:
+class LotteryModel(_IndependentVoters):
     """Independent per-voter distributions over approval sets."""
 
     instance: Instance
     lotteries: tuple[tuple[tuple[Fraction, ApprovalSet], ...], ...]
 
 
-class _MatrixRows:
+class _MatrixRows(_IndependentVoters):
     """The rows of a CandidateProb or ThreeValued model, classified by
     ``_split_row`` on first use and kept on the object, with two views of
-    the classification by candidate, each also built on first use.  A
-    pickle leaves all three out.  Callers read the lists and never change
-    them."""
+    the classification by candidate, each also built on first use.
+    Callers read the lists and never change them."""
 
     @cached_property
     def split_rows(self) -> list[tuple[list[int], list[tuple[int, int, int]]]]:
@@ -220,12 +266,9 @@ class _MatrixRows:
                 dens[c] *= den
         return approve, miss, math.prod(dens)
 
-    def __getstate__(self) -> dict:
-        return _without(vars(self), _MATRIX_STORED)
 
-
-# The attributes a matrix model builds on first use.
-_MATRIX_STORED = ("split_rows", "columns", "column_products")
+# The attributes a model of independent voters builds on first use.
+_STORED = ("split_rows", "columns", "column_products", "tables", "profile_count", "block")
 
 
 @dataclass(frozen=True)
@@ -501,11 +544,12 @@ def _validated(model: Model, check_sets: bool) -> Model:
 def tva_to_cp(model: ThreeValuedModel) -> CandidateProbModel:
     """Embed a ThreeValued model into CandidateProb (entries unchanged).
     The rows are the same, so their classification is handed on, with
-    the views of it by candidate that are already built."""
+    whatever else of the scan plan and the views by candidate is already
+    built."""
     cp = CandidateProbModel(model.instance, model.entries)
     vars(cp)["split_rows"] = model.split_rows
     stored = vars(model)
-    vars(cp).update((name, stored[name]) for name in _MATRIX_STORED[1:] if name in stored)
+    vars(cp).update((name, stored[name]) for name in _STORED if name in stored)
     return cp
 
 
@@ -584,12 +628,7 @@ def plausible_count(model: Model) -> int:
     """Exact number of plausible profiles, computed without enumerating."""
     if isinstance(model, JointModel):
         return len(model.entries)
-    if isinstance(model, LotteryModel):
-        total = 1
-        for voter in model.lotteries:
-            total *= len(voter)
-        return total
-    return 2 ** sum(len(free) for _, free in model.split_rows)
+    return model.profile_count
 
 
 def first_plausible(model: Model) -> PlausibleProfile:
@@ -668,17 +707,11 @@ def _weighted_profiles(
 def _voter_tables(
     model: LotteryModel | CandidateProbModel | ThreeValuedModel, budget: int | None
 ) -> list[tuple[int, list[tuple[ApprovalSet, int]]]]:
-    """Each voter's ``(denominator, [(approval set, weight)])`` table, in
-    enumeration order: a Lottery voter's entries in input order, a
-    matrix row expanded by ``_row_table``.  A profile's probability is
-    the product of its voters' weights over the product of the
-    denominators.  Raises :class:`BudgetError` up front when the
-    plausible-profile count exceeds the budget, as every scan over the
-    tables does."""
+    """The model's stored voter tables (``tables``), once the
+    plausible-profile count has passed the budget: every scan over the
+    tables raises :class:`BudgetError` up front when it exceeds it."""
     _require_budget(model, budget)
-    if isinstance(model, LotteryModel):
-        return [_over_common_denominator(voter) for voter in model.lotteries]
-    return list(itertools.starmap(_row_table, model.split_rows))
+    return model.tables
 
 
 # ---------------------------------------------------------------------------
@@ -705,17 +738,20 @@ def _lanes(model: Model, budget: int | None) -> tuple[int, Iterator[tuple]]:
 
     A Joint model is one chunk, stored on the model (``JointModel.lanes``).
     Independent voters come in chunks of at most ``LANE_CHUNK`` profiles
-    (more only when the last voter alone has more sets), built lazily from
-    the product structure of ``_voter_tables``: voter 0 outermost, so the
-    innermost voters that fit in a chunk vary inside it and the outer
-    voters are fixed for the chunk.  Raises :class:`BudgetError` up front
-    when the plausible-profile count exceeds the budget.
+    (more only when the last voter alone has more sets), from the product
+    structure of the voter tables: voter 0 outermost, so the innermost
+    voters that fit in a chunk vary inside it and the outer voters are
+    fixed for the chunk.  The inner voters' lanes and weights are the
+    same in every chunk and stored on the model (``block``); each chunk
+    adds the outer voters' sets and weights as it is read.  Raises
+    :class:`BudgetError` up front when the plausible-profile count
+    exceeds the budget.
     """
+    _require_budget(model, budget)
     if isinstance(model, JointModel):
-        _require_budget(model, budget)
         return model.lanes
-    tables = _voter_tables(model, budget)
-    return math.prod(d for d, _ in tables), _table_chunks(model.instance, [t for _, t in tables])
+    block = model.block
+    return block[0], _block_chunks(block)
 
 
 def _lane_total(mask: int, weights: tuple[int, list[tuple[int, int]]]) -> int:
@@ -793,24 +829,28 @@ def _joint_chunk(inst: Instance, profiles: tuple[Profile, ...], weights: tuple[i
     return count, lanes, (1, _weight_planes(weights)), ()
 
 
-def _table_chunks(inst: Instance, tables: list[list[tuple[ApprovalSet, int]]]) -> Iterator[tuple]:
-    """The chunks of the product of per-voter ``[(set, weight)]`` tables.
+def _lane_block(m: int, tables: list[tuple[int, list[tuple[ApprovalSet, int]]]]) -> tuple:
+    """The chunk-independent part of the lanes of the product of per-voter
+    ``(denominator, [(set, weight)])`` tables: ``(denominator, size,
+    lanes, planes, fixed, outer)``.
 
     A voter with one entry approves the same set in every profile, with
     probability 1 (weight 1 over denominator 1), so it gets no lanes:
     such voters are counted per distinct set in ``fixed``.  Of the other
     voters, the inner ones, the longest suffix whose product of table
-    sizes fits ``LANE_CHUNK``, vary inside a chunk.  Inner voter ``v``'s
-    ``j``-th set covers the bits whose digit for ``v`` is ``j``: a block
-    of ``stride`` ones (the product of the later voters' table sizes) at
-    ``j * stride``, repeated every ``len(table) * stride`` bits, that is
-    the block pattern times a repunit.  The inner weights are the same in
-    every chunk; the outer voters' sets and weights are fixed per chunk,
-    with their lanes all ones or zero.
+    sizes fits ``LANE_CHUNK``, vary inside a chunk of ``size`` profiles.
+    Inner voter ``v``'s ``j``-th set covers the bits whose digit for
+    ``v`` is ``j``: a block of ``stride`` ones (the product of the later
+    voters' table sizes) at ``j * stride``, repeated every ``len(table) *
+    stride`` bits, that is the block pattern times a repunit.  ``lanes``
+    holds these, with 0 for every outer voter, and ``planes`` the inner
+    weights bit-sliced (``_weight_planes``).  ``outer`` lists the outer
+    voters' tables; their sets and weights are fixed per chunk
+    (``_block_chunks``).
     """
     counts: dict[ApprovalSet, int] = {}
     varying = []
-    for table in tables:
+    for _, table in tables:
         if len(table) > 1:
             varying.append(table)
         else:
@@ -824,7 +864,7 @@ def _table_chunks(inst: Instance, tables: list[list[tuple[ApprovalSet, int]]]) -
         split -= 1
         size *= len(varying[split])
     full = (1 << size) - 1
-    lanes = [[0] * n for _ in range(inst.m)]
+    lanes = [[0] * n for _ in range(m)]
     weights = [1]
     stride = size
     for v in range(split, n):
@@ -840,24 +880,37 @@ def _table_chunks(inst: Instance, tables: list[list[tuple[ApprovalSet, int]]]) -
         for c, pattern in patterns.items():
             lanes[c][v] = pattern * repunit
         weights = [a * wt for a in weights for _, wt in table]
-    planes = _weight_planes(weights)
-    for combo in itertools.product(*varying[:split]):
+    denom = math.prod(d for d, _ in tables)
+    return denom, size, lanes, _weight_planes(weights), fixed, varying[:split]
+
+
+def _block_chunks(block: tuple) -> Iterator[tuple]:
+    """The chunks of a ``_lane_block``, one per combination of the outer
+    voters' entries, in enumeration order: each outer voter's lanes are
+    all ones for the candidates of its set, and the product of their
+    weights scales the inner weights."""
+    _, size, lanes, planes, fixed, outer = block
+    full = (1 << size) - 1
+    for combo in itertools.product(*outer):
         chunk = [col[:] for col in lanes]
-        outer = 1
+        scale = 1
         for v, (s, wt) in enumerate(combo):
-            outer *= wt
+            scale *= wt
             for c in s:
                 chunk[c][v] = full
-        yield size, chunk, (outer, planes), fixed
+        yield size, chunk, (scale, planes), fixed
 
 
-def _profile_at(tables: list[list[tuple[ApprovalSet, int]]], p: int) -> tuple[Profile, int]:
-    """Profile ``p`` of the product of per-voter ``[(set, weight)]`` tables
-    and its weight: ``p``'s digits in the mixed radix of the table sizes,
-    voter 0 most significant, index each voter's table."""
+def _profile_at(
+    tables: list[tuple[int, list[tuple[ApprovalSet, int]]]], p: int
+) -> tuple[Profile, int]:
+    """Profile ``p`` of the product of per-voter ``(denominator, [(set,
+    weight)])`` tables and its weight: ``p``'s digits in the mixed radix
+    of the table sizes, voter 0 most significant, index each voter's
+    table."""
     sets = []
     weight = 1
-    for table in reversed(tables):
+    for _, table in reversed(tables):
         p, j = divmod(p, len(table))
         s, wt = table[j]
         sets.append(s)

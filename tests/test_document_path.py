@@ -43,7 +43,6 @@ from abcu.probability import (
     _certain_over_committee,
     _certain_w_value,
     _full_committee_counts,
-    _total_unknowns,
 )
 from abcu.uncertainty import ThreeValuedModel
 from oracles import (
@@ -225,7 +224,7 @@ class TestIntegerRows:
         for model in _matrix_models(160, seed=87):
             if not isinstance(model, ThreeValuedModel):
                 continue
-            assert _total_unknowns(model) == reference_total_unknowns(model)
+            assert model.profile_count == 2 ** reference_total_unknowns(model)
             for w in _committees(model.instance):
                 certain = _certain_over_committee(model, w)
                 assert certain == reference_certain_over_committee(model, w)

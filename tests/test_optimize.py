@@ -132,3 +132,54 @@ class TestSizeJr:
             if found:
                 assert w == expected[0]
                 assert brute_jr(inst, prof, w)
+
+
+class TestSizeJrInput:
+    """``size_jr`` reads a plain profile as it is and canonicalises
+    anything else, with the same answers and the same errors as on
+    ``approval_profile``'s canonical form."""
+
+    def _want(self, inst, prof, r):
+        try:
+            canon = approval_profile(prof, inst)
+        except Exception as err:  # the error size_jr must raise too
+            return type(err), str(err)
+        return size_jr(inst, canon, r)
+
+    def _got(self, inst, prof, r):
+        try:
+            return size_jr(inst, prof, r)
+        except Exception as err:
+            return type(err), str(err)
+
+    def test_plain_profiles(self):
+        rng = random.Random(61)
+        for _ in range(200):
+            m = rng.randint(2, 6)
+            inst = Instance(rng.randint(1, 6), m, rng.randint(2, m))
+            r = rng.randint(1, inst.k - 1)
+            prof = [[rng.randrange(m) for _ in range(rng.randint(0, 4))] for _ in range(inst.n)]
+            for shaped in (prof, tuple(map(tuple, prof)), [tuple(s) for s in prof]):
+                assert self._got(inst, shaped, r) == self._want(inst, prof, r)
+
+    @pytest.mark.parametrize("prof", [
+        [[0], [3]],                # out of range
+        [[-1], [0]],               # negative
+        [[0], [True]],             # a bool, though equal to 1
+        [[1], [1.0]],              # a float equal to an int already seen
+        [[0], [0.5]],
+        [[0]],                     # too few sets
+        [[0], [1], [2]],           # too many
+        [[0], "1"],                # a string set
+        [[0], {1}],                # a set, canonicalised
+        [[0], [[1]]],              # an unhashable member
+        [[0], ["a", 1]],           # unorderable members
+        ([0], [1]),
+    ])
+    def test_every_other_input_as_approval_profile(self, prof):
+        inst = Instance(2, 3, 2)
+        assert self._got(inst, prof, 1) == self._want(inst, prof, 1)
+
+    def test_an_iterator_is_read_once(self):
+        inst = Instance(2, 3, 2)
+        assert self._got(inst, iter([[0], [0, 1]]), 1) == self._want(inst, [[0], [0, 1]], 1)
