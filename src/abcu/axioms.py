@@ -35,15 +35,6 @@ the lexicographically first quota-sized group of ``T``'s approvers that
 fits inside some ``S`` (see :func:`pjr_violation`), so every witness
 and the scan order are those of the brute force over voter groups.
 
-The same level tests also run one voter at a time (:class:`_Growth`),
-for the search for a first satisfying profile of independent voters
-(:func:`_pruned_walk`).  A violating group, its quota and its common set
-depend only on the group's own members, so a violation among some
-voters stays one whatever the other voters approve.  A walk over the
-voters therefore drops every subtree whose prefix violates, and when a
-voter joins a prefix that does not violate it tests only the groups
-that contain the new voter.
-
 The same tests also run on lanes (:func:`_lane_test`), for flat scans
 over many profiles: one integer per (voter, candidate), bit ``p`` set
 when that voter approves that candidate in profile ``p``, so a few
@@ -64,7 +55,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from operator import and_, or_
 from typing import Callable, Iterator
 
@@ -332,18 +323,21 @@ def _extend(heavy: list[tuple[int, int]], start: int, ell: int, quota: int,
 class _Levels:
     """The PJR and EJR level tests of one committee ``W``."""
 
-    __slots__ = ("wmask", "quotas", "subsets")
-
     def __init__(self, inst: Instance, wset: frozenset[int]):
+        self.wset = wset
         self.wmask = _mask(wset)
         self.quotas = [
             (ell, q) for ell in range(1, inst.k + 1)
             if (q := min_group_size(ell, inst)) <= inst.n
         ]
-        members = sorted(wset)
-        # For each level, the masks of the (ell - 1)-subsets S of W (all
-        # of W when it has fewer members), in lexicographic order.
-        self.subsets = {
+
+    @cached_property
+    def subsets(self) -> dict[int, list[int]]:
+        """For each level, the masks of the (ell - 1)-subsets S of W (all
+        of W when it has fewer members), in lexicographic order.  Only
+        the PJR tests read them, so they are built on first read."""
+        members = sorted(self.wset)
+        return {
             ell: [_mask(s) for s in itertools.combinations(members, min(ell - 1, len(members)))]
             for ell, _ in self.quotas
         }
@@ -395,138 +389,6 @@ class _Levels:
                         and _first_common(pool, ell, quota, approvers) is not None):
                     return ell
         return None
-
-
-class _Growth:
-    """The PJR or EJR level tests of one committee ``W``, taken one voter
-    at a time.
-
-    A state is a list of pool bitsets over the voters added so far, one
-    per pool of the level tests of :class:`_Levels`: for EJR one per
-    level ``ell`` (the voters with fewer than ``ell`` approved committee
-    members), for PJR one per level and ``S`` (the voters whose approved
-    committee members all lie in ``S``).  A violation is a group of one
-    pool, at least the level's quota strong, that jointly approves an
-    ``ell``-set ``T``.  Whether a group violates depends only on its own
-    members, and the quotas are fixed by the instance, so a group that
-    violates for some voters still violates once more are added.  So when
-    the voters before ``d`` hold no violation, the only groups that can
-    violate after ``d`` joins contain ``d``: they lie in a pool ``d``
-    joins, and their ``T`` lies inside ``d``'s approval set.  :meth:`step`
-    tests exactly these, by the same depth-first search over heavy
-    candidates as the full level test.
-    """
-
-    __slots__ = ("start", "specs", "wmask", "plans")
-
-    def __init__(self, inst: Instance, wset: frozenset[int], axiom: str):
-        levels = _Levels(inst, wset)
-        self.wmask = levels.wmask
-        if axiom == "ejr":
-            self.specs = [(ell, quota, None) for ell, quota in levels.quotas]
-        else:
-            self.specs = [
-                (ell, quota, s) for ell, quota in levels.quotas for s in levels.subsets[ell]
-            ]
-        self.start = [0] * len(self.specs)
-        # Approval set -> the pools a voter with it joins, as
-        # (pool index, quota, ell), with ell 0 where ell exceeds the set.
-        self.plans: dict[ApprovalSet, list[tuple[int, int, int]]] = {}
-
-    def _plan(self, s: ApprovalSet) -> list[tuple[int, int, int]]:
-        part = _mask(s) & self.wmask
-        plan = self.plans[s] = [
-            (p, quota, ell if ell <= len(s) else 0)
-            for p, (ell, quota, inside) in enumerate(self.specs)
-            if (part.bit_count() < ell if inside is None else not part & ~inside)
-        ]
-        return plan
-
-    def step(self, pools: list[int], bit: int, s: ApprovalSet,
-             approvers: list[int]) -> list[int] | None:
-        """The state after the voter ``bit`` joins with set ``s``, or None
-        when a group containing that voter now violates.  ``approvers``
-        already counts the voter."""
-        plan = self.plans.get(s)
-        if plan is None:
-            plan = self._plan(s)
-        if not plan:
-            return pools
-        grown = pools[:]
-        for p, quota, ell in plan:
-            pool = grown[p] = pools[p] | bit
-            if ell and pool.bit_count() >= quota:
-                heavy = []
-                for c in s:
-                    bits = approvers[c] & pool
-                    if bits.bit_count() >= quota:
-                        heavy.append((c, bits))
-                if len(heavy) >= ell and _extend(heavy, 0, ell, quota, pool) is not None:
-                    return None
-        return grown
-
-
-def _pruned_walk(
-    inst: Instance, tables: list[list[tuple[ApprovalSet, int]]], wset: frozenset[int],
-    axiom: str,
-) -> tuple[Profile, int] | None:
-    """The first profile of independent voters, in enumeration order,
-    that satisfies PJR or EJR (``axiom``) for the committee ``wset``,
-    with the product of its weights, or None: the first leaf of the
-    profiles as a tree, pruned.
-
-    ``tables[i]`` lists voter ``i``'s ``(set, weight)`` entries in
-    enumeration order.  Voters with a single entry are added first, at
-    the root; the others branch, in index order, each over its entries
-    in table order, so leaves come in enumeration order.  A subtree is
-    dropped as soon as :class:`_Growth` finds a violation in its prefix:
-    every profile below violates too.  The walk keeps an explicit stack,
-    one frame per branching voter.
-    """
-    growth = _Growth(inst, wset, axiom)
-    profile = [table[0][0] for table in tables]
-    approvers = [0] * inst.m
-    pools = growth.start
-    weight = 1
-    order = []
-    for i, table in enumerate(tables):
-        if len(table) > 1:
-            order.append(i)
-            continue
-        (s, wt), = table
-        weight *= wt
-        bit = 1 << i
-        for c in s:
-            approvers[c] |= bit
-        pools = growth.step(pools, bit, s, approvers)
-        if pools is None:
-            return None
-    if not order:
-        return tuple(profile), weight
-    last = len(order) - 1
-    frames = [(iter(tables[order[0]]), weight, approvers, pools)]
-    while frames:
-        d = len(frames) - 1
-        entries, weight, approvers, pools = frames[-1]
-        i = order[d]
-        entry = next(entries, None)
-        if entry is None:
-            frames.pop()
-            continue
-        s, wt = entry
-        wt *= weight
-        bit = 1 << i
-        grown = approvers[:]
-        for c in s:
-            grown[c] |= bit
-        profile[i] = s
-        kept = growth.step(pools, bit, s, grown)
-        if kept is None:
-            continue
-        if d == last:
-            return tuple(profile), wt
-        frames.append((iter(tables[order[d + 1]]), wt, grown, kept))
-    return None
 
 
 _VIOLATION_FINDERS = {

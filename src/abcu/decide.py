@@ -39,20 +39,14 @@ node counts, witnesses and budget errors are the plain search's.
 
 Every other question is decided by ``_first``, the first plausible
 profile in enumeration order that satisfies or violates the axiom (for
-existence questions, per committee in lexicographic order).  Possible
-PJR and EJR on Lottery, CandidateProb and ThreeValued models, unless
-``force_enumeration``, walk the profiles as a tree over the voters
-(``axioms._pruned_walk``): a violating prefix violates in every
-completion, so its subtree is dropped, and the first leaf is the first
-satisfying profile.  It stops there, which is usually near profile 0,
-where it measured faster than testing a whole chunk of lanes.  Every
-other question, necessary PJR and EJR included (the pruning gains
-nothing when violations are sought), tests a chunk of profiles at once
-on lanes (``axioms._lane_test``), and the witness is the lowest bit of
-the first nonzero mask.  The lanes of independent voters are read from
-the model's stored scan plan (see ``uncertainty``), so the scans of one
-model over many committees build its tables and inner lane block once.
-A refutation's violation comes from the full single-profile checker.
+existence questions, per committee in lexicographic order).  It tests a
+chunk of profiles at once on lanes (``axioms._lane_test``), and the
+witness is the lowest bit of the first nonzero mask, on every model
+kind and for every axiom.  The lanes of independent voters are read
+from the model's stored scan plan (see ``uncertainty``), so the scans
+of one model over many committees build its tables and inner lane block
+once.  A refutation's violation comes from the full single-profile
+checker.
 """
 
 from __future__ import annotations
@@ -72,7 +66,6 @@ from .axioms import (
     _greedy_jr,
     _jr_on_bits,
     _lane_test,
-    _pruned_walk,
     _require_axiom,
     _voters,
 )
@@ -96,7 +89,6 @@ from .uncertainty import (
     _lanes,
     _profile_at,
     _profile_probability,
-    _voter_tables,
     first_plausible,
 )
 
@@ -431,28 +423,18 @@ def exists_nec_jr(
 
 
 def _first(
-    model: Model, wset: frozenset[int], axiom: str, holds: bool, budget: int | None,
-    force: bool,
+    model: Model, wset: frozenset[int], axiom: str, holds: bool, budget: int | None
 ) -> PlausibleProfile | None:
     """The first plausible profile, in enumeration order, that satisfies
-    (``holds``) or violates ``axiom`` for ``wset``, or None: the first
-    leaf of the walk for a satisfying PJR/EJR profile on independent
-    voters unless ``force``, else the lowest bit of the first chunk's
-    lane mask that has one.  Bit ``p`` is a Joint model's entry ``p``;
-    for independent voters the chunk's offset plus ``p`` are the digits,
-    voter 0 most significant, of the profile in the mixed radix of the
-    model's voter tables, where a voter of one entry has radix 1."""
-    inst = model.instance
+    (``holds``) or violates ``axiom`` for ``wset``, or None: the lowest
+    bit of the first chunk's lane mask that has one.  Bit ``p`` is a
+    Joint model's entry ``p``; for independent voters the chunk's offset
+    plus ``p`` are the digits, voter 0 most significant, of the profile
+    in the mixed radix of the model's voter tables, where a voter of one
+    entry has radix 1."""
     joint = isinstance(model, JointModel)
-    if holds and axiom != "jr" and not force and not joint:
-        tables = _voter_tables(model, budget)
-        leaf = _pruned_walk(inst, [t for _, t in tables], wset, axiom)
-        if leaf is None:
-            return None
-        prof, wt = leaf
-        return PlausibleProfile(prof, Fraction(wt, math.prod(d for d, _ in tables)))
     denom, chunks = _lanes(model, budget)
-    test = _lane_test(inst, wset, axiom)
+    test = _lane_test(model.instance, wset, axiom)
     offset = 0
     for count, lanes, _, fixed in chunks:
         full = (1 << count) - 1
@@ -478,7 +460,7 @@ def is_poss_axiom(
     if axiom == "jr" and not force_enumeration:
         return is_poss_jr(model, w, budget=budget)
     w = committee(w, model.instance)
-    pp = _first(model, frozenset(w), axiom, True, budget, force_enumeration)
+    pp = _first(model, frozenset(w), axiom, True, budget)
     if pp is None:
         return DecisionResult(False, ENUM)
     return DecisionResult(True, ENUM, witness_profile=pp)
@@ -497,7 +479,7 @@ def is_nec_axiom(
         return is_nec_jr(model, w, budget=budget)
     inst = model.instance
     wset = frozenset(committee(w, inst))
-    pp = _first(model, wset, axiom, False, budget, force_enumeration)
+    pp = _first(model, wset, axiom, False, budget)
     if pp is None:
         return DecisionResult(True, ENUM)
     return DecisionResult(
@@ -512,14 +494,15 @@ def exists_nec_axiom(
 ) -> DecisionResult:
     """Is some committee necessarily satisfying ``axiom``?  First
     lexicographic winner is returned; each committee's scan stops at its
-    first violating profile."""
+    first violating profile.  ``force_enumeration`` changes only JR: PJR
+    and EJR have the one scan."""
     _require_axiom(axiom)
     if axiom == "jr":
         return exists_nec_jr(model, budget=budget, force_enumeration=force_enumeration)
     inst = model.instance
     _check_committee_count(inst, budget)
     for w in itertools.combinations(range(inst.m), inst.k):
-        if _first(model, frozenset(w), axiom, False, budget, force_enumeration) is None:
+        if _first(model, frozenset(w), axiom, False, budget) is None:
             return DecisionResult(True, ENUM, witness_committee=w)
     return DecisionResult(False, ENUM)
 
@@ -534,7 +517,7 @@ def exists_poss_axiom(model: Model, axiom: str, *, budget: int | None = None) ->
     inst = model.instance
     _check_committee_count(inst, budget)
     for w in itertools.combinations(range(inst.m), inst.k):
-        pp = _first(model, frozenset(w), axiom, True, budget, False)
+        pp = _first(model, frozenset(w), axiom, True, budget)
         if pp is not None:
             return DecisionResult(True, ENUM, witness_committee=w, witness_profile=pp)
     return DecisionResult(False, ENUM)

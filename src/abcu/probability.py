@@ -52,7 +52,9 @@ chunks of at most ``uncertainty.LANE_CHUNK`` (2^12) profiles, so memory
 stays bounded by the chunk, not the profile count; the part every chunk
 shares, the inner voters' lanes and weights, is built on first use and
 kept on the model with its voter tables (``block``, ``tables``), and
-each chunk adds only its outer voters.
+each chunk adds only its outer voters.  The same lane tests and chunks
+decide every PJR/EJR possible and necessary question (``decide._first``),
+which stops at the first chunk that holds a witness.
 The per-profile scan is kept in ``tests/oracles.py`` as the reference
 the lanes are tested against.  For ThreeValued models all plausible
 profiles are equiprobable, so results also carry the exact (satisfying,

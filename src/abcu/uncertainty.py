@@ -696,22 +696,12 @@ def _weighted_profiles(
     for a positive integer ``weight``.  Raises :class:`BudgetError` up
     front when the profile count exceeds the budget.
     """
+    _require_budget(model, budget)
     if isinstance(model, JointModel):
-        _require_budget(model, budget)
         denom, entries = model.weighted
         return denom, iter(entries)
-    tables = _voter_tables(model, budget)
+    tables = model.tables
     return math.prod(d for d, _ in tables), _product([t for _, t in tables])
-
-
-def _voter_tables(
-    model: LotteryModel | CandidateProbModel | ThreeValuedModel, budget: int | None
-) -> list[tuple[int, list[tuple[ApprovalSet, int]]]]:
-    """The model's stored voter tables (``tables``), once the
-    plausible-profile count has passed the budget: every scan over the
-    tables raises :class:`BudgetError` up front when it exceeds it."""
-    _require_budget(model, budget)
-    return model.tables
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,9 @@
 """Differential tests for the deciders' first-witness scan.
 
 ``decide._first`` returns the first plausible profile, in enumeration
-order, that satisfies or violates an axiom for a committee: the pruned
-walk for PJR/EJR on independent voters, otherwise the lowest set bit of
-a chunk's lane mask, decoded to a Joint entry or to mixed-radix digits
-over the voter tables.  Every decider reads it.  These tests compare it,
+order, that satisfies or violates an axiom for a committee: the lowest
+set bit of a chunk's lane mask, decoded to a Joint entry or to
+mixed-radix digits over the voter tables.  Every decider reads it.  These tests compare it,
 and the public ``DecisionResult``s built on it (answer, method, witness
 profile and probability, violation, committee), with the per-profile
 scan ``tests/oracles.py::reference_first`` over every committee of small
@@ -52,15 +51,14 @@ def test_first_matches_the_per_profile_scan(monkeypatch, bound):
         for w, axiom, holds in itertools.product(committees, AXIOMS, (True, False)):
             wset = frozenset(w)
             want = reference_first(model, wset, axiom, holds)
-            for force in (True, False):
-                assert _first(model, wset, axiom, holds, None, force) == want, (w, axiom, holds)
+            assert _first(model, wset, axiom, holds, None) == want, (w, axiom, holds)
 
 
 @pytest.mark.parametrize("bound", CHUNKS)
 def test_public_decisions(monkeypatch, bound):
     """Forced deciders on every model, and the unforced PJR/EJR deciders
-    and existence questions, which scan a Joint model's lanes or walk
-    independent voters, all give the reference's first witness."""
+    and existence questions, which scan the same lanes, all give the
+    reference's first witness."""
     monkeypatch.setattr(uncertainty, "LANE_CHUNK", bound)
     for model, committees in _models(100 + bound, 20):
         for w, axiom in itertools.product(committees, AXIOMS):

@@ -101,7 +101,7 @@ def _decode(model, lanes):
     inst = model.instance
     single = {}
     if not isinstance(model, JointModel):
-        for v, (_, table) in enumerate(uncertainty._voter_tables(model, None)):
+        for v, (_, table) in enumerate(model.tables):
             if len(table) == 1:
                 single[v] = table[0][0]
     varying = [v for v in range(inst.n) if v not in single]
@@ -163,7 +163,7 @@ class TestLaneForm:
             kernel_denom, kernel = _weighted_profiles(model)
             assert denom == kernel_denom and pairs == list(kernel)
             # More only when the last voter with lanes alone has more sets.
-            sizes = [len(t) for _, t in uncertainty._voter_tables(model, None) if len(t) > 1]
+            sizes = [len(t) for _, t in model.tables if len(t) > 1]
             largest = max([bound] + sizes[-1:])
             assert all(count <= largest for count, *_ in _lanes(model, None)[1])
 

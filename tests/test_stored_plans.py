@@ -10,13 +10,13 @@ document; that ``tva_to_cp`` hands on what is built; that the budget
 still applies to every question; that the block keeps the chunk size
 it was built with; and that answers on a model asked many questions
 equal those on a fresh model and the per-profile references in
-``tests/oracles.py``.  They also pin that only possible PJR/EJR
-questions take the pruned walk, and necessary ones read the lanes.
+``tests/oracles.py``.  They also pin that a possible PJR/EJR question
+reads the lanes like every other scan, building the block once however
+many committees it is asked about.
 """
 
 import functools
 import itertools
-import math
 import pickle
 import random
 from collections import Counter
@@ -51,7 +51,6 @@ from abcu.io import document_for, emit_document, parse_document
 from abcu.uncertainty import _lanes
 from oracles import (
     reference_decision,
-    reference_exists,
     reference_first,
     reference_max_axiom,
     reference_plausible,
@@ -180,15 +179,19 @@ class TestBuiltOnce:
         assert builds["_lane_block"] == 2 and builds["profile_count"] == 2
         assert model.block is not twin.block and model.block == twin.block
 
-    def test_a_question_builds_only_what_it_reads(self):
+    def test_a_question_builds_only_what_it_reads(self, builds):
         model = _examples()[1]
-        assert is_poss_axiom(model, (0, 1), "pjr").answer
-        # The walk reads the tables and the count, never the lanes.
-        assert "tables" in vars(model) and "profile_count" in vars(model)
-        assert "block" not in vars(model)
         plausible_count(model)
         jr_probability(model, (0, 1))
-        assert "block" not in vars(model)
+        # The count and the JR voter DP never read the lanes.
+        assert "profile_count" in vars(model) and "block" not in vars(model)
+        # A possible question scans the lanes: one block for every committee.
+        for w in _committees(model.instance):
+            for axiom in ("pjr", "ejr"):
+                want = reference_decision(model, w, axiom, "poss")
+                assert is_poss_axiom(model, w, axiom) == want
+        assert builds["_lane_block"] == 1 and builds["profile_count"] == 1
+        assert builds["_row_table"] == model.instance.n
 
 
 def _observed(model):
@@ -296,12 +299,11 @@ class TestReusedEqualsFresh:
                     best = max_axiom(model, axiom, force_enumeration=True)
                     assert (best.committee, best.value, best.ties) == reference_max_axiom(
                         model, axiom)
-                for w, axiom, holds, force in itertools.product(
-                        committees, AXIOMS, (True, False), (True, False)):
+                for w, axiom, holds in itertools.product(committees, AXIOMS, (True, False)):
                     wset = frozenset(w)
                     want = reference_first(model, wset, axiom, holds)
-                    assert _first(model, wset, axiom, holds, None, force) == want
-                    assert _first(_fresh(model), wset, axiom, holds, None, force) == want
+                    assert _first(model, wset, axiom, holds, None) == want
+                    assert _first(_fresh(model), wset, axiom, holds, None) == want
             assert _ask_everything(model) == _ask_everything(_fresh(model))
 
 
@@ -330,7 +332,7 @@ class TestChunkSize:
                         assert [got.value] == want
                     for holds in (True, False):
                         want_first = reference_first(model, frozenset(w), axiom, holds)
-                        assert _first(model, frozenset(w), axiom, holds, None, True) == want_first
+                        assert _first(model, frozenset(w), axiom, holds, None) == want_first
 
     def test_outer_chunks_leave_the_block_as_built(self, monkeypatch):
         monkeypatch.setattr(uncertainty, "LANE_CHUNK", 2)
@@ -342,51 +344,6 @@ class TestChunkSize:
         for chunk in _lanes(model, None)[1]:
             assert chunk[1] is not lanes
         assert lanes == kept and model.block[2] is lanes
-
-
-class TestWalkOnlyForPossible:
-    @pytest.fixture
-    def walks(self, monkeypatch):
-        calls = []
-        walk = decide._pruned_walk
-
-        def counting(*args):
-            calls.append(args[2])
-            return walk(*args)
-
-        monkeypatch.setattr(decide, "_pruned_walk", counting)
-        return calls
-
-    @pytest.mark.parametrize("which", **KINDS)
-    def test_necessary_questions_read_the_lanes(self, walks, which):
-        model = _examples()[which]
-        for w in _committees(model.instance):
-            for axiom in ("pjr", "ejr"):
-                assert is_nec_axiom(model, w, axiom) == reference_decision(model, w, axiom, "nec")
-        for axiom in ("pjr", "ejr"):
-            assert exists_nec_axiom(model, axiom) == reference_exists(model, axiom, "nec")
-        assert walks == []
-        for w in _committees(model.instance):
-            for axiom in ("pjr", "ejr"):
-                assert is_poss_axiom(model, w, axiom) == reference_decision(
-                    model, w, axiom, "poss")
-        assert len(walks) == 2 * len(_committees(model.instance))
-
-    def test_walk_returns_the_first_satisfying_leaf(self):
-        rng = random.Random(17)
-        for _ in range(80):
-            model = random_model(rng, max_n=6, max_m=4)
-            inst = model.instance
-            for w, axiom in itertools.product(_committees(inst), ("pjr", "ejr")):
-                wset = frozenset(w)
-                want = reference_first(model, wset, axiom, True)
-                leaf = decide._pruned_walk(inst, [t for _, t in model.tables], wset, axiom)
-                if want is None:
-                    assert leaf is None
-                else:
-                    prof, wt = leaf
-                    denom = math.prod(d for d, _ in model.tables)
-                    assert (prof, Fraction(wt, denom)) == (want.profile, want.prob)
 
 
 def test_hand_built_models_share_the_plan():

@@ -6,12 +6,14 @@ set have no lanes and are counted per distinct set; they are compared
 with the per-profile scan of ``tests/oracles.py``
 (``reference_values_by_enumeration``, ``reference_max_axiom``), also on
 20-200-voter models of mostly repeated certain sets.  The
-possible/necessary deciders and both existence questions walk the voters
-as a tree and drop every subtree whose prefix already violates; they are
-compared whole (answers, method tags, witnesses) with the lane scan that
-``force_enumeration=True`` keeps.  On smaller models every result is
-also compared with the brute force over voter groups and the
-``Fraction``-product enumerator of ``tests/oracles.py``.
+possible/necessary deciders and both existence questions stop at the
+first witness of the same lanes; they are compared whole (answers,
+method tags, witnesses) with the per-profile first-witness scan of
+``tests/oracles.py`` (``reference_decision``, ``reference_exists``),
+also on models whose only cohesive group comes last, so that no profile
+satisfies PJR or EJR.  On smaller models every result is also compared
+with the brute force over voter groups and the ``Fraction``-product
+enumerator of ``tests/oracles.py``.
 """
 
 import itertools
@@ -43,6 +45,8 @@ from abcu.uncertainty import _lanes, _weighted_profiles
 from oracles import (
     BRUTE,
     _satisfaction_test,
+    reference_decision,
+    reference_exists,
     reference_max_axiom,
     reference_plausible,
     reference_values_by_enumeration,
@@ -104,6 +108,27 @@ def _models(seed, count, **kw):
         yield model, w
 
 
+def _late_group(rng):
+    """A cp or 3va model with one free entry per voter, for the committee
+    ``(0, 1, 2)``: its last voters, a JR quota of them, approve candidate
+    3 for sure and nothing in the committee, so every profile violates
+    PJR and EJR, but only the last voters show it."""
+    inst = Instance(rng.randint(4, 9), 6, 3)
+    kind = rng.choice(("cp", "3va"))
+    free = ("1/2",) if kind == "3va" else ("1/2", "1/3", "3/4")
+    first_of_group = inst.n - min_group_size(1, inst)
+    rows = []
+    for i in range(inst.n):
+        row = [0] * inst.m
+        if i < first_of_group:
+            row[rng.randrange(inst.m)] = rng.choice(free)
+        else:
+            row[3] = 1
+            row[rng.choice((4, 5))] = rng.choice(free)
+        rows.append(row)
+    return (tva_model if kind == "3va" else cp_model)(inst, rows), (0, 1, 2)
+
+
 def _brute_first(model, w, axiom, holds):
     """The first profile of the reference enumeration on which the
     definition of ``axiom`` holds (or fails), or None."""
@@ -139,25 +164,26 @@ class TestAgainstFlatScan:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_possible_and_necessary_decisions(self, seed):
-        for model, w in _models(200 + seed, 120):
+        rng = random.Random(250 + seed)
+        late = [_late_group(rng) for _ in range(10)]
+        for model, w in late:
             for axiom in AXIOMS:
-                for decide in (is_poss_axiom, is_nec_axiom):
-                    assert decide(model, w, axiom) == decide(
-                        model, w, axiom, force_enumeration=True
-                    )
+                assert not is_poss_axiom(model, w, axiom).answer
+        for model, w in itertools.chain(_models(200 + seed, 120), late):
+            for axiom in AXIOMS:
+                for mode, decide in (("poss", is_poss_axiom), ("nec", is_nec_axiom)):
+                    assert decide(model, w, axiom) == reference_decision(model, w, axiom, mode)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_exists_nec(self, seed):
         for model, _ in _models(300 + seed, 80):
             for axiom in AXIOMS:
-                assert exists_nec_axiom(model, axiom) == exists_nec_axiom(
-                    model, axiom, force_enumeration=True
-                )
+                assert exists_nec_axiom(model, axiom) == reference_exists(model, axiom, "nec")
 
     @pytest.mark.parametrize("seed", range(4))
     def test_exists_poss(self, seed):
-        """Against the flat scan ``exists_poss_axiom`` made before the walk:
-        committees in lexicographic order, each over every profile."""
+        """Against a flat scan: committees in lexicographic order, each
+        over every profile."""
         for model, _ in _models(400 + seed, 80):
             inst = model.instance
             for axiom in AXIOMS:
@@ -326,8 +352,8 @@ class TestRepeatedCertainSets:
 
 
 class TestDeepModel:
-    """3,000 voters, 10 of them with one free entry: few profiles, but a
-    walk one level per voter would be as deep as the voters."""
+    """3,000 voters, 10 of them with one free entry: few profiles, and
+    2,990 certain voters, counted per distinct set."""
 
     N = 3000
     FREE = range(7, 2800, 299)  # 10 voters, spread out
