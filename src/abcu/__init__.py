@@ -60,7 +60,6 @@ from .uncertainty import (
     JointModel,
     LotteryModel,
     PlausibleProfile,
-    ThreeValuedModel,
     cp_model,
     cp_to_lottery,
     enumerate_plausible,

@@ -66,7 +66,6 @@ from .model import (
     Instance,
     Profile,
     committee,
-    meets_threshold,
     min_group_size,
 )
 
@@ -96,15 +95,10 @@ def _require_axiom(axiom: str) -> str:
 
 
 def _jr_violation(inst: Instance, prof: Profile, wset: frozenset[int]) -> Violation | None:
-    """JR check against an arbitrary candidate set (no size requirement)."""
-    unrepresented = [i for i, a in enumerate(prof) if wset.isdisjoint(a)]
-    for c in range(inst.m):
-        if c in wset:
-            continue
-        group = tuple(i for i in unrepresented if c in prof[i])
-        if meets_threshold(len(group), 1, inst):
-            return Violation("jr", 1, group, (c,))
-    return None
+    """JR check against an arbitrary candidate set (no size requirement),
+    on the profile's per-candidate view."""
+    a = _approvers(inst.m, prof)
+    return _jr_on_bits(min_group_size(1, inst), a, _covered(a, wset), wset)
 
 
 def _approvers(m: int, prof: Profile) -> list[int]:
@@ -132,10 +126,10 @@ def _jr_on_bits(quota: int, approvers: list[int], covered: int,
     outside ``wset``, in ascending order, whose approvers
     (``approvers[c]``, a voter bitset) outside ``covered`` number at
     least ``quota``, as the violation with those voters, ascending, as
-    its group; None when there is none.  On a profile's own view, with
-    ``covered`` the voters approving a member, this is
-    :func:`jr_violation`; the deciders pass the views of a model's best
-    and worst completions instead."""
+    its group; None when there is none.  :func:`jr_violation` runs it on
+    a profile's own view, with ``covered`` the voters approving a member;
+    the deciders pass the views of a model's best and worst completions
+    instead."""
     uncovered = ~covered
     for c, bits in enumerate(approvers):
         if c not in wset:

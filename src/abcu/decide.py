@@ -5,14 +5,15 @@ means all of them do.  Polynomial procedures exist for several
 model/problem combinations and are used automatically:
 
 * Joint-model JR is decided by checking the listed profiles in order.
-* CandidateProb/ThreeValued possible-JR reduces to a single check on the
-  best-case completion: approving every committee member with positive
-  probability and, outside the committee, only forced approvals can only
-  remove violations, and the completion is plausible by independence.
-* Lottery/CandidateProb/ThreeValued necessary-JR reduces to counting,
-  per outside candidate, the voters who can simultaneously approve it
-  and dodge the committee (for lotteries: a single plausible set
-  containing the candidate and disjoint from the committee).
+* CandidateProb possible-JR, three-valued models included, reduces to a
+  single check on the best-case completion: approving every committee
+  member with positive probability and, outside the committee, only
+  forced approvals can only remove violations, and the completion is
+  plausible by independence.
+* Lottery/CandidateProb necessary-JR reduces to counting, per outside
+  candidate, the voters who can simultaneously approve it and dodge the
+  committee (for lotteries: a single plausible set containing the
+  candidate and disjoint from the committee).
 * Necessary-JR committee existence has two polynomial special cases:
   lotteries whose plausible sets are all singletons (candidates whose
   potential-approver count meets the quota are mandatory), and
@@ -23,11 +24,12 @@ Joint and matrix JR questions read the per-candidate views stored on the
 model (``JointModel.approvers``, ``columns``; see ``uncertainty``) and
 run one test, ``axioms._jr_on_bits``: ``O(m)`` big-integer ORs and
 popcounts against the quota ``ceil(n/k)``.  A Joint entry is tested on
-its own approvers.  The best case of a matrix model leaves uncovered the
-voters with no committee entry above 0 (the OR of the committee's forced
-and free columns) and counts the forced columns outside it; the worst
-case leaves uncovered the voters with no forced committee entry and
-counts forced and free columns together.  Witnesses are priced from
+its own approvers, by one loop for both modes (``_joint_jr``).  The
+best case of a matrix model leaves uncovered the voters with no
+committee entry above 0 (the OR of the committee's forced and free
+columns) and counts the forced columns outside it; the worst case
+leaves uncovered the voters with no forced committee entry and counts
+forced and free columns together.  Witnesses are priced from
 per-candidate products (``column_products``), built only for a witness:
 a possible-JR witness approves the committee's free entries and misses
 every other one; a necessary-JR refutation misses every free entry but
@@ -72,7 +74,7 @@ from .axioms import (
 from .model import (
     BudgetError,
     Committee,
-    Instance,
+    _check_budget,
     committee,
     meets_threshold,
     min_group_size,
@@ -84,8 +86,6 @@ from .uncertainty import (
     LotteryModel,
     Model,
     PlausibleProfile,
-    ThreeValuedModel,
-    _cp_rows,
     _lanes,
     _profile_at,
     _profile_probability,
@@ -108,14 +108,6 @@ class DecisionResult:
     witness_committee: Committee | None = None
 
 
-def _check_committee_count(inst: Instance, budget: int | None) -> None:
-    """Raise :class:`BudgetError` when the size-``k`` committees exceed the budget."""
-    cap = resolve_budget(budget)
-    total = math.comb(inst.m, inst.k)
-    if total > cap:
-        raise BudgetError(total, cap)
-
-
 # ---------------------------------------------------------------------------
 # possible JR
 
@@ -130,13 +122,10 @@ def is_poss_jr(
         return is_poss_axiom(model, w, "jr", budget=budget, force_enumeration=True)
     if isinstance(model, LotteryModel):
         return _poss_jr_lottery(model, w, budget)
+    if isinstance(model, JointModel):
+        return _joint_jr(model, w, True)
     quota = min_group_size(1, inst)
     wset = frozenset(w)
-    if isinstance(model, JointModel):
-        for (lam, prof), approvers in zip(model.entries, model.approvers):
-            if _jr_on_bits(quota, approvers, _covered(approvers, w), wset) is None:
-                return DecisionResult(True, POLY, witness_profile=PlausibleProfile(prof, lam))
-        return DecisionResult(False, POLY)
     # The best case approves every member of positive probability and,
     # outside the committee, only the forced approvals.
     forced, free = model.columns
@@ -155,6 +144,24 @@ def is_poss_jr(
     return DecisionResult(
         True, POLY, witness_profile=PlausibleProfile(tuple(sets), Fraction(num, den)),
     )
+
+
+def _joint_jr(model: JointModel, w: Committee, holds: bool) -> DecisionResult:
+    """The first Joint entry, in entry order, on which ``w`` satisfies
+    (``holds``) or violates JR, tested on the entry's approvers, as the
+    witness of a ``holds`` answer; the answer is ``not holds`` when no
+    entry is one."""
+    quota = min_group_size(1, model.instance)
+    wset = frozenset(w)
+    for (lam, prof), approvers in zip(model.entries, model.approvers):
+        viol = _jr_on_bits(quota, approvers, _covered(approvers, w), wset)
+        if (viol is None) == holds:
+            return DecisionResult(
+                holds, POLY,
+                witness_profile=PlausibleProfile(prof, lam),
+                witness_violation=viol,
+            )
+    return DecisionResult(not holds, POLY)
 
 
 def _poss_jr_lottery(model: LotteryModel, w: Committee, budget: int | None) -> DecisionResult:
@@ -296,17 +303,7 @@ def is_nec_jr(
     if force_enumeration:
         return is_nec_axiom(model, w, "jr", budget=budget, force_enumeration=True)
     if isinstance(model, JointModel):
-        quota = min_group_size(1, inst)
-        wset = frozenset(w)
-        for (lam, prof), approvers in zip(model.entries, model.approvers):
-            viol = _jr_on_bits(quota, approvers, _covered(approvers, w), wset)
-            if viol is not None:
-                return DecisionResult(
-                    False, POLY,
-                    witness_profile=PlausibleProfile(prof, lam),
-                    witness_violation=viol,
-                )
-        return DecisionResult(True, POLY)
+        return _joint_jr(model, w, False)
     if isinstance(model, LotteryModel):
         return _nec_jr_lottery(model, w)
     return _nec_jr_matrix(model, w)
@@ -346,7 +343,7 @@ def _nec_jr_lottery(model: LotteryModel, w: Committee) -> DecisionResult:
     return DecisionResult(True, POLY)
 
 
-def _nec_jr_matrix(model: CandidateProbModel | ThreeValuedModel, w: Committee) -> DecisionResult:
+def _nec_jr_matrix(model: CandidateProbModel, w: Committee) -> DecisionResult:
     """The worst case: the voters who can dodge the committee (no forced
     approval inside it) each approve the outside candidate ``c`` when
     they can.  ``c`` is violated in some profile iff a quota of them
@@ -369,10 +366,9 @@ def _nec_jr_matrix(model: CandidateProbModel | ThreeValuedModel, w: Committee) -
     )
     # Every free entry is missed but those of the group at ``c``.
     _, miss, den = model.column_products
-    rows = _cp_rows(model)
     num = math.prod(miss[:c]) * math.prod(miss[c + 1:])
     for i in _voters(free[c]):
-        p_num, p_den = rows[i][c].as_integer_ratio()
+        p_num, p_den = model.probs[i][c].as_integer_ratio()
         num *= p_num if i in group else p_den - p_num
     return DecisionResult(
         False, POLY,
@@ -404,14 +400,14 @@ def exists_nec_jr(
                 if c not in mandatory:
                     chosen.append(c)
             return DecisionResult(True, POLY, witness_committee=tuple(sorted(chosen)))
-        if isinstance(model, (CandidateProbModel, ThreeValuedModel)):
+        if isinstance(model, CandidateProbModel):
             if all(len(free) == inst.m for _, free in model.split_rows):
                 # Every candidate can be the unanimous favourite, so only
                 # the full candidate set is necessarily JR.
                 if inst.k == inst.m:
                     return DecisionResult(True, POLY, witness_committee=tuple(range(inst.m)))
                 return DecisionResult(False, POLY)
-    _check_committee_count(inst, budget)
+    _check_budget(math.comb(inst.m, inst.k), budget)
     for w in itertools.combinations(range(inst.m), inst.k):
         if is_nec_jr(model, w, budget=budget, force_enumeration=force_enumeration).answer:
             return DecisionResult(True, ENUM, witness_committee=w)
@@ -500,7 +496,7 @@ def exists_nec_axiom(
     if axiom == "jr":
         return exists_nec_jr(model, budget=budget, force_enumeration=force_enumeration)
     inst = model.instance
-    _check_committee_count(inst, budget)
+    _check_budget(math.comb(inst.m, inst.k), budget)
     for w in itertools.combinations(range(inst.m), inst.k):
         if _first(model, frozenset(w), axiom, False, budget) is None:
             return DecisionResult(True, ENUM, witness_committee=w)
@@ -515,7 +511,7 @@ def exists_poss_axiom(model: Model, axiom: str, *, budget: int | None = None) ->
     if axiom == "jr":
         return exists_poss_jr(model)
     inst = model.instance
-    _check_committee_count(inst, budget)
+    _check_budget(math.comb(inst.m, inst.k), budget)
     for w in itertools.combinations(range(inst.m), inst.k):
         pp = _first(model, frozenset(w), axiom, True, budget)
         if pp is not None:

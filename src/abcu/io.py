@@ -45,21 +45,14 @@ from .uncertainty import (
     JointModel,
     LotteryModel,
     Model,
-    ThreeValuedModel,
     _probability_parser,
+    _three_valued,
     joint_model,
     lottery_model,
     validate,
 )
 
 FORMAT = "abcu/1"
-
-KIND_TAGS = {
-    JointModel: "joint",
-    LotteryModel: "lottery",
-    CandidateProbModel: "candidate-probability",
-    ThreeValuedModel: "three-valued",
-}
 
 
 @dataclass(frozen=True)
@@ -161,8 +154,7 @@ def _parse_model(data, inst: Instance) -> Model:
                 built.append(tuple(
                     _fraction(p, f"model.rows[{i}][{c}]", parse) for c, p in enumerate(row)
                 ))
-        maker = CandidateProbModel if kind == "candidate-probability" else ThreeValuedModel
-        return validate(maker(inst, tuple(built)))
+        return validate(CandidateProbModel(inst, tuple(built), kind == "three-valued"))
     _fail("model.kind", f"unknown kind {kind!r}")
 
 
@@ -225,11 +217,8 @@ def _model_payload(model: Model) -> dict:
                 for voter in model.lotteries
             ],
         }
-    if isinstance(model, CandidateProbModel):
-        return {"kind": "candidate-probability",
-                "rows": [list(map(_text, row)) for row in model.probs]}
-    return {"kind": "three-valued",
-            "rows": [list(map(_text, row)) for row in model.entries]}
+    return {"kind": "three-valued" if _three_valued(model) else "candidate-probability",
+            "rows": [list(map(_text, row)) for row in model.probs]}
 
 
 def _dumps(value) -> str:

@@ -47,6 +47,14 @@ def resolve_budget(budget: int | None) -> int:
     return DEFAULT_BUDGET if budget is None else budget
 
 
+def _check_budget(total: int, budget: int | None) -> None:
+    """The one budget gate: raise :class:`BudgetError` when ``total``
+    objects exceed the budget in force."""
+    cap = resolve_budget(budget)
+    if total > cap:
+        raise BudgetError(total, cap)
+
+
 @dataclass(frozen=True)
 class Instance:
     """Election frame: ``n`` voters, ``m`` candidates, committee size ``k``."""

@@ -17,14 +17,13 @@ from fractions import Fraction
 from .axioms import _approvers, _covered, _jr_on_bits, _require_axiom
 from .model import (
     _INT_TYPES,
-    BudgetError,
     Committee,
     InputError,
     Instance,
     Profile,
+    _check_budget,
     approval_profile,
     min_group_size,
-    resolve_budget,
 )
 from .probability import _jr_path, _scan_values
 from .uncertainty import JointModel, Model, plausible_count
@@ -46,9 +45,9 @@ def max_axiom(
 ) -> MaxResult:
     """Committee with the highest probability of satisfying ``axiom``.
 
-    JR on a Lottery, CandidateProb or ThreeValued model takes each
-    committee's polynomial path, a closed form or the voter DP.  Every
-    other question (PJR and EJR, Joint models and ``force_enumeration``)
+    JR on a Lottery or CandidateProb model takes each committee's
+    polynomial path, a closed form or the voter DP.  Every other
+    question (PJR and EJR, Joint models and ``force_enumeration``)
     scores all committees in one pass over the lanes of the plausible
     profiles (``uncertainty._lanes``): each committee's lane test marks
     all the satisfying profiles of a chunk at once, and their integer
@@ -60,10 +59,7 @@ def max_axiom(
     given lanes.
     """
     inst = model.instance
-    cap = resolve_budget(budget)
-    work = math.comb(inst.m, inst.k) * plausible_count(model)
-    if work > cap:
-        raise BudgetError(work, cap)
+    _check_budget(math.comb(inst.m, inst.k) * plausible_count(model), budget)
     _require_axiom(axiom)
     committees = list(itertools.combinations(range(inst.m), inst.k))
     if axiom == "jr" and not force_enumeration and not isinstance(model, JointModel):

@@ -3,7 +3,8 @@
 The probability that a committee satisfies an axiom is the sum, over
 plausible profiles, of the profile probability times the axiom
 indicator.  Joint models are summed over their entries as lanes (see
-below).  Two ThreeValued cases admit closed forms that avoid
+below).  Two cases of a three-valued model, a CandidateProb model tagged
+``three_valued`` (see ``uncertainty``), admit closed forms that avoid
 enumeration:
 
 * When every entry over the committee is certain (0 or 1), the set of
@@ -21,11 +22,10 @@ enumeration:
   That is a per-voter condition over disjoint unknowns, so satisfying
   completions are counted voter by voter and multiplied.
 
-Every other JR probability on a Lottery, CandidateProb or ThreeValued
-model comes from a dynamic program over the independent voters
-(``dp-voters``).  A profile violates JR for ``w`` iff some outside
-candidate is approved by a quota ``ceil(n/k)`` of voters who approve no
-member of ``w``.  So the state after a prefix of voters is one counter
+Every other JR probability on a Lottery or CandidateProb model comes
+from a dynamic program over the independent voters (``dp-voters``).  A
+profile violates JR for ``w`` iff some outside candidate is approved by
+a quota ``ceil(n/k)`` of voters who approve no member of ``w``.  So the state after a prefix of voters is one counter
 per outside candidate, its number of unrepresented approvers so far,
 and a step that brings a counter to the quota drops its mass.  There
 are at most ``ceil(n/k)**(m-k)`` states, so the program is polynomial
@@ -56,7 +56,7 @@ each chunk adds only its outer voters.  The same lane tests and chunks
 decide every PJR/EJR possible and necessary question (``decide._first``),
 which stops at the first chunk that holds a witness.
 The per-profile scan is kept in ``tests/oracles.py`` as the reference
-the lanes are tested against.  For ThreeValued models all plausible
+the lanes are tested against.  On a three-valued model all plausible
 profiles are equiprobable, so results also carry the exact (satisfying,
 total) profile counts.
 """
@@ -73,18 +73,20 @@ from .model import (
     Committee,
     InputError,
     Instance,
+    _check_budget,
     committee,
     meets_threshold,
     min_group_size,
 )
 from .uncertainty import (
+    CandidateProbModel,
     JointModel,
     LotteryModel,
     Model,
-    ThreeValuedModel,
     _lane_total,
     _lanes,
-    _require_budget,
+    _three_valued,
+    plausible_count,
 )
 
 JOINT_SCAN = "joint-scan"
@@ -97,7 +99,7 @@ ENUM = "enumeration"
 @dataclass(frozen=True)
 class ProbResult:
     """Exact probability, the method that produced it, and, for
-    equiprobable (ThreeValued) models, the exact profile counts with
+    equiprobable (three-valued) models, the exact profile counts with
     ``value == counts[0] / counts[1]``."""
 
     value: Fraction
@@ -106,7 +108,7 @@ class ProbResult:
 
 
 def _with_counts(value: Fraction, method: str, model: Model) -> ProbResult:
-    if not isinstance(model, ThreeValuedModel):
+    if not _three_valued(model):
         return ProbResult(value, method)
     total = model.profile_count
     count = value * total
@@ -114,12 +116,12 @@ def _with_counts(value: Fraction, method: str, model: Model) -> ProbResult:
     return ProbResult(value, method, (count.numerator, total))
 
 
-def _certain_over_committee(model: ThreeValuedModel, w: Committee) -> bool:
+def _certain_over_committee(model: CandidateProbModel, w: Committee) -> bool:
     free = model.columns[1]
     return not any([free[c] for c in w])
 
 
-def _certain_w_value(model: ThreeValuedModel, w: Committee) -> Fraction:
+def _certain_w_value(model: CandidateProbModel, w: Committee) -> Fraction:
     inst = model.instance
     wset = set(w)
     forced, free = model.columns
@@ -143,7 +145,7 @@ def _certain_w_value(model: ThreeValuedModel, w: Committee) -> Fraction:
     return Fraction(num, 2**unknowns)
 
 
-def _full_committee_counts(model: ThreeValuedModel, w: Committee) -> tuple[int, int]:
+def _full_committee_counts(model: CandidateProbModel, w: Committee) -> tuple[int, int]:
     wset = set(w)
     count = 1
     total_exp = 0
@@ -207,8 +209,8 @@ def _advance(states: dict[int, int], keep: int, moves, high: int) -> dict[int, i
 
 
 def _jr_dp(model: Model, w: Committee) -> Fraction:
-    """JR probability of canonical committee ``w`` under a Lottery,
-    CandidateProb or ThreeValued model, by one pass over the voters.
+    """JR probability of canonical committee ``w`` under a Lottery or
+    CandidateProb model, by one pass over the voters.
 
     A state packs one counter per outside candidate, the number of
     unrepresented voters so far who approve it, into fields of
@@ -280,19 +282,19 @@ def _jr_dp(model: Model, w: Committee) -> Fraction:
 
 def _jr_path(model: Model, w: Committee, budget: int | None) -> ProbResult:
     """JR probability of canonical committee ``w`` without enumerating
-    profiles: a joint scan, a ThreeValued closed form, or else the voter
+    profiles: a joint scan, a three-valued closed form, or else the voter
     DP behind the profile-count budget gate."""
     inst = model.instance
     if isinstance(model, JointModel):
         value, = _lane_values(inst, model.lanes, [w], "jr")
         return ProbResult(value, JOINT_SCAN)
-    if isinstance(model, ThreeValuedModel):
+    if _three_valued(model):
         if _certain_over_committee(model, w):
             return _with_counts(_certain_w_value(model, w), CLOSED_FORM_CERTAIN_W, model)
         if inst.k == inst.n:
             count, total = _full_committee_counts(model, w)
             return ProbResult(Fraction(count, total), COUNT_K_EQ_N, (count, total))
-    _require_budget(model, budget)
+    _check_budget(plausible_count(model), budget)
     return _with_counts(_jr_dp(model, w), DP_VOTERS, model)
 
 
@@ -306,10 +308,10 @@ def jr_probability(
     return _jr_path(model, w, budget)
 
 
-def jr_satisfying_count(model: ThreeValuedModel, w, *, budget: int | None = None) -> tuple[int, int]:
+def jr_satisfying_count(model: CandidateProbModel, w, *, budget: int | None = None) -> tuple[int, int]:
     """Exact (number of plausible profiles where ``w`` is JR, total
-    number of plausible profiles) for a ThreeValued model."""
-    if not isinstance(model, ThreeValuedModel):
+    number of plausible profiles) for a three-valued model."""
+    if not _three_valued(model):
         raise InputError("profile counting requires a three-valued model")
     result = jr_probability(model, w, budget=budget)
     assert result.counts is not None

@@ -2,7 +2,7 @@
 
 ``reduce_3sat`` turns a 3-CNF formula into a Lottery possible-JR query
 that answers yes iff the formula is satisfiable, and ``reduce_vc`` turns
-a graph into a ThreeValued counting query whose satisfying-profile
+a graph into a three-valued counting query whose satisfying-profile
 count equals the graph's number of vertex covers.  Both are used as
 test oracles: they tie the solvers to independently checkable
 combinatorial quantities.  ``gen_random`` produces reproducible random
@@ -19,9 +19,9 @@ from fractions import Fraction
 from .model import Committee, InputError, Instance
 from .uncertainty import (
     HALF,
+    CandidateProbModel,
     LotteryModel,
     Model,
-    ThreeValuedModel,
     cp_model,
     joint_model,
     lottery_model,
@@ -121,8 +121,8 @@ def reduce_3sat(f: CnfFormula) -> tuple[LotteryModel, Instance, Committee]:
     return lottery_model(inst, lotteries), inst, w
 
 
-def reduce_vc(g: Graph) -> tuple[ThreeValuedModel, Instance, Committee]:
-    """Encode vertex-cover counting as a ThreeValued JR profile count.
+def reduce_vc(g: Graph) -> tuple[CandidateProbModel, Instance, Committee]:
+    """Encode vertex-cover counting as a three-valued JR profile count.
 
     One voter per vertex; each edge gets a candidate approved with
     certainty by its two endpoints.  A block of ``k = n/2`` extra

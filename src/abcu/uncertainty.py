@@ -3,21 +3,23 @@
 * Joint: an explicit distribution over whole profiles.
 * Lottery: independent per-voter distributions over approval sets.
 * CandidateProb: independent per-(voter, candidate) approval probabilities.
-* ThreeValued: CandidateProb restricted to {0, 1/2, 1}
-  (disapprove / unknown / approve), so all completions of the unknown
-  entries are equiprobable.
+* Three-valued: a CandidateProb model tagged ``three_valued``, its
+  entries restricted to {0, 1/2, 1} (disapprove / unknown / approve), so
+  all completions of the unknown entries are equiprobable.  The tag is
+  read through one predicate (``_three_valued``): by validation, by the
+  closed forms and profile counts of ``probability`` and by ``io``.
 
 A profile with positive probability is *plausible*.  This module
-provides validation, the conversions ThreeValued -> CandidateProb ->
+provides validation, the conversions three-valued -> CandidateProb ->
 Lottery -> Joint, and a deterministic enumerator of plausible profiles
 with exact probabilities: the brute-force substrate every other module
 checks itself against.
 
 Enumeration runs on one integer-weight kernel.  Each voter gets a table
 of (approval set, integer weight) over that voter's common denominator:
-a Lottery voter's entries in input order, a CandidateProb/ThreeValued
-row expanded as in ``cp_to_lottery`` (free candidates ascending,
-disapprove before approve).  The kernel takes the product of the tables
+a Lottery voter's entries in input order, a CandidateProb row expanded
+as in ``cp_to_lottery`` (free candidates ascending, disapprove before
+approve).  The kernel takes the product of the tables
 with voter 0 outermost, so a profile's probability is the product of its
 voters' weights over the product of their denominators, with no
 ``Fraction`` arithmetic per profile.  A Joint model's entries are put
@@ -55,12 +57,12 @@ same integers, so no path compares a ``Fraction`` per entry; a
 model object classifies its rows once, on first use, and keeps the
 result (``split_rows``), so a model asked many questions pays for one
 pass.  The stored rows are not a dataclass field: equality, hashing,
-``repr`` and the written document see only the matrix.
+``repr`` and the written document see only the matrix and its tag.
 
-A Lottery, CandidateProb or ThreeValued model keeps its scan plan the
-same way, each part built on first use: its voter tables (``tables``),
-its plausible-profile count (``profile_count``, which the budget gate
-of every scan reads in O(1)) and the inner block of its lanes
+A Lottery or CandidateProb model keeps its scan plan the same way, each
+part built on first use: its voter tables (``tables``), its
+plausible-profile count (``profile_count``, which the budget gate of
+every scan reads in O(1)) and the inner block of its lanes
 (``block``: the inner voters' lanes and bit-sliced weights and the
 ``fixed`` counts, sized by ``LANE_CHUNK`` when built).  So every scan
 of a model after the first pays only for the outer voters of each
@@ -81,9 +83,9 @@ at once may both build it, and both build the same value.
 
 Enumeration order is fixed: Joint entries in input order; Lottery
 combinations with voter 0 outermost and each voter's sets in input
-order; CandidateProb/ThreeValued branch over the undetermined
-(voter, candidate) pairs in row-major order, disapprove before approve
-(the product of the expanded rows yields exactly this order).
+order; CandidateProb branch over the undetermined (voter, candidate)
+pairs in row-major order, disapprove before approve (the product of the
+expanded rows yields exactly this order).
 """
 
 from __future__ import annotations
@@ -99,14 +101,13 @@ from .axioms import _approvers
 from .model import (
     _INT_TYPES,
     ApprovalSet,
-    BudgetError,
     InputError,
     Instance,
     Profile,
+    _check_budget,
     approval_profile,
     approval_set,
     parse_probability,
-    resolve_budget,
 )
 
 HALF = Fraction(1, 2)
@@ -182,9 +183,9 @@ def _without(state: dict, stored: tuple[str, ...]) -> dict:
 
 
 class _IndependentVoters:
-    """The scan plan of a model of independent voters (Lottery,
-    CandidateProb, ThreeValued): what every scan needs and no committee
-    changes, built on first use and kept on the object.  The voter
+    """The scan plan of a model of independent voters (Lottery or
+    CandidateProb): what every scan needs and no committee changes,
+    built on first use and kept on the object.  The voter
     tables (``tables``), the plausible-profile count (``profile_count``)
     and the inner block of the lanes (``block``).  A pickle leaves them
     out, with every other view built on first use.  Callers read them
@@ -227,15 +228,24 @@ class LotteryModel(_IndependentVoters):
     lotteries: tuple[tuple[tuple[Fraction, ApprovalSet], ...], ...]
 
 
-class _MatrixRows(_IndependentVoters):
-    """The rows of a CandidateProb or ThreeValued model, classified by
-    ``_split_row`` on first use and kept on the object, with two views of
-    the classification by candidate, each also built on first use.
-    Callers read the lists and never change them."""
+# The attributes a model of independent voters builds on first use.
+_STORED = ("split_rows", "columns", "column_products", "tables", "profile_count", "block")
+
+
+@dataclass(frozen=True)
+class CandidateProbModel(_IndependentVoters):
+    """Independent approval probability for every (voter, candidate)
+    pair; when tagged ``three_valued``, certain entries and unknowns at
+    1/2.  The rows classified by ``_split_row`` and two views of them by
+    candidate are built on first use and kept; callers never change them."""
+
+    instance: Instance
+    probs: tuple[tuple[Fraction, ...], ...]
+    three_valued: bool = False
 
     @cached_property
     def split_rows(self) -> list[tuple[list[int], list[tuple[int, int, int]]]]:
-        return list(map(_split_row, _cp_rows(self)))
+        return list(map(_split_row, self.probs))
 
     @cached_property
     def columns(self) -> tuple[list[int], list[int]]:
@@ -267,27 +277,12 @@ class _MatrixRows(_IndependentVoters):
         return approve, miss, math.prod(dens)
 
 
-# The attributes a model of independent voters builds on first use.
-_STORED = ("split_rows", "columns", "column_products", "tables", "profile_count", "block")
+Model = Union[JointModel, LotteryModel, CandidateProbModel]
 
 
-@dataclass(frozen=True)
-class CandidateProbModel(_MatrixRows):
-    """Independent approval probability for every (voter, candidate) pair."""
-
-    instance: Instance
-    probs: tuple[tuple[Fraction, ...], ...]
-
-
-@dataclass(frozen=True)
-class ThreeValuedModel(_MatrixRows):
-    """Certain approvals/disapprovals plus unknown entries at 1/2."""
-
-    instance: Instance
-    entries: tuple[tuple[Fraction, ...], ...]
-
-
-Model = Union[JointModel, LotteryModel, CandidateProbModel, ThreeValuedModel]
+def _three_valued(model: Model) -> bool:
+    """Whether ``model`` is three-valued: a matrix model tagged so."""
+    return isinstance(model, CandidateProbModel) and model.three_valued
 
 
 @dataclass(frozen=True)
@@ -355,9 +350,10 @@ def cp_model(inst: Instance, rows: Iterable[Iterable[object]]) -> CandidateProbM
     return validate(CandidateProbModel(inst, _matrix(rows)))
 
 
-def tva_model(inst: Instance, rows: Iterable[Iterable[object]]) -> ThreeValuedModel:
-    """Build and validate a ThreeValued model from an n-by-m matrix."""
-    return validate(ThreeValuedModel(inst, _matrix(rows)))
+def tva_model(inst: Instance, rows: Iterable[Iterable[object]]) -> CandidateProbModel:
+    """Build and validate a three-valued model, a CandidateProb model
+    tagged ``three_valued``, from an n-by-m matrix."""
+    return validate(CandidateProbModel(inst, _matrix(rows), True))
 
 
 # ---------------------------------------------------------------------------
@@ -516,10 +512,10 @@ def _model_errors(model: Model, check_sets: bool) -> list[str]:
                 errors.append(f"voter {i}: set probabilities sum to {Fraction(num, den)}, expected 1")
     elif isinstance(model, CandidateProbModel):
         _matrix_errors(model.probs, inst, errors)
-        _entry_errors(model.probs, _cp_entry_ok, "probability {} not in [0, 1]", errors)
-    elif isinstance(model, ThreeValuedModel):
-        _matrix_errors(model.entries, inst, errors)
-        _entry_errors(model.entries, _tva_entry_ok, "value {} not in {{0, 1/2, 1}}", errors)
+        if _three_valued(model):
+            _entry_errors(model.probs, _tva_entry_ok, "value {} not in {{0, 1/2, 1}}", errors)
+        else:
+            _entry_errors(model.probs, _cp_entry_ok, "probability {} not in [0, 1]", errors)
     else:
         raise InputError(f"not an uncertainty model: {model!r}")
     return errors
@@ -541,20 +537,16 @@ def _validated(model: Model, check_sets: bool) -> Model:
 # conversions
 
 
-def tva_to_cp(model: ThreeValuedModel) -> CandidateProbModel:
-    """Embed a ThreeValued model into CandidateProb (entries unchanged).
-    The rows are the same, so their classification is handed on, with
-    whatever else of the scan plan and the views by candidate is already
-    built."""
-    cp = CandidateProbModel(model.instance, model.entries)
+def tva_to_cp(model: CandidateProbModel) -> CandidateProbModel:
+    """A three-valued model as a plain CandidateProb one: the same
+    matrix, untagged.  The rows are the same, so their classification is
+    handed on, with whatever else of the scan plan and the views by
+    candidate is already built."""
+    cp = CandidateProbModel(model.instance, model.probs)
     vars(cp)["split_rows"] = model.split_rows
     stored = vars(model)
     vars(cp).update((name, stored[name]) for name in _STORED if name in stored)
     return cp
-
-
-def _cp_rows(model: CandidateProbModel | ThreeValuedModel) -> tuple[tuple[Fraction, ...], ...]:
-    return model.entries if isinstance(model, ThreeValuedModel) else model.probs
 
 
 def _split_row(row) -> tuple[list[int], list[tuple[int, int, int]]]:
@@ -590,26 +582,21 @@ def _row_table(forced, free) -> tuple[int, list[tuple[ApprovalSet, int]]]:
     return den, [(tuple(sorted((*forced, *chosen))), wt) for chosen, wt in table]
 
 
-def cp_to_lottery(
-    model: CandidateProbModel | ThreeValuedModel, budget: int | None = None
-) -> LotteryModel:
+def cp_to_lottery(model: CandidateProbModel, budget: int | None = None) -> LotteryModel:
     """Expand per-candidate probabilities into per-voter set distributions.
 
     Voter ``i``'s support is every set containing the forced approvals
     and any subset of the undetermined candidates, with probability
     ``prod(p for approved) * prod(1 - p for not approved)``.  Support
     size is ``2**u_i`` for ``u_i`` undetermined entries, hence the
-    budget check.
+    budget check, row by row before any row is expanded.  The
+    distributions are the model's voter tables (``tables``).
     """
-    cap = resolve_budget(budget)
-    lotteries = []
-    for forced, free in model.split_rows:
-        support = 2 ** len(free)
-        if support > cap:
-            raise BudgetError(support, cap)
-        den, table = _row_table(forced, free)
-        lotteries.append(tuple((Fraction(wt, den), s) for s, wt in table))
-    return LotteryModel(model.instance, tuple(lotteries))
+    for _, free in model.split_rows:
+        _check_budget(2 ** len(free), budget)
+    return LotteryModel(model.instance, tuple(
+        tuple((Fraction(wt, den), s) for s, wt in table) for den, table in model.tables
+    ))
 
 
 def lottery_to_joint(model: LotteryModel, budget: int | None = None) -> JointModel:
@@ -677,15 +664,6 @@ def _product(tables) -> Iterator[tuple[Profile, int]]:
             yield prefix + (s,), weight * wt
 
 
-def _require_budget(model: Model, budget: int | None) -> None:
-    """Raise :class:`BudgetError` when the plausible-profile count
-    exceeds the budget."""
-    cap = resolve_budget(budget)
-    total = plausible_count(model)
-    if total > cap:
-        raise BudgetError(total, cap)
-
-
 def _weighted_profiles(
     model: Model, budget: int | None = None
 ) -> tuple[int, Iterator[tuple[Profile, int]]]:
@@ -696,7 +674,7 @@ def _weighted_profiles(
     for a positive integer ``weight``.  Raises :class:`BudgetError` up
     front when the profile count exceeds the budget.
     """
-    _require_budget(model, budget)
+    _check_budget(plausible_count(model), budget)
     if isinstance(model, JointModel):
         denom, entries = model.weighted
         return denom, iter(entries)
@@ -737,7 +715,7 @@ def _lanes(model: Model, budget: int | None) -> tuple[int, Iterator[tuple]]:
     :class:`BudgetError` up front when the plausible-profile count
     exceeds the budget.
     """
-    _require_budget(model, budget)
+    _check_budget(plausible_count(model), budget)
     if isinstance(model, JointModel):
         return model.lanes
     block = model.block

@@ -32,11 +32,9 @@ from fractions import Fraction
 from abcu import (
     DEFAULT_BUDGET,
     BudgetError,
-    CandidateProbModel,
     JointModel,
     LotteryModel,
     PlausibleProfile,
-    ThreeValuedModel,
     enumerate_plausible,
     jr_violation,
     profile_probability,
@@ -350,13 +348,12 @@ def exists_nec_oracle(model, axiom="jr"):
 
 def reference_profile_probability(model, prof):
     """Exact probability of ``prof``, one ``Fraction`` factor per
-    matrix entry for CandidateProb/ThreeValued models."""
+    matrix entry for CandidateProb models, three-valued or not."""
     prof = approval_profile(prof, model.instance)
     if isinstance(model, (JointModel, LotteryModel)):
         return profile_probability(model, prof)
-    rows = model.entries if isinstance(model, ThreeValuedModel) else model.probs
     lam = ONE
-    for row, s in zip(rows, prof):
+    for row, s in zip(model.probs, prof):
         members = set(s)
         for c, p in enumerate(row):
             lam *= p if c in members else 1 - p
@@ -372,8 +369,7 @@ def reference_plausible(model):
         return [PlausibleProfile(prof, lam) for lam, prof in model.entries]
     if isinstance(model, LotteryModel):
         return list(_enumerate_lottery(model))
-    rows = model.entries if isinstance(model, ThreeValuedModel) else model.probs
-    return list(_enumerate_matrix(model.instance, rows))
+    return list(_enumerate_matrix(model.instance, model.probs))
 
 
 def _enumerate_lottery(model):
@@ -521,10 +517,6 @@ def random_profile(rng, inst):
 # reference matrix paths: one Fraction comparison per entry
 
 
-def _rows(model):
-    return model.entries if isinstance(model, ThreeValuedModel) else model.probs
-
-
 def reference_row_lottery(row):
     """One matrix row as a set distribution: free candidates ascending,
     the first outermost, disapprove before approve."""
@@ -545,16 +537,16 @@ def reference_row_lottery(row):
 
 
 def reference_cp_to_lottery(model):
-    return LotteryModel(model.instance, tuple(reference_row_lottery(row) for row in _rows(model)))
+    return LotteryModel(model.instance, tuple(reference_row_lottery(row) for row in model.probs))
 
 
 def reference_plausible_count(model):
-    return 2 ** len(_free_pairs(_rows(model)))
+    return 2 ** len(_free_pairs(model.probs))
 
 
 def reference_first_plausible(model):
     """The first profile in enumeration order, without paying for enumeration."""
-    rows = _rows(model)
+    rows = model.probs
     prof = tuple(
         tuple(c for c, p in enumerate(row) if p == 1) for row in rows
     )
@@ -569,7 +561,7 @@ def reference_first_plausible(model):
 def reference_poss_jr_matrix(model, w):
     """Possible JR on a matrix model by the best-case completion."""
     inst = model.instance
-    rows = _rows(model)
+    rows = model.probs
     wset = set(w)
     prof = tuple(
         tuple(sorted(
@@ -589,7 +581,7 @@ def reference_poss_jr_matrix(model, w):
 def reference_nec_jr_matrix(model, w):
     """Necessary JR on a matrix model by counting committee dodgers."""
     inst = model.instance
-    rows = _rows(model)
+    rows = model.probs
     wset = frozenset(w)
     dodgers = [all(rows[i][c] < 1 for c in w) for i in range(inst.n)]
     for c in range(inst.m):
@@ -643,20 +635,20 @@ def reference_nec_jr_lottery(model, w):
 
 def reference_all_interior(model):
     """The exists-necessary-JR shortcut's test: every entry strictly interior."""
-    return all(0 < p < 1 for row in _rows(model) for p in row)
+    return all(0 < p < 1 for row in model.probs for p in row)
 
 
 def reference_total_unknowns(model):
-    return sum(1 for row in model.entries for p in row if p == HALF)
+    return sum(1 for row in model.probs for p in row if p == HALF)
 
 
 def reference_certain_over_committee(model, w):
-    return all(row[c] != HALF for row in model.entries for c in w)
+    return all(row[c] != HALF for row in model.probs for c in w)
 
 
 def reference_certain_w_value(model, w):
     inst = model.instance
-    rows = model.entries
+    rows = model.probs
     unrepresented = [i for i in range(inst.n) if all(rows[i][c] == 0 for c in w)]
     wset = set(w)
     value = Fraction(1)
@@ -676,7 +668,7 @@ def reference_certain_w_value(model, w):
 
 
 def reference_full_committee_counts(model, w):
-    rows = model.entries
+    rows = model.probs
     wset = set(w)
     count = 1
     total_exp = 0
@@ -719,11 +711,8 @@ def reference_model_payload(model):
                 for voter in model.lotteries
             ],
         }
-    if isinstance(model, CandidateProbModel):
-        return {"kind": "candidate-probability",
-                "rows": [[_frac_str(p) for p in row] for row in model.probs]}
-    return {"kind": "three-valued",
-            "rows": [[_frac_str(p) for p in row] for row in model.entries]}
+    return {"kind": "three-valued" if model.three_valued else "candidate-probability",
+            "rows": [[_frac_str(p) for p in row] for row in model.probs]}
 
 
 def reference_emit_document(doc):

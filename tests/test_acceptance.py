@@ -212,7 +212,7 @@ def test_criterion_06_full_committee_counting():
                 if is_jr(model.instance, pp.profile, w)
             )
             assert (count, total) == (satisfying, 2 ** sum(
-                1 for row in model.entries for p in row if p == HALF))
+                1 for row in model.probs for p in row if p == HALF))
 
 
 def test_criterion_07_singleton_lottery_existence():

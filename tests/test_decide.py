@@ -101,7 +101,7 @@ class TestIsPossJr:
             inst = model.instance
             w = tuple(sorted(rng.sample(range(inst.m), inst.k)))
             base = is_poss_jr(model, w).answer
-            rows = [list(row) for row in model.entries]
+            rows = [list(row) for row in model.probs]
             for i2 in range(inst.n):
                 for c in range(inst.m):
                     if rows[i2][c] == HALF:

@@ -12,6 +12,7 @@ from pathlib import Path
 from hypothesis import example, given, settings, strategies as st
 
 from abcu import (
+    CandidateProbModel,
     Instance,
     JointModel,
     LotteryModel,
@@ -44,7 +45,6 @@ from abcu.probability import (
     _certain_w_value,
     _full_committee_counts,
 )
-from abcu.uncertainty import ThreeValuedModel
 from oracles import (
     reference_all_interior,
     reference_certain_over_committee,
@@ -133,7 +133,7 @@ class TestEmitDocument:
             model = doc.model
             if isinstance(model, JointModel):
                 continue
-            if isinstance(model, ThreeValuedModel):
+            if isinstance(model, CandidateProbModel) and model.three_valued:
                 model = tva_to_cp(model)
             lottery = model if isinstance(model, LotteryModel) else cp_to_lottery(model)
             for converted in (lottery, lottery_to_joint(lottery)):
@@ -222,7 +222,7 @@ class TestIntegerRows:
 
     def test_three_valued_closed_forms(self):
         for model in _matrix_models(160, seed=87):
-            if not isinstance(model, ThreeValuedModel):
+            if not model.three_valued:
                 continue
             assert model.profile_count == 2 ** reference_total_unknowns(model)
             for w in _committees(model.instance):

@@ -91,6 +91,10 @@ class TestRoundTrip:
             doc = parse_document(text)
             assert emit_document(doc) == text
             assert parse_document(emit_document(doc)) == doc
+            kind = json.loads(text)["model"]["kind"]
+            assert json.loads(emit_document(doc))["model"]["kind"] == kind
+            if kind in ("candidate-probability", "three-valued"):
+                assert doc.model.three_valued is (kind == "three-valued")
 
     def test_random_models_every_kind(self):
         rng = random.Random(61)
@@ -208,7 +212,7 @@ class TestHostileProbabilities:
         assert str(info.value) == "entry (1, 1): value 1/3 not in {0, 1/2, 1}"
 
     def test_hand_built_matrix_out_of_range(self):
-        from abcu import CandidateProbModel, ThreeValuedModel, validation_errors
+        from abcu import CandidateProbModel, validation_errors
 
         model = CandidateProbModel(Instance(1, 2, 1), ((Fraction(3, 2), Fraction(1, 2)),))
         assert validation_errors(model) == ["entry (0, 0): probability 3/2 not in [0, 1]"]
@@ -217,7 +221,7 @@ class TestHostileProbabilities:
             "entry (0, 0): probability 3/2 not in [0, 1]",
             "entry (0, 1): probability -1/2 not in [0, 1]",
         ]
-        assert validation_errors(ThreeValuedModel(Instance(1, 3, 1), (row,))) == [
+        assert validation_errors(CandidateProbModel(Instance(1, 3, 1), (row,), True)) == [
             "entry (0, 0): value 3/2 not in {0, 1/2, 1}",
             "entry (0, 1): value -1/2 not in {0, 1/2, 1}",
         ]

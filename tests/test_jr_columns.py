@@ -34,7 +34,6 @@ from abcu import (
     JointModel,
     LotteryModel,
     PlausibleProfile,
-    ThreeValuedModel,
     cp_model,
     exists_poss_jr,
     first_plausible,
@@ -360,7 +359,7 @@ class TestProbability:
 
     def test_certain_over_committee(self):
         for model in _small_models(10, 80):
-            if isinstance(model, ThreeValuedModel):
+            if isinstance(model, CandidateProbModel) and model.three_valued:
                 for w in _committees(model.instance):
                     assert _certain_over_committee(model, w) == (
                         reference_certain_over_committee(model, w)
@@ -408,12 +407,10 @@ class TestSizeJr:
 # The views each model kind builds on first use, and everything it keeps.
 VIEWS = {
     CandidateProbModel: ("columns", "column_products"),
-    ThreeValuedModel: ("columns", "column_products"),
     JointModel: ("approvers",),
 }
 STORED = {
     CandidateProbModel: ("split_rows", *VIEWS[CandidateProbModel]),
-    ThreeValuedModel: ("split_rows", *VIEWS[ThreeValuedModel]),
     JointModel: ("weighted", "lanes", *VIEWS[JointModel]),
 }
 
@@ -460,8 +457,8 @@ class TestStorage:
         for model in _examples():
             text = emit_document(document_for(model, (0, 1)))
             built = [model, parse_document(text).model]
-            if isinstance(model, ThreeValuedModel):
-                built.append(tva_to_cp(tva_model(model.instance, model.entries)))
+            if isinstance(model, CandidateProbModel) and model.three_valued:
+                built.append(tva_to_cp(tva_model(model.instance, model.probs)))
             for fresh in built:
                 assert not set(VIEWS[type(fresh)]) & set(vars(fresh)), type(fresh)
 
@@ -471,9 +468,9 @@ class TestStorage:
         assert "columns" not in vars(bare) and "column_products" not in vars(bare)
         _read_views(model)
         cp = tva_to_cp(model)
-        for name in STORED[ThreeValuedModel]:
+        for name in STORED[CandidateProbModel]:
             assert vars(cp)[name] is vars(model)[name]
-        fresh = CandidateProbModel(model.instance, model.entries)
+        fresh = CandidateProbModel(model.instance, model.probs)
         for w in _committees(model.instance):
             for mode in (is_poss_jr, is_nec_jr):
                 assert mode(cp, w) == mode(fresh, w)
@@ -535,15 +532,15 @@ def builds(monkeypatch):
     """Count the builds of every stored view, by name."""
     counts = Counter()
     for name in ("columns", "column_products"):
-        func = vars(uncertainty._MatrixRows)[name].func
+        func = vars(CandidateProbModel)[name].func
 
         def counting(self, func=func, name=name):
             counts[name] += 1
             return func(self)
 
         prop = functools.cached_property(counting)
-        prop.__set_name__(uncertainty._MatrixRows, name)
-        monkeypatch.setattr(uncertainty._MatrixRows, name, prop)
+        prop.__set_name__(CandidateProbModel, name)
+        monkeypatch.setattr(CandidateProbModel, name, prop)
     approvers = uncertainty._approvers
 
     def counting_approvers(m, prof):
@@ -564,13 +561,13 @@ class TestBuiltOnce:
             for w in _committees(inst):
                 answers[is_poss_jr(model, w).answer] += 1
                 answers[is_nec_jr(model, w).answer] += 1
-                if isinstance(model, ThreeValuedModel) and _certain_over_committee(model, w):
+                if model.three_valued and _certain_over_committee(model, w):
                     jr_probability(model, w)
             exists_poss_jr(model)
             first_plausible(model)
         # The columns are two approver builds: forced and free entries.
         assert builds == {"columns": 1, "column_products": 1, "approvers": 2}
-        twin = type(model)(inst, uncertainty._cp_rows(model))
+        twin = CandidateProbModel(inst, model.probs, model.three_valued)
         is_nec_jr(twin, (0, 1))
         assert builds["columns"] == 2 and builds["approvers"] == 4
 

@@ -177,7 +177,7 @@ class TestCrossModuleConsistency:
             model = gen_random("3va", n, m, 1, min(4, n * m), seed=4700 + i)
             w = (rng.randrange(m),)
             value = jr_probability(model, w).value
-            rows = [list(row) for row in model.entries]
+            rows = [list(row) for row in model.probs]
             unknowns = [(i2, c) for i2 in range(n) for c in range(m) if rows[i2][c] == HALF]
             for i2, c in unknowns:
                 halves = []

@@ -114,7 +114,7 @@ class TestVertexCoverGadget:
     def test_one_unknown_per_voter(self):
         model, inst, _ = reduce_vc(self.CYCLE4)
         half = Fraction(1, 2)
-        for row in model.entries:
+        for row in model.probs:
             assert sum(1 for p in row if p == half) == 1
         assert plausible_count(model) == 2**inst.n
 

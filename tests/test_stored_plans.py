@@ -29,7 +29,6 @@ from abcu import (
     CandidateProbModel,
     Instance,
     LotteryModel,
-    ThreeValuedModel,
     axiom_probability,
     cp_model,
     cp_to_lottery,
@@ -219,8 +218,8 @@ class TestInvisible:
         for model in _examples():
             text = emit_document(document_for(model, (0, 1)))
             built = [model, _fresh(model), parse_document(text).model]
-            if isinstance(model, ThreeValuedModel):
-                built.append(tva_to_cp(tva_model(model.instance, model.entries)))
+            if isinstance(model, CandidateProbModel) and model.three_valued:
+                built.append(tva_to_cp(tva_model(model.instance, model.probs)))
             else:
                 built.append(cp_to_lottery(tva_model(model.instance, [[0] * 4] * 6)))
             for fresh in built:
@@ -240,7 +239,7 @@ class TestThreeValuedEmbedding:
         cp = tva_to_cp(model)
         for name in PLAN:
             assert vars(cp)[name] is vars(model)[name]
-        fresh = CandidateProbModel(model.instance, model.entries)
+        fresh = CandidateProbModel(model.instance, model.probs)
         for w in _committees(model.instance):
             for axiom in AXIOMS:
                 for scanned in (cp, partial, bare):
@@ -354,7 +353,7 @@ def test_hand_built_models_share_the_plan():
     built = [
         (LotteryModel(inst, (((half, (0,)), (half, (1,))), ((Fraction(1), (0, 1)),))),
          lottery_model(inst, [[(half, [0]), (half, [1])], [(1, [0, 1])]])),
-        (ThreeValuedModel(inst, ((half, Fraction(1)), (Fraction(0), half))),
+        (CandidateProbModel(inst, ((half, Fraction(1)), (Fraction(0), half)), True),
          tva_model(inst, [["1/2", 1], [0, "1/2"]])),
     ]
     for hand, checked in built:

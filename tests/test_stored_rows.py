@@ -1,6 +1,6 @@
 """The row classification stored on a matrix model.
 
-A CandidateProb or ThreeValued model classifies its rows with
+A CandidateProb model, three-valued or not, classifies its rows with
 ``uncertainty._split_row`` once, on first use, and every consumer reads
 the stored result.  These tests pin that it equals a fresh
 classification, that a model object classifies each row once however
@@ -17,7 +17,6 @@ import pytest
 from abcu import (
     CandidateProbModel,
     Instance,
-    ThreeValuedModel,
     cp_model,
     cp_to_lottery,
     enumerate_plausible,
@@ -44,14 +43,13 @@ HALF = Fraction(1, 2)
 
 
 def _fresh(model):
-    return type(model)(model.instance, uncertainty._cp_rows(model))
+    return CandidateProbModel(model.instance, model.probs, model.three_valued)
 
 
 class TestStoredEqualsFresh:
     def test_random_models(self):
         for model in _matrix_models(200, seed=91):
-            rows = uncertainty._cp_rows(model)
-            assert model.split_rows == [_split_row(row) for row in rows]
+            assert model.split_rows == [_split_row(row) for row in model.probs]
 
     def test_rows_without_free_entries(self):
         model = cp_model(Instance(3, 3, 1), [[0, 1, 0], [1, 1, 1], [0, 0, 0]])
@@ -59,8 +57,8 @@ class TestStoredEqualsFresh:
 
     def test_hand_built_out_of_range_entries(self):
         row = (Fraction(3, 2), Fraction(-1, 2), HALF, Fraction(1), Fraction(0))
-        for maker in (CandidateProbModel, ThreeValuedModel):
-            model = maker(Instance(2, 5, 1), (row, row))
+        for three_valued in (False, True):
+            model = CandidateProbModel(Instance(2, 5, 1), (row, row), three_valued)
             assert model.split_rows == [_split_row(row)] * 2
             assert model.split_rows[0] == ([3], [(0, 3, 2), (1, -1, 2), (2, 1, 2)])
 
@@ -118,7 +116,7 @@ class TestOncePerModel:
         for pp in enumerate_plausible(model):
             assert profile_probability(model, pp.profile) == pp.prob
         assert len(split_calls) == inst.n
-        assert {id(row) for row in split_calls} == {id(row) for row in uncertainty._cp_rows(model)}
+        assert {id(row) for row in split_calls} == {id(row) for row in model.probs}
 
     def test_each_model_object_classifies_its_own_rows(self, split_calls):
         model = _interesting_models()[0]
@@ -154,4 +152,5 @@ class TestInvisible:
         assert before == after
         assert after[0] == _fresh(model) and hash(after[0]) == hash(_fresh(model))
         assert after[4].split_rows == model.split_rows
+        assert after[4].three_valued is model.three_valued is bool(which)
         assert "split_rows" not in repr(model)

@@ -9,7 +9,6 @@ from abcu import (
     InputError,
     JointModel,
     LotteryModel,
-    ThreeValuedModel,
     cp_model,
     cp_to_lottery,
     enumerate_plausible,
@@ -130,7 +129,7 @@ class TestValidation:
         assert validation_errors(CandidateProbModel(inst, ((0.5,),))) == [
             "entry (0, 0): 0.5 is not an exact probability",
         ]
-        assert validation_errors(ThreeValuedModel(inst, (("1/2",),))) == [
+        assert validation_errors(CandidateProbModel(inst, (("1/2",),), True)) == [
             "entry (0, 0): '1/2' is not an exact probability",
         ]
         row = (0.5, Fraction(3, 2), 1, HALF)
@@ -138,7 +137,7 @@ class TestValidation:
             "entry (0, 0): 0.5 is not an exact probability",
             "entry (0, 1): probability 3/2 not in [0, 1]",
         ]
-        assert validation_errors(ThreeValuedModel(Instance(1, 4, 1), (row,))) == [
+        assert validation_errors(CandidateProbModel(Instance(1, 4, 1), (row,), True)) == [
             "entry (0, 0): 0.5 is not an exact probability",
             "entry (0, 1): value 3/2 not in {0, 1/2, 1}",
         ]
@@ -164,7 +163,9 @@ class TestConversions:
         model = tva_model(Instance(1, 2, 1), [["1", "1/2"]])
         cp = tva_to_cp(model)
         assert isinstance(cp, CandidateProbModel)
-        assert cp.probs == model.entries
+        assert cp.probs == model.probs
+        assert model.three_valued and not cp.three_valued
+        assert cp != model
 
     def test_cp_to_lottery_product_formula(self):
         model = cp_model(Instance(1, 3, 1), [["0.9", "0.6", "0.5"]])
@@ -319,7 +320,7 @@ class TestCommutation:
         for seed in range(15):
             model = gen_random("3va", 3, 3, 1, seed % 9, seed=700 + seed)
             lot = cp_to_lottery(tva_to_cp(model))
-            for row, voter in zip(model.entries, lot.lotteries):
+            for row, voter in zip(model.probs, lot.lotteries):
                 unknowns = sum(1 for p in row if p == HALF)
                 assert len(voter) == 2**unknowns
                 assert all(lam == Fraction(1, 2**unknowns) for lam, _ in voter)
