@@ -20,24 +20,39 @@ model/problem combinations and are used automatically:
   strictly interior probability matrices (only the full candidate set
   can be necessarily JR, so the answer is yes iff k = m).
 
-Joint and matrix JR questions read the per-candidate views stored on the
-model (``JointModel.approvers``, ``columns``; see ``uncertainty``) and
-run one test, ``axioms._jr_on_bits``: ``O(m)`` big-integer ORs and
-popcounts against the quota ``ceil(n/k)``.  A Joint entry is tested on
-its own approvers, by one loop for both modes (``_joint_jr``).  The
-best case of a matrix model leaves uncovered the voters with no
-committee entry above 0 (the OR of the committee's forced and free
-columns) and counts the forced columns outside it; the worst case
-leaves uncovered the voters with no forced committee entry and counts
-forced and free columns together.  Witnesses are priced from
+JR questions read the per-candidate views stored on the model
+(``JointModel.approvers``, ``columns``, ``LotteryModel.layers``; see
+``uncertainty``) and run one test, ``axioms._jr_on_bits``: ``O(m)``
+big-integer ORs and popcounts against the quota ``ceil(n/k)``.  A
+Joint entry is tested on its own approvers, by one loop for both modes
+(``_joint_jr``).  The best case of a matrix model leaves uncovered the
+voters with no committee entry above 0 (the OR of the committee's
+forced and free columns) and counts the forced columns outside it; the
+worst case leaves uncovered the voters with no forced committee entry
+and counts forced and free columns together.  Witnesses are priced from
 per-candidate products (``column_products``), built only for a witness:
 a possible-JR witness approves the committee's free entries and misses
 every other one; a necessary-JR refutation misses every free entry but
 those of its group at the violated candidate, whose column is read once.
 
-Lottery possible-JR, NP-hard (``reduce_3sat``), backtracks over one set
-per voter and remembers each dead subtree with the nodes it took, so its
-node counts, witnesses and budget errors are the plain search's.
+A lottery's layer ``t`` holds each candidate's voters whose ``t``-th set
+holds it.  The voters who can approve an outside candidate ``c`` with a
+set that avoids the committee are the OR over the layers of ``c``'s
+voters less those whose set there meets the committee; necessary JR
+fails iff one such candidate has a quota of them, so it takes
+``O(T(k + m))`` big-integer operations for the longest lottery's ``T``
+sets.  The witness, built only for a refutation, puts that group on
+their first such sets and every other voter on its first set.  The
+all-singleton special case of necessary-JR existence reads its
+singleton test and per-candidate counts off the layers as popcounts.
+
+Lottery possible-JR, NP-hard (``reduce_3sat``), first tests the first
+profile on layer 0: when it is JR, the backtracking search would return
+it after one node per voter, so that is the answer, or the budget error
+the search would raise.  Otherwise it backtracks over one set per voter
+and remembers each dead subtree with the nodes it took, so its node
+counts, witnesses and budget errors are the plain search's; the method
+is ``enumeration`` either way.
 
 Every other question is decided by ``_first``, the first plausible
 profile in enumeration order that satisfies or violates the axiom (for
@@ -62,8 +77,6 @@ from operator import or_
 from .axioms import (
     _COMMITTEE_FINDERS,
     Violation,
-    jr_violation,
-    _approvers,
     _covered,
     _greedy_jr,
     _jr_on_bits,
@@ -136,7 +149,7 @@ def is_poss_jr(
         for i in _voters(free[c]):
             added.setdefault(i, []).append(c)
     rows = model.split_rows
-    sets = [tuple(row_forced) for row_forced, _ in rows]
+    sets = list(model.first.profile)
     for i, members in added.items():
         sets[i] = tuple(sorted(rows[i][0] + members))
     approve, miss, den = model.column_products
@@ -174,6 +187,12 @@ def _poss_jr_lottery(model: LotteryModel, w: Committee, budget: int | None) -> D
     is one search node.  The search keeps an explicit stack, one level
     per voter, so its depth is not bounded by the interpreter's.
 
+    The first profile is tested first, on layer 0 of the stored view.
+    When it is JR, no prefix of it has a quota at any candidate, so the
+    search would take every voter's first set, one node each, and stop
+    at that profile after ``n`` nodes: it is returned, or the budget
+    error the search would raise at node ``cap + 1``.
+
     When voter ``i`` runs out of sets, the key of the state it was
     entered in is stored with the nodes its subtree took; a later entry
     with that key adds the count and backs out, so node counts and budget
@@ -188,6 +207,11 @@ def _poss_jr_lottery(model: LotteryModel, w: Committee, budget: int | None) -> D
     n, lotteries = inst.n, model.lotteries
     wset = frozenset(w)
     quota = min_group_size(1, inst)
+    layer = model.layers[0]
+    if _jr_on_bits(quota, layer, _covered(layer, w), wset) is None:
+        if n > cap:
+            raise BudgetError(cap + 1, cap)
+        return DecisionResult(True, ENUM, witness_profile=model.first)
     top = quota - 1
     counts = [0] * inst.m
     chosen: list[tuple[int, ...]] = []
@@ -276,14 +300,15 @@ def _poss_jr_lottery(model: LotteryModel, w: Committee, budget: int | None) -> D
 
 def exists_poss_jr(model: Model) -> DecisionResult:
     """Always yes: every profile admits a JR committee, so build one
-    greedily for the first plausible profile, on its per-candidate view:
-    a matrix model's forced approvals, a Joint model's first entry."""
+    greedily for the first plausible profile, on its stored per-candidate
+    view: a matrix model's forced approvals, a Lottery model's layer 0, a
+    Joint model's first entry."""
     inst = model.instance
     pp = first_plausible(model)
     if isinstance(model, JointModel):
         approvers = model.approvers[0]
     elif isinstance(model, LotteryModel):
-        approvers = _approvers(inst.m, pp.profile)
+        approvers = model.layers[0]
     else:
         approvers = model.columns[0]
     w = _greedy_jr(inst, approvers)
@@ -313,34 +338,36 @@ def _nec_jr_lottery(model: LotteryModel, w: Committee) -> DecisionResult:
     """A voter can join a violation at an outside candidate ``c`` only
     through one plausible set that holds ``c`` and avoids the committee;
     ``c`` is violated in some profile iff a quota of voters have one.
-    One pass records each voter's first such set for every candidate;
-    the witness puts the voters who have one for the first violated
-    candidate on it, and every other voter on its first set."""
+    Those voters, ``reach[c]``, are the OR over the stored layers of
+    ``c``'s voters in a layer less the voters whose set there meets the
+    committee, so the test is one ``_jr_on_bits``, and its violation is
+    the first such ``c`` with that group: every earlier outside
+    candidate has fewer reaching voters than the quota.  The witness puts
+    each voter of the group on its first set that holds ``c`` and avoids
+    the committee, and every other voter on its first set."""
     inst = model.instance
-    wset = frozenset(w)
-    firsts: list[dict[int, tuple[int, ...]]] = []
-    counts = [0] * inst.m
-    for voter in model.lotteries:
-        first: dict[int, tuple[int, ...]] = {}
-        for _, s in voter:
-            if wset.isdisjoint(s):
-                for c in s:
-                    first.setdefault(c, s)
-        for c in first:
-            counts[c] += 1
-        firsts.append(first)
-    for c in range(inst.m):
-        # Members of the committee have no avoiding set, so count 0.
-        if meets_threshold(counts[c], 1, inst):
-            prof = tuple(
-                first.get(c, voter[0][1]) for first, voter in zip(firsts, model.lotteries)
-            )
-            return DecisionResult(
-                False, POLY,
-                witness_profile=PlausibleProfile(prof, _profile_probability(model, prof)),
-                witness_violation=jr_violation(inst, prof, w),
-            )
-    return DecisionResult(True, POLY)
+    layers = model.layers
+    dodges = [~_covered(layer, w) for layer in layers]
+    reach = [0] * inst.m
+    for layer, dodge in zip(layers, dodges):
+        reach = [r | (bits & dodge) for r, bits in zip(reach, layer)]
+    viol = _jr_on_bits(min_group_size(1, inst), reach, 0, frozenset(w))
+    if viol is None:
+        return DecisionResult(True, POLY)
+    (c,) = viol.common
+    sets = list(model.first.profile)
+    left = reach[c]
+    for t, (layer, dodge) in enumerate(zip(layers, dodges)):
+        hit = layer[c] & dodge & left
+        for i in _voters(hit):
+            sets[i] = model.lotteries[i][t][1]
+        left ^= hit
+    prof = tuple(sets)
+    return DecisionResult(
+        False, POLY,
+        witness_profile=PlausibleProfile(prof, _profile_probability(model, prof)),
+        witness_violation=viol,
+    )
 
 
 def _nec_jr_matrix(model: CandidateProbModel, w: Committee) -> DecisionResult:
@@ -383,23 +410,24 @@ def exists_nec_jr(
     """Is some size-``k`` committee JR in every plausible profile?"""
     inst = model.instance
     if not force_enumeration:
-        if isinstance(model, LotteryModel) and all(
-            len(s) == 1 for voter in model.lotteries for _, s in voter
-        ):
-            counts = [0] * inst.m
-            for voter in model.lotteries:
-                for _, s in voter:
-                    counts[s[0]] += 1
-            mandatory = [c for c in range(inst.m) if meets_threshold(counts[c], 1, inst)]
-            if len(mandatory) > inst.k:
-                return DecisionResult(False, POLY)
-            chosen = list(mandatory)
-            for c in range(inst.m):
-                if len(chosen) == inst.k:
-                    break
-                if c not in mandatory:
-                    chosen.append(c)
-            return DecisionResult(True, POLY, witness_committee=tuple(sorted(chosen)))
+        if isinstance(model, LotteryModel):
+            # Every set is one candidate iff the layers hold as many
+            # (voter, candidate) bits as voters with a nonempty set, and
+            # those are as many as sets; a candidate's count is its sets.
+            layers = model.layers
+            counts = [sum(layer[c].bit_count() for layer in layers) for c in range(inst.m)]
+            nonempty = sum(_covered(layer, range(inst.m)).bit_count() for layer in layers)
+            if sum(counts) == nonempty == sum(map(len, model.lotteries)):
+                mandatory = [c for c in range(inst.m) if meets_threshold(counts[c], 1, inst)]
+                if len(mandatory) > inst.k:
+                    return DecisionResult(False, POLY)
+                chosen = list(mandatory)
+                for c in range(inst.m):
+                    if len(chosen) == inst.k:
+                        break
+                    if c not in mandatory:
+                        chosen.append(c)
+                return DecisionResult(True, POLY, witness_committee=tuple(sorted(chosen)))
         if isinstance(model, CandidateProbModel):
             if all(len(free) == inst.m for _, free in model.split_rows):
                 # Every candidate can be the unanimous favourite, so only

@@ -66,7 +66,9 @@ every scan reads in O(1)) and the inner block of its lanes
 (``block``: the inner voters' lanes and bit-sliced weights and the
 ``fixed`` counts, sized by ``LANE_CHUNK`` when built).  So every scan
 of a model after the first pays only for the outer voters of each
-chunk and for its tests.
+chunk and for its tests.  The first plausible profile (``first``),
+which ``first_plausible`` returns and the JR deciders start their
+witnesses from, is kept with the plan.
 
 The polynomial JR questions read a model by candidate, not by voter,
 and each model keeps that view too, built on first use: a matrix
@@ -76,7 +78,9 @@ need them, each candidate's products of its free entries' numerators,
 of their complements and of the denominators (``column_products``); a
 Joint model's approvers per candidate, one list of voter bitsets per
 entry, each built the first time it is read, so a scan builds only as
-far as it reads (``approvers``).  None of these is a dataclass field
+far as it reads (``approvers``); a Lottery model's approvers per
+candidate, one list of voter bitsets per set position ``t``, over each
+voter's ``t``-th set (``layers``).  None of these is a dataclass field
 and a pickle leaves them out, with the classified rows and the scan
 plan; ``tva_to_cp`` hands on what is built.  Two threads reading a view
 at once may both build it, and both build the same value.
@@ -186,10 +190,10 @@ class _IndependentVoters:
     """The scan plan of a model of independent voters (Lottery or
     CandidateProb): what every scan needs and no committee changes,
     built on first use and kept on the object.  The voter
-    tables (``tables``), the plausible-profile count (``profile_count``)
-    and the inner block of the lanes (``block``).  A pickle leaves them
-    out, with every other view built on first use.  Callers read them
-    and never change them."""
+    tables (``tables``), the plausible-profile count (``profile_count``),
+    the inner block of the lanes (``block``) and the first plausible
+    profile (``first``).  A pickle leaves them out, with every other
+    view built on first use.  Callers read them and never change them."""
 
     @cached_property
     def tables(self) -> list[tuple[int, list[tuple[ApprovalSet, int]]]]:
@@ -216,20 +220,52 @@ class _IndependentVoters:
         (``_lane_block``), sized by ``LANE_CHUNK`` as it is when built."""
         return _lane_block(self.instance.m, self.tables)
 
+    @cached_property
+    def first(self) -> PlausibleProfile:
+        """The first plausible profile in enumeration order: each Lottery
+        voter's first set, or each matrix row's forced approvals alone."""
+        if isinstance(self, LotteryModel):
+            num = den = 1
+            sets = []
+            for voter in self.lotteries:
+                entry_lam, s = voter[0]
+                entry_num, entry_den = entry_lam.as_integer_ratio()
+                num *= entry_num
+                den *= entry_den
+                sets.append(s)
+            return PlausibleProfile(tuple(sets), Fraction(num, den))
+        # Forced approvals only: every free entry is disapproved.
+        _, miss, den = self.column_products
+        sets = tuple(tuple(forced) for forced, _ in self.split_rows)
+        return PlausibleProfile(sets, Fraction(math.prod(miss), den))
+
     def __getstate__(self) -> dict:
         return _without(vars(self), _STORED)
 
 
 @dataclass(frozen=True)
 class LotteryModel(_IndependentVoters):
-    """Independent per-voter distributions over approval sets."""
+    """Independent per-voter distributions over approval sets.  Its view
+    by candidate (``layers``) is built on first use and kept, like the
+    scan plan; callers never change it."""
 
     instance: Instance
     lotteries: tuple[tuple[tuple[Fraction, ApprovalSet], ...], ...]
 
+    @cached_property
+    def layers(self) -> list[list[int]]:
+        """For each set position ``t``, each candidate's voters whose
+        ``t``-th set holds it, as voter bitsets: ``axioms._approvers``
+        over the ``t``-th sets, where a voter with fewer sets has none.
+        Layer 0 is the view of the first plausible profile."""
+        m, lotteries = self.instance.m, self.lotteries
+        return [_approvers(m, [voter[t][1] if t < len(voter) else () for voter in lotteries])
+                for t in range(max(map(len, lotteries)))]
+
 
 # The attributes a model of independent voters builds on first use.
-_STORED = ("split_rows", "columns", "column_products", "tables", "profile_count", "block")
+_STORED = ("split_rows", "columns", "column_products", "tables", "profile_count", "block",
+           "first", "layers")
 
 
 @dataclass(frozen=True)
@@ -623,20 +659,7 @@ def first_plausible(model: Model) -> PlausibleProfile:
     if isinstance(model, JointModel):
         lam, prof = model.entries[0]
         return PlausibleProfile(prof, lam)
-    if isinstance(model, LotteryModel):
-        num = den = 1
-        sets = []
-        for voter in model.lotteries:
-            entry_lam, s = voter[0]
-            entry_num, entry_den = entry_lam.as_integer_ratio()
-            num *= entry_num
-            den *= entry_den
-            sets.append(s)
-        return PlausibleProfile(tuple(sets), Fraction(num, den))
-    # Forced approvals only: every free entry is disapproved.
-    _, miss, den = model.column_products
-    sets = tuple(tuple(forced) for forced, _ in model.split_rows)
-    return PlausibleProfile(sets, Fraction(math.prod(miss), den))
+    return model.first
 
 
 def _over_common_denominator(entries) -> tuple[int, list]:

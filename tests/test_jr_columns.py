@@ -4,14 +4,16 @@ JR questions.
 A matrix model keeps its voters as bitsets per candidate
 (``columns``: forced and free entries) and the products of its free
 entries per candidate (``column_products``); a Joint model keeps each
-entry's approvers per candidate (``approvers``).  Possible/necessary JR,
-the greedy committee of ``exists_poss_jr``, the committee-certain JR
-probability and ``size_jr`` read these views through one JR test,
-``axioms._jr_on_bits``.  These tests compare every answer, method,
-witness profile, witness probability and violation with the
-``Fraction``-comparison references and the brute force over voter
-groups in ``tests/oracles.py``, on small models over every committee and
-on models of 60 to 300 voters, whose bitsets span many machine words.
+entry's approvers per candidate (``approvers``); a Lottery model keeps,
+for each set position, each candidate's voters whose set there holds it
+(``layers``).  Possible/necessary JR, the greedy committee of
+``exists_poss_jr``, the committee-certain JR probability and ``size_jr``
+read these views through one JR test, ``axioms._jr_on_bits``.  These
+tests compare every answer, method, witness profile, witness
+probability and violation with the ``Fraction``-comparison references
+and the brute force over voter groups in ``tests/oracles.py``, on small
+models over every committee and on models of 60 to 300 voters, whose
+bitsets span many machine words.
 They also pin that the views are built once per model object, on first
 use, and are invisible to equality, hashing, ``repr``, pickles and the
 written document.
@@ -29,12 +31,14 @@ from fractions import Fraction
 import pytest
 
 from abcu import (
+    BudgetError,
     CandidateProbModel,
     Instance,
     JointModel,
     LotteryModel,
     PlausibleProfile,
     cp_model,
+    exists_nec_jr,
     exists_poss_jr,
     first_plausible,
     greedy_jr_committee,
@@ -50,7 +54,7 @@ from abcu import (
 )
 from abcu import uncertainty
 from abcu.axioms import _jr_violation
-from abcu.decide import POLY, DecisionResult
+from abcu.decide import ENUM, POLY, DecisionResult
 from abcu.io import document_for, emit_document, parse_document
 from abcu.probability import (
     CLOSED_FORM_CERTAIN_W,
@@ -332,6 +336,123 @@ class TestExistsPossJr:
             assert jr_violation(inst, prof, w) is None
 
 
+def _outcome(call):
+    """A decision, or the count, budget and message of the budget error
+    it raised."""
+    try:
+        return call()
+    except BudgetError as exc:
+        return exc.count, exc.budget, str(exc)
+
+
+def _edge_lottery(rng, inst, style):
+    """A lottery of ``style``: "singleton" sets only, "one" set per voter,
+    or "mixed" sets of 0 to 3 candidates, the empty one among them, with
+    a hot candidate in half of the models so that first profiles often
+    violate JR."""
+    hot = rng.randrange(inst.m) if style == "mixed" and rng.random() < 0.5 else None
+    choices = inst.m if style == "singleton" else 2 ** inst.m
+    voters = []
+    for _ in range(inst.n):
+        want = 1 if style == "one" else min(rng.choice((1, 1, 2, 3, 4)), choices)
+        sets = set()
+        while len(sets) < want:
+            if style == "singleton":
+                sets.add((rng.randrange(inst.m),))
+            elif hot is not None and rng.random() < HOT_SHARE:
+                sets.add((hot,))
+            else:
+                sets.add(tuple(sorted(rng.sample(range(inst.m), rng.randint(0, min(inst.m, 3))))))
+        sets = sorted(sets, key=lambda s: rng.random())
+        weights = [rng.randint(1, 4) for _ in sets]
+        voters.append([(Fraction(wt, sum(weights)), s) for wt, s in zip(weights, sets)])
+    return lottery_model(inst, voters)
+
+
+def _edge_lotteries(seed, count):
+    """Small lotteries of every style, with ``k = 1``, ``k = m``, quota 1
+    (``k = n <= m``) and ``k`` at random."""
+    rng = random.Random(seed)
+    for j in range(count):
+        n, m = rng.randint(1, 8), rng.randint(1, 6)
+        k = (1, m, min(n, m), rng.randint(1, m))[j % 4]
+        yield _edge_lottery(rng, Instance(n, m, k), ("mixed", "mixed", "singleton", "one")[j % 4])
+
+
+def _reference_exists_nec_jr(model):
+    """The first committee, in lexicographic order, that the reference
+    decider finds necessarily JR; all-singleton lotteries take the
+    polynomial special case, which answers the same."""
+    inst = model.instance
+    singleton = all(len(s) == 1 for voter in model.lotteries for _, s in voter)
+    method = POLY if singleton else ENUM
+    for w in _committees(inst):
+        if reference_nec_jr_lottery(model, w).answer:
+            return DecisionResult(True, method, witness_committee=w)
+    return DecisionResult(False, method)
+
+
+class TestLotteryDecisions:
+    """The lottery JR deciders on the stored ``layers`` and ``first``
+    against the references of ``tests/oracles.py``: the plain recursive
+    search with its node count, and the per-candidate rescan of every
+    voter's sets.  Possible JR is compared at the default budget, at
+    ``n``, ``n - 1`` and ``n // 2``, and at the plain search's node count
+    and one less, so the first-profile shortcut's node count and budget
+    error are pinned as well as its answer."""
+
+    def _assert_poss(self, model, w):
+        n = model.instance.n
+        want, nodes = recursive_poss_jr_lottery(model, w, count_nodes=True)
+        assert is_poss_jr(model, w) == want, (model, w)
+        for budget in (n, n - 1, n // 2, nodes, nodes - 1):
+            got = _outcome(lambda: is_poss_jr(model, w, budget=budget))
+            ref = _outcome(lambda: recursive_poss_jr_lottery(model, w, budget))
+            assert got == ref, (model, w, budget)
+        assert _outcome(lambda: is_poss_jr(model, w, budget=nodes - 1))[:2] == (nodes, nodes - 1)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_every_committee_of_small_lotteries(self, seed):
+        for model in _edge_lotteries(20 + seed, 120):
+            for w in _committees(model.instance):
+                self._assert_poss(model, w)
+                _assert_decision(model, w, "nec", brute=True)
+            assert exists_nec_jr(model) == _reference_exists_nec_jr(model), model
+            got = exists_poss_jr(model)
+            prof = tuple(voter[0][1] for voter in model.lotteries)
+            assert got.witness_profile == PlausibleProfile(prof, _price(model, prof))
+            assert got.witness_committee == reference_greedy_jr_committee(model.instance, prof)
+
+    def test_large_lotteries(self):
+        rng = random.Random(23)
+        for model in _large_models(24, 16):
+            if isinstance(model, LotteryModel):
+                for w in _committees(model.instance, rng, 4):
+                    self._assert_poss(model, w)
+                    _assert_decision(model, w, "nec", brute=False)
+
+    def test_later_sets_reach_and_witness(self):
+        # Quota 2 for committee {0, 1}.  Voter 0 reaches candidate 2 only
+        # through its third set, voter 1 through its second; voter 2
+        # cannot.  The first profile is JR, so possible JR takes the
+        # shortcut, whose node count is n = 3.
+        inst = Instance(3, 3, 2)
+        third, half = Fraction(1, 3), Fraction(1, 2)
+        model = lottery_model(inst, [
+            [(third, [0]), (third, [0, 2]), (third, [2])],
+            [(half, [1]), (half, [2])],
+            [(1, [0])],
+        ])
+        got = is_nec_jr(model, (0, 1))
+        assert got == reference_nec_jr_lottery(model, (0, 1))
+        assert got.witness_profile == PlausibleProfile(((2,), (2,), (0,)), third * half)
+        assert (got.witness_violation.group, got.witness_violation.common) == ((0, 1), (2,))
+        poss = is_poss_jr(model, (0, 1), budget=3)
+        assert poss == DecisionResult(True, ENUM, witness_profile=first_plausible(model))
+        assert _outcome(lambda: is_poss_jr(model, (0, 1), budget=2))[:2] == (3, 2)
+        assert _outcome(lambda: is_poss_jr(model, (0, 1), budget=0))[:2] == (1, 0)
+
+
 class TestProbability:
     def _certain_models(self, seed, count):
         rng = random.Random(seed)
@@ -406,28 +527,39 @@ class TestSizeJr:
 
 # The views each model kind builds on first use, and everything it keeps.
 VIEWS = {
-    CandidateProbModel: ("columns", "column_products"),
+    CandidateProbModel: ("columns", "column_products", "first"),
     JointModel: ("approvers",),
+    LotteryModel: ("layers", "first"),
 }
 STORED = {
     CandidateProbModel: ("split_rows", *VIEWS[CandidateProbModel]),
     JointModel: ("weighted", "lanes", *VIEWS[JointModel]),
+    LotteryModel: VIEWS[LotteryModel],
 }
 
 
 def _examples():
     rng = random.Random(13)
     inst = Instance(70, 5, 2)
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    # Voters 0-39 may approve candidate 0 instead of {1, 2}: a quota (35)
+    # of them, so a committee is necessarily JR only if it holds 0.
+    lottery = lottery_model(inst, [[(half, (1, 2)), (half, (0,))]] * 40
+                            + [[(third, (3,)), (third, (4,)), (third, ())]] * 30)
     return [_matrix_model(rng, "cp", inst), _matrix_model(rng, "3va", inst),
-            _joint_model(rng, inst, 6)]
+            _joint_model(rng, inst, 6), lottery]
 
 
 def _read_views(model):
     if isinstance(model, JointModel):
         list(model.approvers)
+    elif isinstance(model, LotteryModel):
+        model.layers
+        model.first
     else:
         model.columns
         model.column_products
+        model.first
 
 
 def _observed(model):
@@ -436,7 +568,7 @@ def _observed(model):
 
 
 class TestStorage:
-    @pytest.mark.parametrize("which", range(3), ids=["cp", "3va", "joint"])
+    @pytest.mark.parametrize("which", range(4), ids=["cp", "3va", "joint", "lottery"])
     def test_invisible_after_first_read(self, which):
         model = _examples()[which]
         before = _observed(model)
@@ -451,7 +583,7 @@ class TestStorage:
         assert thawed == model
         for mode in (is_poss_jr, is_nec_jr):
             assert mode(thawed, (0, 1)) == mode(model, (0, 1))
-        assert "columns" not in repr(model) and "approvers" not in repr(model)
+        assert not any(name in repr(model) for name in stored)
 
     def test_constructors_and_parsing_build_no_views(self):
         for model in _examples():
@@ -531,16 +663,17 @@ class TestStorage:
 def builds(monkeypatch):
     """Count the builds of every stored view, by name."""
     counts = Counter()
-    for name in ("columns", "column_products"):
-        func = vars(CandidateProbModel)[name].func
+    for cls, name in ((CandidateProbModel, "columns"), (CandidateProbModel, "column_products"),
+                      (uncertainty._IndependentVoters, "first"), (LotteryModel, "layers")):
+        func = vars(cls)[name].func
 
         def counting(self, func=func, name=name):
             counts[name] += 1
             return func(self)
 
         prop = functools.cached_property(counting)
-        prop.__set_name__(CandidateProbModel, name)
-        monkeypatch.setattr(CandidateProbModel, name, prop)
+        prop.__set_name__(cls, name)
+        monkeypatch.setattr(cls, name, prop)
     approvers = uncertainty._approvers
 
     def counting_approvers(m, prof):
@@ -566,7 +699,7 @@ class TestBuiltOnce:
             exists_poss_jr(model)
             first_plausible(model)
         # The columns are two approver builds: forced and free entries.
-        assert builds == {"columns": 1, "column_products": 1, "approvers": 2}
+        assert builds == {"columns": 1, "column_products": 1, "first": 1, "approvers": 2}
         twin = CandidateProbModel(inst, model.probs, model.three_valued)
         is_nec_jr(twin, (0, 1))
         assert builds["columns"] == 2 and builds["approvers"] == 4
@@ -579,3 +712,18 @@ class TestBuiltOnce:
                 is_nec_jr(model, w)
             exists_poss_jr(model)
         assert builds == {"approvers": len(model.entries)}
+
+    def test_lottery_layers(self, builds):
+        model = _examples()[3]
+        depth = max(map(len, model.lotteries))
+        answers = Counter()
+        for _ in range(3):
+            for w in _committees(model.instance):
+                answers[is_poss_jr(model, w).answer] += 1
+                answers[is_nec_jr(model, w).answer] += 1
+            exists_poss_jr(model)
+            exists_nec_jr(model)
+            first_plausible(model)
+        assert answers[False] > 0 and answers[True] > 0
+        # One approver build per set position.
+        assert builds == {"layers": 1, "first": 1, "approvers": depth}
