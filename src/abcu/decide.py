@@ -346,7 +346,7 @@ def _nec_jr_lottery(model: LotteryModel, w: Committee) -> DecisionResult:
     each voter of the group on its first set that holds ``c`` and avoids
     the committee, and every other voter on its first set."""
     inst = model.instance
-    layers = model.layers
+    layers = list(model.layers)
     dodges = [~_covered(layer, w) for layer in layers]
     reach = [0] * inst.m
     for layer, dodge in zip(layers, dodges):
@@ -408,36 +408,37 @@ def exists_nec_jr(
     model: Model, *, budget: int | None = None, force_enumeration: bool = False
 ) -> DecisionResult:
     """Is some size-``k`` committee JR in every plausible profile?"""
+    if force_enumeration:
+        return exists_nec_axiom(model, "jr", budget=budget, force_enumeration=True)
     inst = model.instance
-    if not force_enumeration:
-        if isinstance(model, LotteryModel):
-            # Every set is one candidate iff the layers hold as many
-            # (voter, candidate) bits as voters with a nonempty set, and
-            # those are as many as sets; a candidate's count is its sets.
-            layers = model.layers
-            counts = [sum(layer[c].bit_count() for layer in layers) for c in range(inst.m)]
-            nonempty = sum(_covered(layer, range(inst.m)).bit_count() for layer in layers)
-            if sum(counts) == nonempty == sum(map(len, model.lotteries)):
-                mandatory = [c for c in range(inst.m) if meets_threshold(counts[c], 1, inst)]
-                if len(mandatory) > inst.k:
-                    return DecisionResult(False, POLY)
-                chosen = list(mandatory)
-                for c in range(inst.m):
-                    if len(chosen) == inst.k:
-                        break
-                    if c not in mandatory:
-                        chosen.append(c)
-                return DecisionResult(True, POLY, witness_committee=tuple(sorted(chosen)))
-        if isinstance(model, CandidateProbModel):
-            if all(len(free) == inst.m for _, free in model.split_rows):
-                # Every candidate can be the unanimous favourite, so only
-                # the full candidate set is necessarily JR.
-                if inst.k == inst.m:
-                    return DecisionResult(True, POLY, witness_committee=tuple(range(inst.m)))
+    if isinstance(model, LotteryModel):
+        # Every set is one candidate iff the layers hold as many
+        # (voter, candidate) bits as voters with a nonempty set, and
+        # those are as many as sets; a candidate's count is its sets.
+        layers = list(model.layers)
+        counts = [sum(layer[c].bit_count() for layer in layers) for c in range(inst.m)]
+        nonempty = sum(_covered(layer, range(inst.m)).bit_count() for layer in layers)
+        if sum(counts) == nonempty == sum(map(len, model.lotteries)):
+            mandatory = [c for c in range(inst.m) if meets_threshold(counts[c], 1, inst)]
+            if len(mandatory) > inst.k:
                 return DecisionResult(False, POLY)
+            chosen = list(mandatory)
+            for c in range(inst.m):
+                if len(chosen) == inst.k:
+                    break
+                if c not in mandatory:
+                    chosen.append(c)
+            return DecisionResult(True, POLY, witness_committee=tuple(sorted(chosen)))
+    if isinstance(model, CandidateProbModel):
+        if all(len(free) == inst.m for _, free in model.split_rows):
+            # Every candidate can be the unanimous favourite, so only
+            # the full candidate set is necessarily JR.
+            if inst.k == inst.m:
+                return DecisionResult(True, POLY, witness_committee=tuple(range(inst.m)))
+            return DecisionResult(False, POLY)
     _check_budget(math.comb(inst.m, inst.k), budget)
     for w in itertools.combinations(range(inst.m), inst.k):
-        if is_nec_jr(model, w, budget=budget, force_enumeration=force_enumeration).answer:
+        if is_nec_jr(model, w).answer:
             return DecisionResult(True, ENUM, witness_committee=w)
     return DecisionResult(False, ENUM)
 
@@ -518,11 +519,11 @@ def exists_nec_axiom(
 ) -> DecisionResult:
     """Is some committee necessarily satisfying ``axiom``?  First
     lexicographic winner is returned; each committee's scan stops at its
-    first violating profile.  ``force_enumeration`` changes only JR: PJR
-    and EJR have the one scan."""
+    first violating profile.  JR uses the fast paths unless
+    ``force_enumeration``; PJR and EJR have the one scan."""
     _require_axiom(axiom)
-    if axiom == "jr":
-        return exists_nec_jr(model, budget=budget, force_enumeration=force_enumeration)
+    if axiom == "jr" and not force_enumeration:
+        return exists_nec_jr(model, budget=budget)
     inst = model.instance
     _check_budget(math.comb(inst.m, inst.k), budget)
     for w in itertools.combinations(range(inst.m), inst.k):

@@ -3,9 +3,8 @@
 The probability that a committee satisfies an axiom is the sum, over
 plausible profiles, of the profile probability times the axiom
 indicator.  Joint models are summed over their entries as lanes (see
-below).  Two cases of a three-valued model, a CandidateProb model tagged
-``three_valued`` (see ``uncertainty``), admit closed forms that avoid
-enumeration:
+below).  On a three-valued model, a CandidateProb model tagged
+``three_valued`` (see ``uncertainty``), JR has two shortcuts:
 
 * When every entry over the committee is certain (0 or 1), the set of
   certainly-unrepresented voters is fixed, and each outside candidate's
@@ -19,8 +18,9 @@ enumeration:
 
 * When ``k = n`` the quota is one voter, so a profile satisfies JR iff
   every voter either approves a committee member or approves nothing.
-  That is a per-voter condition over disjoint unknowns, so satisfying
-  completions are counted voter by voter and multiplied.
+  The voter DP below then keeps one state, since every counter it would
+  raise reaches the quota, so it is one pass over the free entries and
+  needs no budget gate (``count-k-eq-n``).
 
 Every other JR probability on a Lottery or CandidateProb model comes
 from a dynamic program over the independent voters (``dp-voters``).  A
@@ -68,7 +68,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .axioms import _covered, _lane_test
+from .axioms import _covered, _lane_test, _require_axiom
 from .model import (
     Committee,
     InputError,
@@ -145,24 +145,6 @@ def _certain_w_value(model: CandidateProbModel, w: Committee) -> Fraction:
     return Fraction(num, 2**unknowns)
 
 
-def _full_committee_counts(model: CandidateProbModel, w: Committee) -> tuple[int, int]:
-    wset = set(w)
-    count = 1
-    total_exp = 0
-    for forced, free in model.split_rows:
-        x = len(free)
-        total_exp += x
-        if not wset.isdisjoint(forced):
-            per_voter = 2**x
-        else:
-            y = sum(1 for c, _, _ in free if c in wset)
-            per_voter = (2**y - 1) * 2 ** (x - y)
-            if not forced:
-                per_voter += 1  # the all-disapprove completion needs nothing
-        count *= per_voter
-    return count, 2**total_exp
-
-
 def _lane_values(
     inst: Instance, lanes: tuple[int, Iterable[tuple]], committees: list[Committee], axiom: str
 ) -> list[Fraction]:
@@ -186,11 +168,6 @@ def _scan_values(
     """Exact satisfaction probabilities of ``committees`` from one pass
     over the plausible profiles, as lanes."""
     return _lane_values(model.instance, _lanes(model, budget), committees, axiom)
-
-
-def _by_enumeration(model: Model, w: Committee, axiom: str, budget: int | None) -> ProbResult:
-    value, = _scan_values(model, [w], axiom, budget)
-    return _with_counts(value, ENUM, model)
 
 
 def _advance(states: dict[int, int], keep: int, moves, high: int) -> dict[int, int]:
@@ -282,8 +259,9 @@ def _jr_dp(model: Model, w: Committee) -> Fraction:
 
 def _jr_path(model: Model, w: Committee, budget: int | None) -> ProbResult:
     """JR probability of canonical committee ``w`` without enumerating
-    profiles: a joint scan, a three-valued closed form, or else the voter
-    DP behind the profile-count budget gate."""
+    profiles: a joint scan, the committee-certain closed form, or else the
+    voter DP, behind the profile-count budget gate unless a three-valued
+    model has ``k = n``."""
     inst = model.instance
     if isinstance(model, JointModel):
         value, = _lane_values(inst, model.lanes, [w], "jr")
@@ -292,8 +270,8 @@ def _jr_path(model: Model, w: Committee, budget: int | None) -> ProbResult:
         if _certain_over_committee(model, w):
             return _with_counts(_certain_w_value(model, w), CLOSED_FORM_CERTAIN_W, model)
         if inst.k == inst.n:
-            count, total = _full_committee_counts(model, w)
-            return ProbResult(Fraction(count, total), COUNT_K_EQ_N, (count, total))
+            # A quota of 1 drops every bump, so the DP keeps one state: O(free entries).
+            return _with_counts(_jr_dp(model, w), COUNT_K_EQ_N, model)
     _check_budget(plausible_count(model), budget)
     return _with_counts(_jr_dp(model, w), DP_VOTERS, model)
 
@@ -302,10 +280,7 @@ def jr_probability(
     model: Model, w, *, budget: int | None = None, force_enumeration: bool = False
 ) -> ProbResult:
     """Exact probability that ``w`` satisfies JR under ``model``."""
-    w = committee(w, model.instance)
-    if force_enumeration:
-        return _by_enumeration(model, w, "jr", budget)
-    return _jr_path(model, w, budget)
+    return axiom_probability(model, w, "jr", budget=budget, force_enumeration=force_enumeration)
 
 
 def jr_satisfying_count(model: CandidateProbModel, w, *, budget: int | None = None) -> tuple[int, int]:
@@ -324,13 +299,13 @@ def axiom_probability(
 ) -> ProbResult:
     """Exact probability that ``w`` satisfies ``axiom`` (jr/pjr/ejr).
 
-    JR dispatches to the joint scan, the closed forms or the voter DP
+    JR dispatches to the joint scan, the closed form or the voter DP
     unless ``force_enumeration``; PJR and EJR are computed by the lane
     scan only.
     """
-    from .axioms import _require_axiom
-
     _require_axiom(axiom)
-    if axiom == "jr":
-        return jr_probability(model, w, budget=budget, force_enumeration=force_enumeration)
-    return _by_enumeration(model, committee(w, model.instance), axiom, budget)
+    w = committee(w, model.instance)
+    if axiom == "jr" and not force_enumeration:
+        return _jr_path(model, w, budget)
+    value, = _scan_values(model, [w], axiom, budget)
+    return _with_counts(value, ENUM, model)

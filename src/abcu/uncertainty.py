@@ -80,10 +80,11 @@ Joint model's approvers per candidate, one list of voter bitsets per
 entry, each built the first time it is read, so a scan builds only as
 far as it reads (``approvers``); a Lottery model's approvers per
 candidate, one list of voter bitsets per set position ``t``, over each
-voter's ``t``-th set (``layers``).  None of these is a dataclass field
-and a pickle leaves them out, with the classified rows and the scan
-plan; ``tva_to_cp`` hands on what is built.  Two threads reading a view
-at once may both build it, and both build the same value.
+voter's ``t``-th set, built the same way (``layers``).  None of these
+is a dataclass field and a pickle leaves them out, with the classified
+rows and the scan plan; ``tva_to_cp`` hands on what is built.  Two
+threads reading a view at once may both build it, and both build the
+same value.
 
 Enumeration order is fixed: Joint entries in input order; Lottery
 combinations with voter 0 outermost and each voter's sets in input
@@ -99,7 +100,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Union
+from typing import Callable, Iterable, Iterator, Union
 
 from .axioms import _approvers
 from .model import (
@@ -150,34 +151,36 @@ class JointModel:
         """For each entry, each candidate's approvers as a voter bitset
         (``axioms._approvers``), in entry order; an entry's list is built
         the first time it is read."""
-        return _EntryApprovers(self.instance.m, self.entries)
+        entries = self.entries
+        return _EntryApprovers(self.instance.m, len(entries), lambda p: entries[p][1])
 
     def __getstate__(self) -> dict:
         return _without(vars(self), ("weighted", "lanes", "approvers"))
 
 
 class _EntryApprovers:
-    """A Joint model's per-entry approver bitsets, each built the first
-    time it is read, so a scan that stops at its first entry builds
-    one."""
+    """Per-index approver bitsets (``axioms._approvers`` over the profile
+    ``profile(p)`` of index ``p``), each built the first time it is read,
+    so a scan that stops at its first index builds one: a Joint model's
+    entries, a Lottery model's set positions."""
 
-    __slots__ = ("m", "entries", "built")
+    __slots__ = ("m", "profile", "built")
 
-    def __init__(self, m: int, entries: tuple[tuple[Fraction, Profile], ...]):
+    def __init__(self, m: int, count: int, profile: Callable[[int], Profile]):
         self.m = m
-        self.entries = entries
-        self.built: list[list[int] | None] = [None] * len(entries)
+        self.profile = profile
+        self.built: list[list[int] | None] = [None] * count
 
     def __getitem__(self, p: int) -> list[int]:
         # Each slot is filled on its own, so readers in two threads at
-        # most build the same entry twice, never shift one into another.
+        # most build the same index twice, never shift one into another.
         approvers = self.built[p]
         if approvers is None:
-            approvers = self.built[p] = _approvers(self.m, self.entries[p][1])
+            approvers = self.built[p] = _approvers(self.m, self.profile(p))
         return approvers
 
     def __iter__(self) -> Iterator[list[int]]:
-        return map(self.__getitem__, range(len(self.entries)))
+        return map(self.__getitem__, range(len(self.built)))
 
 
 def _without(state: dict, stored: tuple[str, ...]) -> dict:
@@ -253,14 +256,17 @@ class LotteryModel(_IndependentVoters):
     lotteries: tuple[tuple[tuple[Fraction, ApprovalSet], ...], ...]
 
     @cached_property
-    def layers(self) -> list[list[int]]:
+    def layers(self) -> _EntryApprovers:
         """For each set position ``t``, each candidate's voters whose
         ``t``-th set holds it, as voter bitsets: ``axioms._approvers``
         over the ``t``-th sets, where a voter with fewer sets has none.
-        Layer 0 is the view of the first plausible profile."""
-        m, lotteries = self.instance.m, self.lotteries
-        return [_approvers(m, [voter[t][1] if t < len(voter) else () for voter in lotteries])
-                for t in range(max(map(len, lotteries)))]
+        A layer is built the first time it is read; layer 0 is the view
+        of the first plausible profile."""
+        lotteries = self.lotteries
+        return _EntryApprovers(
+            self.instance.m, max(map(len, lotteries)),
+            lambda t: [voter[t][1] if t < len(voter) else () for voter in lotteries],
+        )
 
 
 # The attributes a model of independent voters builds on first use.

@@ -41,9 +41,11 @@ from abcu.io import (
     parse_edge_list,
 )
 from abcu.probability import (
+    CLOSED_FORM_CERTAIN_W,
+    COUNT_K_EQ_N,
     _certain_over_committee,
     _certain_w_value,
-    _full_committee_counts,
+    jr_probability,
 )
 from oracles import (
     reference_all_interior,
@@ -221,16 +223,24 @@ class TestIntegerRows:
         assert exists_nec_jr(model) == _reference_exists_nec_jr(model)
 
     def test_three_valued_closed_forms(self):
+        full = 0
         for model in _matrix_models(160, seed=87):
             if not model.three_valued:
                 continue
+            inst = model.instance
             assert model.profile_count == 2 ** reference_total_unknowns(model)
-            for w in _committees(model.instance):
+            for w in _committees(inst):
                 certain = _certain_over_committee(model, w)
                 assert certain == reference_certain_over_committee(model, w)
                 if certain:
                     assert _certain_w_value(model, w) == reference_certain_w_value(model, w)
-                assert _full_committee_counts(model, w) == reference_full_committee_counts(model, w)
+                if inst.k == inst.n:
+                    # k = n: the voter DP, ungated, with the per-voter counts.
+                    got = jr_probability(model, w, budget=0)
+                    assert got.method == (CLOSED_FORM_CERTAIN_W if certain else COUNT_K_EQ_N)
+                    assert got.counts == reference_full_committee_counts(model, w)
+                    full += not certain
+        assert full > 0
 
 
 # ---------------------------------------------------------------------------

@@ -102,12 +102,19 @@ def test_existence_budget_counts_profiles():
 def test_forced_exists_nec_jr_reads_first(monkeypatch):
     """Under ``force_enumeration``, ``exists_nec_jr`` asks ``_first`` for
     a violating profile of each committee in lexicographic order, up to
-    the first that has none, and answers as the per-profile reference."""
+    the first that has none, and answers as the per-profile reference.
+    It builds no violation for the committees that fail."""
     asked = []
     first = decide._first
     monkeypatch.setattr(
         decide, "_first", lambda *args: asked.append(args[1:4]) or first(*args)
     )
+    found = []
+    monkeypatch.setattr(decide, "_COMMITTEE_FINDERS", {
+        axiom: lambda *args, finder=finder: found.append(args) or finder(*args)
+        for axiom, finder in decide._COMMITTEE_FINDERS.items()
+    })
+    failed = 0
     for model, committees in _models(9, 30):
         asked.clear()
         want = reference_exists(model, "jr", "nec")
@@ -115,3 +122,5 @@ def test_forced_exists_nec_jr_reads_first(monkeypatch):
         scanned = committees[:committees.index(want.witness_committee) + 1] if want.answer \
             else committees
         assert asked == [(frozenset(w), "jr", False) for w in scanned]
+        failed += len(scanned) - want.answer
+    assert failed > 0 and found == []

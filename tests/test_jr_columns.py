@@ -502,6 +502,19 @@ class TestProbability:
                 assert got == ProbResult(Fraction(count, total), COUNT_K_EQ_N, (count, total))
                 if total <= 2**12:
                     assert got.value == prob_oracle(model, w)
+        # 2^70 plausible profiles, past the default budget: k = n has no gate.
+        inst = Instance(14, 20, 14)
+        cells = [rng.choice("01") for _ in range(inst.n * inst.m)]
+        for cell in rng.sample(range(len(cells)), 70):
+            cells[cell] = "1/2"
+        model = tva_model(inst, [cells[i * inst.m:(i + 1) * inst.m] for i in range(inst.n)])
+        assert model.profile_count == 2**70
+        for _ in range(20):
+            w = tuple(sorted(rng.sample(range(inst.m), inst.k)))
+            assert not reference_certain_over_committee(model, w)
+            count, total = reference_full_committee_counts(model, w)
+            assert jr_probability(model, w) == ProbResult(
+                Fraction(count, total), COUNT_K_EQ_N, (count, total))
 
 
 class TestSizeJr:
@@ -554,7 +567,7 @@ def _read_views(model):
     if isinstance(model, JointModel):
         list(model.approvers)
     elif isinstance(model, LotteryModel):
-        model.layers
+        list(model.layers)
         model.first
     else:
         model.columns
@@ -714,8 +727,18 @@ class TestBuiltOnce:
         assert builds == {"approvers": len(model.entries)}
 
     def test_lottery_layers(self, builds):
+        # On a fresh model the first-profile tests build layer 0 only;
+        # necessary JR reads every layer.
+        depth = max(map(len, _examples()[3].lotteries))
+        for question, layers in ((exists_poss_jr, 1), (lambda m: is_poss_jr(m, (0, 1)), 1),
+                                 (lambda m: is_nec_jr(m, (0, 1)), depth),
+                                 (exists_nec_jr, depth)):
+            model = _examples()[3]
+            builds.clear()
+            question(model)
+            assert builds["layers"] == 1 and builds["approvers"] == layers
         model = _examples()[3]
-        depth = max(map(len, model.lotteries))
+        builds.clear()
         answers = Counter()
         for _ in range(3):
             for w in _committees(model.instance):
@@ -725,5 +748,5 @@ class TestBuiltOnce:
             exists_nec_jr(model)
             first_plausible(model)
         assert answers[False] > 0 and answers[True] > 0
-        # One approver build per set position.
+        # Over every question, one approver build per set position.
         assert builds == {"layers": 1, "first": 1, "approvers": depth}
