@@ -130,17 +130,15 @@ def _decision_payload(result: decide.DecisionResult, witness: bool) -> dict:
 # command handlers: each returns (payload or document text, exit status)
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args) -> tuple[dict, int]:
     try:
         _load_document(args.file)
     except InputError as exc:
-        _render({"valid": False, "errors": str(exc).split("; ")}, args.output)
-        return 2
-    _render({"valid": True, "errors": []}, args.output)
-    return 0
+        return {"valid": False, "errors": str(exc).split("; ")}, 2
+    return {"valid": True, "errors": []}, 0
 
 
-def cmd_convert(args) -> int:
+def cmd_convert(args) -> tuple[str, int]:
     doc = _load_document(args.file)
     model = doc.model
     if isinstance(model, JointModel):
@@ -151,11 +149,10 @@ def cmd_convert(args) -> int:
             model = cp_to_lottery(model, args.budget)
         if args.target == "to-joint":
             model = lottery_to_joint(model, args.budget)
-    sys.stdout.write(emit_document(document_for(model, doc.committee, doc.size)))
-    return 0
+    return emit_document(document_for(model, doc.committee, doc.size)), 0
 
 
-def cmd_check(args) -> int:
+def cmd_check(args) -> tuple[dict, int]:
     doc = _load_document(args.file)
     prof = _certain_profile(doc)
     w = _need_committee(doc)
@@ -163,22 +160,20 @@ def cmd_check(args) -> int:
     payload: dict = {"axiom": args.axiom, "satisfied": violation is None}
     if args.witness and violation is not None:
         payload["witness_violation"] = violation
-    _render(payload, args.output)
-    return 0
+    return payload, 0
 
 
-def cmd_decide(args) -> int:
+def cmd_decide(args) -> tuple[dict, int]:
     doc = _load_document(args.file)
     w = _need_committee(doc)
     ask = decide.is_poss_axiom if args.mode == "poss" else decide.is_nec_axiom
     result = ask(
         doc.model, w, args.axiom, budget=args.budget, force_enumeration=args.force_enumeration
     )
-    _render(_decision_payload(result, args.witness), args.output)
-    return 0
+    return _decision_payload(result, args.witness), 0
 
 
-def cmd_exists(args) -> int:
+def cmd_exists(args) -> tuple[dict, int]:
     doc = _load_document(args.file)
     if args.question == "poss-jr":
         result = decide.exists_poss_jr(doc.model)
@@ -188,55 +183,41 @@ def cmd_exists(args) -> int:
             doc.model, axiom,
             budget=args.budget, force_enumeration=args.force_enumeration,
         )
-    _render(_decision_payload(result, args.witness), args.output)
-    return 0
+    return _decision_payload(result, args.witness), 0
 
 
-def cmd_prob(args) -> int:
+def cmd_prob(args) -> tuple[dict, int]:
     doc = _load_document(args.file)
     w = _need_committee(doc)
     result = probability.axiom_probability(
         doc.model, w, args.axiom,
         budget=args.budget, force_enumeration=args.force_enumeration,
     )
-    payload: dict = {
-        "axiom": args.axiom,
-        "probability": result.value,
-        "method": result.method,
-    }
+    payload: dict = {"axiom": args.axiom, "probability": result.value, "method": result.method}
     if result.counts is not None:
         payload["satisfying"], payload["total"] = result.counts
-    _render(payload, args.output)
-    return 0
+    return payload, 0
 
 
-def cmd_count(args) -> int:
+def cmd_count(args) -> tuple[dict, int]:
     doc = _load_document(args.file)
     w = _need_committee(doc)
     satisfying, total = probability.jr_satisfying_count(doc.model, w, budget=args.budget)
-    _render(
-        {"satisfying": satisfying, "total": total,
-         "probability": Fraction(satisfying, total)},
-        args.output,
-    )
-    return 0
+    return {"satisfying": satisfying, "total": total,
+            "probability": Fraction(satisfying, total)}, 0
 
 
-def cmd_max(args) -> int:
+def cmd_max(args) -> tuple[dict, int]:
     doc = _load_document(args.file)
     result = optimize.max_axiom(
         doc.model, args.axiom,
         budget=args.budget, force_enumeration=args.force_enumeration,
     )
-    _render(
-        {"axiom": args.axiom, "committee": list(result.committee),
-         "value": result.value, "ties": result.ties},
-        args.output,
-    )
-    return 0
+    return {"axiom": args.axiom, "committee": list(result.committee),
+            "value": result.value, "ties": result.ties}, 0
 
 
-def cmd_sizejr(args) -> int:
+def cmd_sizejr(args) -> tuple[dict, int]:
     doc = _load_document(args.file)
     prof = _certain_profile(doc)
     size = args.size if args.size is not None else doc.size
@@ -246,27 +227,24 @@ def cmd_sizejr(args) -> int:
     payload: dict = {"answer": found, "size": size}
     if w is not None:
         payload["committee"] = list(w)
-    _render(payload, args.output)
-    return 0
+    return payload, 0
 
 
-def cmd_reduce(args) -> int:
+def cmd_reduce(args) -> tuple[str, int]:
     text = _read_text(args.file)
     if args.gadget == "3sat":
         model, _, w = reductions.reduce_3sat(parse_dimacs(text))
     else:
         model, _, w = reductions.reduce_vc(parse_edge_list(text))
-    sys.stdout.write(emit_document(document_for(model, w)))
-    return 0
+    return emit_document(document_for(model, w)), 0
 
 
-def cmd_gen(args) -> int:
+def cmd_gen(args) -> tuple[str, int]:
     model = reductions.gen_random(
         args.kind, args.voters, args.candidates, args.committee_size,
         args.uncertainty, args.seed,
     )
-    sys.stdout.write(emit_document(document_for(model)))
-    return 0
+    return emit_document(document_for(model)), 0
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +344,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        out, status = args.handler(args)
+        if isinstance(out, str):
+            sys.stdout.write(out)
+        else:
+            _render(out, args.output)
+        return status
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,8 +1,11 @@
 """Possible/necessary satisfaction deciders for JR, PJR and EJR.
 
 "Possible" means some plausible profile satisfies the axiom, "necessary"
-means all of them do.  Polynomial procedures exist for several
-model/problem combinations and are used automatically:
+means all of them do.  Each question has one decider, a ``*_axiom``
+function, which alone picks the JR fast path for the model kind unless
+``force_enumeration`` is set; the ``*_jr`` functions forward to it.
+Polynomial procedures exist for several model/problem combinations and
+are used automatically:
 
 * Joint-model JR is decided by checking the listed profiles in order.
 * CandidateProb possible-JR, three-valued models included, reduces to a
@@ -128,21 +131,19 @@ class DecisionResult:
 def is_poss_jr(
     model: Model, w, *, budget: int | None = None, force_enumeration: bool = False
 ) -> DecisionResult:
-    """Does ``w`` satisfy JR in at least one plausible profile?"""
+    """Does ``w`` satisfy JR in at least one plausible profile?  The JR
+    case of ``is_poss_axiom``, which picks the fast path."""
+    return is_poss_axiom(model, w, "jr", budget=budget, force_enumeration=force_enumeration)
+
+
+def _poss_jr_matrix(model: CandidateProbModel, w: Committee) -> DecisionResult:
+    """JR in the best case, which approves every member of positive
+    probability and, outside the committee, only the forced approvals."""
     inst = model.instance
-    w = committee(w, inst)
-    if force_enumeration:
-        return is_poss_axiom(model, w, "jr", budget=budget, force_enumeration=True)
-    if isinstance(model, LotteryModel):
-        return _poss_jr_lottery(model, w, budget)
-    if isinstance(model, JointModel):
-        return _joint_jr(model, w, True)
-    quota = min_group_size(1, inst)
     wset = frozenset(w)
-    # The best case approves every member of positive probability and,
-    # outside the committee, only the forced approvals.
     forced, free = model.columns
-    if _jr_on_bits(quota, forced, _covered(forced, w) | _covered(free, w), wset) is not None:
+    best = _covered(forced, w) | _covered(free, w)
+    if _jr_on_bits(min_group_size(1, inst), forced, best, wset) is not None:
         return DecisionResult(False, POLY)
     added: dict[int, list[int]] = {}
     for c in w:
@@ -299,20 +300,8 @@ def _poss_jr_lottery(model: LotteryModel, w: Committee, budget: int | None) -> D
 
 
 def exists_poss_jr(model: Model) -> DecisionResult:
-    """Always yes: every profile admits a JR committee, so build one
-    greedily for the first plausible profile, on its stored per-candidate
-    view: a matrix model's forced approvals, a Lottery model's layer 0, a
-    Joint model's first entry."""
-    inst = model.instance
-    pp = first_plausible(model)
-    if isinstance(model, JointModel):
-        approvers = model.approvers[0]
-    elif isinstance(model, LotteryModel):
-        approvers = model.layers[0]
-    else:
-        approvers = model.columns[0]
-    w = _greedy_jr(inst, approvers)
-    return DecisionResult(True, POLY, witness_committee=w, witness_profile=pp)
+    """Always yes: the JR case of ``exists_poss_axiom``."""
+    return exists_poss_axiom(model, "jr")
 
 
 # ---------------------------------------------------------------------------
@@ -322,16 +311,9 @@ def exists_poss_jr(model: Model) -> DecisionResult:
 def is_nec_jr(
     model: Model, w, *, budget: int | None = None, force_enumeration: bool = False
 ) -> DecisionResult:
-    """Does ``w`` satisfy JR in every plausible profile?"""
-    inst = model.instance
-    w = committee(w, inst)
-    if force_enumeration:
-        return is_nec_axiom(model, w, "jr", budget=budget, force_enumeration=True)
-    if isinstance(model, JointModel):
-        return _joint_jr(model, w, False)
-    if isinstance(model, LotteryModel):
-        return _nec_jr_lottery(model, w)
-    return _nec_jr_matrix(model, w)
+    """Does ``w`` satisfy JR in every plausible profile?  The JR case of
+    ``is_nec_axiom``, which picks the fast path."""
+    return is_nec_axiom(model, w, "jr", budget=budget, force_enumeration=force_enumeration)
 
 
 def _nec_jr_lottery(model: LotteryModel, w: Committee) -> DecisionResult:
@@ -407,40 +389,9 @@ def _nec_jr_matrix(model: CandidateProbModel, w: Committee) -> DecisionResult:
 def exists_nec_jr(
     model: Model, *, budget: int | None = None, force_enumeration: bool = False
 ) -> DecisionResult:
-    """Is some size-``k`` committee JR in every plausible profile?"""
-    if force_enumeration:
-        return exists_nec_axiom(model, "jr", budget=budget, force_enumeration=True)
-    inst = model.instance
-    if isinstance(model, LotteryModel):
-        # Every set is one candidate iff the layers hold as many
-        # (voter, candidate) bits as voters with a nonempty set, and
-        # those are as many as sets; a candidate's count is its sets.
-        layers = list(model.layers)
-        counts = [sum(layer[c].bit_count() for layer in layers) for c in range(inst.m)]
-        nonempty = sum(_covered(layer, range(inst.m)).bit_count() for layer in layers)
-        if sum(counts) == nonempty == sum(map(len, model.lotteries)):
-            mandatory = [c for c in range(inst.m) if meets_threshold(counts[c], 1, inst)]
-            if len(mandatory) > inst.k:
-                return DecisionResult(False, POLY)
-            chosen = list(mandatory)
-            for c in range(inst.m):
-                if len(chosen) == inst.k:
-                    break
-                if c not in mandatory:
-                    chosen.append(c)
-            return DecisionResult(True, POLY, witness_committee=tuple(sorted(chosen)))
-    if isinstance(model, CandidateProbModel):
-        if all(len(free) == inst.m for _, free in model.split_rows):
-            # Every candidate can be the unanimous favourite, so only
-            # the full candidate set is necessarily JR.
-            if inst.k == inst.m:
-                return DecisionResult(True, POLY, witness_committee=tuple(range(inst.m)))
-            return DecisionResult(False, POLY)
-    _check_budget(math.comb(inst.m, inst.k), budget)
-    for w in itertools.combinations(range(inst.m), inst.k):
-        if is_nec_jr(model, w).answer:
-            return DecisionResult(True, ENUM, witness_committee=w)
-    return DecisionResult(False, ENUM)
+    """Is some size-``k`` committee JR in every plausible profile?  The
+    JR case of ``exists_nec_axiom``, which picks the fast path."""
+    return exists_nec_axiom(model, "jr", budget=budget, force_enumeration=force_enumeration)
 
 
 # ---------------------------------------------------------------------------
@@ -478,13 +429,18 @@ def is_poss_axiom(
     model: Model, w, axiom: str, *, budget: int | None = None,
     force_enumeration: bool = False,
 ) -> DecisionResult:
-    """Possible satisfaction for any axiom; JR uses the fast paths unless
-    ``force_enumeration``, every other question the first satisfying
-    profile of ``_first``."""
+    """Possible satisfaction for any axiom.  Unless ``force_enumeration``,
+    JR takes its model kind's fast path: the lottery search, the first
+    satisfying Joint entry or a matrix model's best case.  Every other
+    question is the first satisfying profile of ``_first``."""
     _require_axiom(axiom)
-    if axiom == "jr" and not force_enumeration:
-        return is_poss_jr(model, w, budget=budget)
     w = committee(w, model.instance)
+    if axiom == "jr" and not force_enumeration:
+        if isinstance(model, LotteryModel):
+            return _poss_jr_lottery(model, w, budget)
+        if isinstance(model, JointModel):
+            return _joint_jr(model, w, True)
+        return _poss_jr_matrix(model, w)
     pp = _first(model, frozenset(w), axiom, True, budget)
     if pp is None:
         return DecisionResult(False, ENUM)
@@ -495,15 +451,21 @@ def is_nec_axiom(
     model: Model, w, axiom: str, *, budget: int | None = None,
     force_enumeration: bool = False,
 ) -> DecisionResult:
-    """Necessary satisfaction for any axiom; JR uses the fast paths unless
-    ``force_enumeration``, every other question the first violating
-    profile of ``_first``.  The witness violation is the full checker's
-    on the witness profile."""
+    """Necessary satisfaction for any axiom.  Unless ``force_enumeration``,
+    JR takes its model kind's fast path: the first violating Joint
+    entry, the lottery reach count or a matrix model's worst case.  Every
+    other question is the first violating profile of ``_first``, whose
+    witness violation is the full checker's on the witness profile."""
     _require_axiom(axiom)
-    if axiom == "jr" and not force_enumeration:
-        return is_nec_jr(model, w, budget=budget)
     inst = model.instance
-    wset = frozenset(committee(w, inst))
+    w = committee(w, inst)
+    if axiom == "jr" and not force_enumeration:
+        if isinstance(model, JointModel):
+            return _joint_jr(model, w, False)
+        if isinstance(model, LotteryModel):
+            return _nec_jr_lottery(model, w)
+        return _nec_jr_matrix(model, w)
+    wset = frozenset(w)
     pp = _first(model, wset, axiom, False, budget)
     if pp is None:
         return DecisionResult(True, ENUM)
@@ -518,28 +480,66 @@ def exists_nec_axiom(
     force_enumeration: bool = False,
 ) -> DecisionResult:
     """Is some committee necessarily satisfying ``axiom``?  First
-    lexicographic winner is returned; each committee's scan stops at its
-    first violating profile.  JR uses the fast paths unless
-    ``force_enumeration``; PJR and EJR have the one scan."""
+    lexicographic winner is returned.  Unless ``force_enumeration``, JR
+    first tries its two polynomial special cases (all-singleton
+    lotteries, strictly interior matrices) and then tests each committee
+    with ``is_nec_axiom``'s fast path; every other question stops each
+    committee's scan at its first violating profile."""
     _require_axiom(axiom)
-    if axiom == "jr" and not force_enumeration:
-        return exists_nec_jr(model, budget=budget)
     inst = model.instance
+    jr = axiom == "jr" and not force_enumeration
+    if jr and isinstance(model, LotteryModel):
+        # Every set is one candidate iff the layers hold as many
+        # (voter, candidate) bits as voters with a nonempty set, and
+        # those are as many as sets; a candidate's count is its sets.
+        layers = list(model.layers)
+        counts = [sum(layer[c].bit_count() for layer in layers) for c in range(inst.m)]
+        nonempty = sum(_covered(layer, range(inst.m)).bit_count() for layer in layers)
+        if sum(counts) == nonempty == sum(map(len, model.lotteries)):
+            mandatory = [c for c in range(inst.m) if meets_threshold(counts[c], 1, inst)]
+            if len(mandatory) > inst.k:
+                return DecisionResult(False, POLY)
+            rest = [c for c in range(inst.m) if c not in mandatory]
+            chosen = sorted(mandatory + rest[:inst.k - len(mandatory)])
+            return DecisionResult(True, POLY, witness_committee=tuple(chosen))
+    if jr and isinstance(model, CandidateProbModel):
+        if all(len(free) == inst.m for _, free in model.split_rows):
+            # Every candidate can be the unanimous favourite, so only
+            # the full candidate set is necessarily JR.
+            if inst.k == inst.m:
+                return DecisionResult(True, POLY, witness_committee=tuple(range(inst.m)))
+            return DecisionResult(False, POLY)
     _check_budget(math.comb(inst.m, inst.k), budget)
     for w in itertools.combinations(range(inst.m), inst.k):
-        if _first(model, frozenset(w), axiom, False, budget) is None:
+        if jr:
+            holds = is_nec_axiom(model, w, "jr").answer
+        else:
+            holds = _first(model, frozenset(w), axiom, False, budget) is None
+        if holds:
             return DecisionResult(True, ENUM, witness_committee=w)
     return DecisionResult(False, ENUM)
 
 
 def exists_poss_axiom(model: Model, axiom: str, *, budget: int | None = None) -> DecisionResult:
     """Is some committee possibly satisfying ``axiom``?  For JR this is
-    always yes; for PJR/EJR each committee's scan stops at its first
-    satisfying profile."""
+    always yes: every profile admits a JR committee, so one is built
+    greedily for the first plausible profile, on its stored
+    per-candidate view (a matrix model's forced approvals, a Lottery
+    model's layer 0, a Joint model's first entry).  For PJR/EJR each
+    committee's scan stops at its first satisfying profile."""
     _require_axiom(axiom)
-    if axiom == "jr":
-        return exists_poss_jr(model)
     inst = model.instance
+    if axiom == "jr":
+        if isinstance(model, JointModel):
+            approvers = model.approvers[0]
+        elif isinstance(model, LotteryModel):
+            approvers = model.layers[0]
+        else:
+            approvers = model.columns[0]
+        return DecisionResult(
+            True, POLY, witness_committee=_greedy_jr(inst, approvers),
+            witness_profile=first_plausible(model),
+        )
     _check_budget(math.comb(inst.m, inst.k), budget)
     for w in itertools.combinations(range(inst.m), inst.k):
         pp = _first(model, frozenset(w), axiom, True, budget)

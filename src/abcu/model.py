@@ -43,8 +43,13 @@ class BudgetError(RuntimeError):
 
 
 def resolve_budget(budget: int | None) -> int:
-    """The enumeration budget in force: ``budget``, or the default when None."""
-    return DEFAULT_BUDGET if budget is None else budget
+    """The enumeration budget in force: ``budget``, or the default when
+    None.  A negative budget is an input error."""
+    if budget is None:
+        return DEFAULT_BUDGET
+    if budget < 0:
+        raise InputError(f"the budget must be at least 0, not {budget}")
+    return budget
 
 
 def _check_budget(total: int, budget: int | None) -> None:

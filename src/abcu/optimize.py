@@ -25,8 +25,8 @@ from .model import (
     approval_profile,
     min_group_size,
 )
-from .probability import _jr_path, _scan_values
-from .uncertainty import JointModel, Model, plausible_count
+from .probability import committee_probabilities
+from .uncertainty import Model, plausible_count
 
 
 @dataclass(frozen=True)
@@ -45,9 +45,11 @@ def max_axiom(
 ) -> MaxResult:
     """Committee with the highest probability of satisfying ``axiom``.
 
-    JR on a Lottery or CandidateProb model takes each committee's
-    polynomial path, a closed form or the voter DP.  Every other
-    question (PJR and EJR, Joint models and ``force_enumeration``)
+    The probabilities come from ``probability.committee_probabilities``,
+    the dispatcher behind ``axiom_probability``, so both questions take
+    the same path.  JR on a Lottery or CandidateProb model takes each
+    committee's polynomial path, a closed form or the voter DP.  Every
+    other question (PJR and EJR, Joint models and ``force_enumeration``)
     scores all committees in one pass over the lanes of the plausible
     profiles (``uncertainty._lanes``): each committee's lane test marks
     all the satisfying profiles of a chunk at once, and their integer
@@ -62,20 +64,10 @@ def max_axiom(
     _check_budget(math.comb(inst.m, inst.k) * plausible_count(model), budget)
     _require_axiom(axiom)
     committees = list(itertools.combinations(range(inst.m), inst.k))
-    if axiom == "jr" and not force_enumeration and not isinstance(model, JointModel):
-        values = [_jr_path(model, w, budget).value for w in committees]
-    else:
-        values = _scan_values(model, committees, axiom, budget)
-    best: Fraction | None = None
-    best_w: Committee | None = None
-    ties = 0
-    for w, value in zip(committees, values):
-        if best is None or value > best:
-            best, best_w, ties = value, w, 1
-        elif value == best:
-            ties += 1
-    assert best is not None and best_w is not None
-    return MaxResult(best_w, best, ties)
+    results = committee_probabilities(model, committees, axiom, budget, force_enumeration)
+    values = [result.value for result in results]
+    best = max(values)
+    return MaxResult(committees[values.index(best)], best, values.count(best))
 
 
 def size_jr(inst: Instance, prof: Profile, r: int) -> tuple[bool, Committee | None]:

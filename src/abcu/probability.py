@@ -58,7 +58,9 @@ which stops at the first chunk that holds a witness.
 The per-profile scan is kept in ``tests/oracles.py`` as the reference
 the lanes are tested against.  On a three-valued model all plausible
 profiles are equiprobable, so results also carry the exact (satisfying,
-total) profile counts.
+total) profile counts.  ``committee_probabilities`` is the one switch
+between these paths, for one committee (``axiom_probability``) or for
+every committee at once (``optimize.max_axiom``).
 """
 
 from __future__ import annotations
@@ -111,9 +113,9 @@ def _with_counts(value: Fraction, method: str, model: Model) -> ProbResult:
     if not _three_valued(model):
         return ProbResult(value, method)
     total = model.profile_count
-    count = value * total
-    assert count.denominator == 1
-    return ProbResult(value, method, (count.numerator, total))
+    count, rest = divmod(value.numerator * total, value.denominator)
+    assert rest == 0
+    return ProbResult(value, method, (count, total))
 
 
 def _certain_over_committee(model: CandidateProbModel, w: Committee) -> bool:
@@ -258,14 +260,11 @@ def _jr_dp(model: Model, w: Committee) -> Fraction:
 
 
 def _jr_path(model: Model, w: Committee, budget: int | None) -> ProbResult:
-    """JR probability of canonical committee ``w`` without enumerating
-    profiles: a joint scan, the committee-certain closed form, or else the
-    voter DP, behind the profile-count budget gate unless a three-valued
-    model has ``k = n``."""
+    """JR probability of canonical committee ``w`` under independent
+    voters without enumerating profiles: the committee-certain closed
+    form, or else the voter DP, behind the profile-count budget gate
+    unless a three-valued model has ``k = n``."""
     inst = model.instance
-    if isinstance(model, JointModel):
-        value, = _lane_values(inst, model.lanes, [w], "jr")
-        return ProbResult(value, JOINT_SCAN)
     if _three_valued(model):
         if _certain_over_committee(model, w):
             return _with_counts(_certain_w_value(model, w), CLOSED_FORM_CERTAIN_W, model)
@@ -274,6 +273,26 @@ def _jr_path(model: Model, w: Committee, budget: int | None) -> ProbResult:
             return _with_counts(_jr_dp(model, w), COUNT_K_EQ_N, model)
     _check_budget(plausible_count(model), budget)
     return _with_counts(_jr_dp(model, w), DP_VOTERS, model)
+
+
+def committee_probabilities(
+    model: Model, committees: list[Committee], axiom: str, budget: int | None,
+    force_enumeration: bool,
+) -> list[ProbResult]:
+    """The ``ProbResult`` of each canonical committee of ``committees``
+    for ``axiom``, the one switch behind ``axiom_probability`` and
+    ``optimize.max_axiom``.  Unless ``force_enumeration``, JR takes each
+    committee's polynomial path on independent voters (``_jr_path``) and
+    one ungated pass over a Joint model's stored lanes (``joint-scan``).
+    Every other question is one lane scan of the plausible profiles for
+    all the committees, behind the profile-count budget gate."""
+    if axiom == "jr" and not force_enumeration:
+        if isinstance(model, JointModel):
+            values = _lane_values(model.instance, model.lanes, committees, "jr")
+            return [ProbResult(value, JOINT_SCAN) for value in values]
+        return [_jr_path(model, w, budget) for w in committees]
+    values = _scan_values(model, committees, axiom, budget)
+    return [_with_counts(value, ENUM, model) for value in values]
 
 
 def jr_probability(
@@ -301,11 +320,9 @@ def axiom_probability(
 
     JR dispatches to the joint scan, the closed form or the voter DP
     unless ``force_enumeration``; PJR and EJR are computed by the lane
-    scan only.
+    scan only (``committee_probabilities``).
     """
     _require_axiom(axiom)
     w = committee(w, model.instance)
-    if axiom == "jr" and not force_enumeration:
-        return _jr_path(model, w, budget)
-    value, = _scan_values(model, [w], axiom, budget)
-    return _with_counts(value, ENUM, model)
+    result, = committee_probabilities(model, [w], axiom, budget, force_enumeration)
+    return result

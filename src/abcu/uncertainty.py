@@ -499,7 +499,7 @@ def _model_errors(model: Model, check_sets: bool) -> list[str]:
     False: ``approval_set`` has just canonicalised and range-checked
     every set."""
     errors: list[str] = []
-    inst = model.instance
+    inst = getattr(model, "instance", None)  # None on a non-model, refused below
     if isinstance(model, JointModel):
         if not model.entries:
             errors.append("no profiles listed")

@@ -8,6 +8,7 @@ import pytest
 
 from abcu.cli import main
 from abcu.io import emit_document, parse_document
+from abcu.uncertainty import JointModel
 from test_io import HOSTILE, hostile_documents
 
 DOCS = Path(__file__).parent.parent / "docs" / "examples"
@@ -235,6 +236,28 @@ class TestDocumentCommands:
         assert code == 0
         assert parse_document(out).model == parse_document(
             (DOCS / "joint.json").read_text()).model
+
+    @pytest.mark.parametrize("source", ["lottery", "candidate-probability"])
+    def test_convert_to_joint_keeps_probabilities(self, capsys, tmp_path, source):
+        path = DOCS / f"{source}.json"
+        code, out, _ = run(capsys, "convert", "to-joint", str(path))
+        assert code == 0
+        assert isinstance(parse_document(out).model, JointModel)
+        converted = tmp_path / "joint.json"
+        converted.write_text(out)
+        for axiom in ("jr", "pjr"):
+            reports = []
+            for file in (path, converted):
+                code, report, _ = run(capsys, "prob", axiom, "--output", "machine", str(file))
+                assert code == 0
+                reports.append(json.loads(report)["probability"])
+            assert reports[0] == reports[1], axiom
+
+    def test_convert_joint_to_lottery_is_refused(self, capsys):
+        code, out, err = run(capsys, "convert", "to-lottery", str(DOCS / "joint.json"))
+        assert code == 2
+        assert out == ""
+        assert err == "error: a joint model has no lottery representation in general\n"
 
     def test_gen_is_deterministic_and_valid(self, capsys):
         args = ("gen", "--kind", "3va", "--voters", "3", "--candidates", "3",
