@@ -13,16 +13,19 @@ All checkers return the first violation in a documented scan order
 lexicographic voter group), so witnesses are reproducible.
 
 PJR and EJR are decided one level ``ell`` at a time on bitmasks: each
-approval set becomes a candidate mask and each candidate's approvers a
-voter bitset.  With ``q`` the level's quota, a level fails iff some pool
-of voters holds ``q`` who jointly approve an ``ell``-set ``T``:
+candidate's approvers become a voter bitset (:func:`_approvers`), and
+the voters are split by the committee members they approve, one AND
+per member and part.  With ``q`` the level's quota, a level fails iff
+some pool of voters holds ``q`` who jointly approve an ``ell``-set
+``T``:
 
 * EJR: one pool, the voters with fewer than ``ell`` approved committee
   members.
 * PJR: one pool per ``S``, a set of ``ell - 1`` committee members: the
   voters whose approved committee members all lie in ``S``.  A group's
   approvals meet the committee in fewer than ``ell`` members iff they
-  lie inside some such ``S``, so no voter group is enumerated.
+  lie inside some such ``S``, so no voter group is enumerated.  EJR
+  implies PJR, so the PJR pools are searched only where EJR fails.
 
 Only heavy candidates, approved by at least ``q`` voters of the pool,
 can belong to ``T``, and ``T`` is searched depth first over them in
@@ -60,7 +63,6 @@ from operator import and_, or_
 from typing import Callable, Iterator
 
 from .model import (
-    ApprovalSet,
     Committee,
     InputError,
     Instance,
@@ -166,8 +168,9 @@ def ejr_violation(inst: Instance, prof: Profile, w: Committee) -> Violation | No
 
 
 def _ejr_violation(inst: Instance, prof: Profile, wset: frozenset[int]) -> Violation | None:
-    view = _bit_view(inst)(prof)
-    hit = _Levels(inst, wset).ejr(view)
+    levels = _Levels(inst, wset)
+    view = levels.view(prof)
+    hit = levels.ejr(view)
     if hit is None:
         return None
     ell, common, eligible = hit
@@ -193,14 +196,23 @@ def pjr_violation(inst: Instance, prof: Profile, w: Committee) -> Violation | No
     lexicographically first quota-sized violating group, the one a brute
     force over voter groups returns, at ``O(n * C(k, ell - 1))`` more
     operations.
+
+    EJR implies PJR, so the cheaper EJR level test runs first, and a
+    committee that satisfies EJR is returned None without a PJR pool.
+    Where EJR fails, the PJR levels are searched from the lowest, so the
+    violation is PJR's own lowest failing level and group, which may lie
+    above the EJR level or not exist.
     """
     w = committee(w, inst)
     return _pjr_violation(inst, prof, frozenset(w))
 
 
 def _pjr_violation(inst: Instance, prof: Profile, wset: frozenset[int]) -> Violation | None:
-    view = _bit_view(inst)(prof)
     levels = _Levels(inst, wset)
+    view = levels.view(prof)
+    # EJR implies PJR, so the S-pools are searched only when EJR fails.
+    if levels.ejr(view) is None:
+        return None
     ell = levels.pjr(view)
     if ell is None:
         return None
@@ -228,47 +240,24 @@ def _mask(members) -> int:
     return sum(1 << c for c in members)
 
 
-class _SetMasks(dict):
-    """Approval set -> candidate bitmask, built on first use."""
-
-    __slots__ = ()
-
-    def __missing__(self, s: ApprovalSet) -> int:
-        mask = self[s] = _mask(s)
-        return mask
-
-
-# A profile as the PJR/EJR level tests read it: (candidate mask, voter
-# bitset) for each distinct approval set, and each candidate's approvers
-# as a voter bitset.
+# A profile as the PJR/EJR level tests read it: (mask of approved
+# committee members, voter bitset) for each nonempty part of the voters
+# split by their approved members (see :meth:`_Levels.view`), and each
+# candidate's approvers as a voter bitset.  The tests read a mask only
+# within the committee, so a mask may also hold candidates outside it.
 _View = tuple[list[tuple[int, int]], list[int]]
 
 
-def _bit_view(inst: Instance) -> Callable[[Profile], _View]:
-    """A function from a profile to its bit view, sharing one table of
-    set masks across every profile it is given.  The approvers are ORed
-    from the voters of each distinct set, which the set masks need
-    anyway; on the few-voter profiles enumeration feeds it, that is
-    cheaper than :func:`_approvers`."""
-    masks = _SetMasks()
-    m = inst.m
-
-    def view(prof: Profile) -> _View:
-        voters: dict[ApprovalSet, int] = {}
-        for i, s in enumerate(prof):
-            voters[s] = voters.get(s, 0) | 1 << i
-        approvers = [0] * m
-        for s, bits in voters.items():
-            for c in s:
-                approvers[c] |= bits
-        return [(masks[s], bits) for s, bits in voters.items()], approvers
-
-    return view
+# For each byte value, a digit 1 for "1" and 0 for every other character.
+_DIGIT_BITS = bytes(int(b == ord("1")) for b in range(256))
 
 
 def _voters(bits: int) -> tuple[int, ...]:
-    """The set bits of ``bits``, ascending, read off its binary digits."""
-    return tuple(i for i, digit in enumerate(bin(bits)[:1:-1]) if digit == "1")
+    """The set bits of ``bits``, ascending, read off its binary digits:
+    the digits, lowest first, become bytes 0 and 1 that select their
+    positions."""
+    return tuple(itertools.compress(itertools.count(),
+                                    bin(bits)[:1:-1].encode().translate(_DIGIT_BITS)))
 
 
 def _approvers_of(common: tuple[int, ...], view: _View, pool: int) -> int:
@@ -318,6 +307,7 @@ class _Levels:
     """The PJR and EJR level tests of one committee ``W``."""
 
     def __init__(self, inst: Instance, wset: frozenset[int]):
+        self.m = inst.m
         self.wset = wset
         self.wmask = _mask(wset)
         self.quotas = [
@@ -335,6 +325,35 @@ class _Levels:
             ell: [_mask(s) for s in itertools.combinations(members, min(ell - 1, len(members)))]
             for ell, _ in self.quotas
         }
+
+    @cached_property
+    def outsides(self) -> dict[int, list[tuple[list[int], int]]]:
+        """For each level, the members of W outside each of its ``S``, as
+        a list and a mask: the PJR lane pools, built on first read."""
+        members = sorted(self.wset)
+        return {
+            ell: [([c for c in members if not s >> c & 1], self.wmask & ~s) for s in masks]
+            for ell, masks in self.subsets.items()
+        }
+
+    def view(self, prof: Profile) -> _View:
+        """``prof``'s view: its approvers (:func:`_approvers`), and its
+        voters split by their approved committee members, one AND per
+        member and part."""
+        approvers = _approvers(self.m, prof)
+        parts = [(0, (1 << len(prof)) - 1)]
+        for c in self.wset:
+            bits = approvers[c]
+            member = 1 << c
+            split = []
+            for part, voters in parts:
+                inside = voters & bits
+                if inside:
+                    split.append((part | member, inside))
+                if inside != voters:
+                    split.append((part, voters ^ inside))
+            parts = split
+        return parts, approvers
 
     def ejr(self, view: _View) -> tuple[int, tuple[int, ...], int] | None:
         """The lowest failing EJR level ``ell``, its first common set
@@ -500,7 +519,9 @@ def _lane_test(inst: Instance, wset: frozenset[int], axiom: str) -> Callable[...
       least j" lanes; level ``ell``'s pool is the lanes where a voter
       approves fewer than ``ell`` members.
     * PJR: one pool per level ``ell`` and ``S`` (as :class:`_Levels`),
-      the lanes where a voter approves no member outside ``S``.
+      the lanes where a voter approves no member outside ``S``, over the
+      lanes that violate EJR only: the EJR test runs first, and a chunk
+      where every lane satisfies EJR needs no pool.
 
     A PJR or EJR level violates where its pool holds a quota of voters
     jointly approving an ``ell``-set (``_common_lanes``).  Lanes that
@@ -526,44 +547,42 @@ def _lane_test(inst: Instance, wset: frozenset[int], axiom: str) -> Callable[...
 
         return jr
     levels = _Levels(inst, wset)
+
+    def ejr(lanes: list[list[int]], full: int, fixed: list[tuple[int, int]]) -> int:
+        # approved[j][v]: the lanes where voter v approves j or more members.
+        approved = [[-1] * len(lanes[0])]
+        for c in members:
+            col = lanes[c]
+            approved.append(list(map(and_, approved[-1], col)))
+            for j in range(len(approved) - 2, 0, -1):
+                approved[j] = list(map(or_, approved[j], map(and_, approved[j - 1], col)))
+        violating = 0
+        for ell, quota in levels.quotas:
+            alive = full & ~violating
+            pool = [alive & ~x for x in approved[ell]]
+            held = [f for f in fixed if (f[0] & wmask).bit_count() < ell]
+            violating |= _common_lanes(pool, lanes, 0, ell, quota, alive, held)
+            if violating == full:
+                break
+        return full & ~violating
+
     if axiom == "ejr":
-
-        def ejr(lanes: list[list[int]], full: int, fixed: list[tuple[int, int]]) -> int:
-            # approved[j][v]: the lanes where voter v approves j or more members.
-            approved = [[-1] * len(lanes[0])]
-            for c in members:
-                col = lanes[c]
-                approved.append(list(map(and_, approved[-1], col)))
-                for j in range(len(approved) - 2, 0, -1):
-                    approved[j] = list(map(or_, approved[j], map(and_, approved[j - 1], col)))
-            violating = 0
-            for ell, quota in levels.quotas:
-                alive = full & ~violating
-                pool = [alive & ~x for x in approved[ell]]
-                held = [f for f in fixed if (f[0] & wmask).bit_count() < ell]
-                violating |= _common_lanes(pool, lanes, 0, ell, quota, alive, held)
-                if violating == full:
-                    break
-            return full & ~violating
-
         return ejr
-    # For each level, the members outside each S, as a list and a mask.
-    specs = [
-        (ell, quota, [([c for c in members if not s >> c & 1], wmask & ~s)
-                      for s in levels.subsets[ell]])
-        for ell, quota in levels.quotas
-    ]
 
     def pjr(lanes: list[list[int]], full: int, fixed: list[tuple[int, int]]) -> int:
+        # EJR implies PJR, so only the lanes that violate EJR are tested.
+        suspects = full & ~ejr(lanes, full, fixed)
+        if not suspects:
+            return full
         violating = 0
-        for ell, quota, outsides in specs:
-            for outside, out in outsides:
-                alive = full & ~violating
+        for ell, quota in levels.quotas:
+            for outside, out in levels.outsides[ell]:
+                alive = suspects & ~violating
                 pool = [alive & ~x for x in _any_lanes(lanes, outside)]
                 held = [f for f in fixed if not f[0] & out]
                 violating |= _common_lanes(pool, lanes, 0, ell, quota, alive, held)
-                if violating == full:
-                    return 0
+                if violating == suspects:
+                    return full & ~violating
         return full & ~violating
 
     return pjr

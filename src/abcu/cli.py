@@ -28,7 +28,7 @@ from .io import (
     parse_document,
     parse_edge_list,
 )
-from .model import BudgetError, InputError
+from .model import BudgetError, InputError, resolve_budget
 from .uncertainty import (
     JointModel,
     LotteryModel,
@@ -344,6 +344,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        # A negative budget is refused here, whether or not the question
+        # would read it, with the library's message.
+        if args.budget is not None:
+            resolve_budget(args.budget)
         out, status = args.handler(args)
         if isinstance(out, str):
             sys.stdout.write(out)

@@ -37,6 +37,14 @@ per-candidate products (``column_products``), built only for a witness:
 a possible-JR witness approves the committee's free entries and misses
 every other one; a necessary-JR refutation misses every free entry but
 those of its group at the violated candidate, whose column is read once.
+A witness starts from the first profile, the forced approvals alone, and
+changes only the voters that differ from it: for possible JR the voters
+with a free committee entry (the OR of the committee's free columns),
+each of which gets its forced mask OR its free mask within the
+committee; for a refutation the group, which also approves the violated
+candidate.  The masks come from the rows stored as candidate masks
+(``row_masks``) and are decoded to sets by 256-entry tables, one per
+byte position, so no loop runs over every voter or every free entry.
 
 A lottery's layer ``t`` holds each candidate's voters whose ``t``-th set
 holds it.  The voters who can approve an outside candidate ``c`` with a
@@ -71,11 +79,13 @@ checker.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import or_
+from operator import add, or_
+from typing import Iterator
 
 from .axioms import (
     _COMMITTEE_FINDERS,
@@ -84,6 +94,7 @@ from .axioms import (
     _greedy_jr,
     _jr_on_bits,
     _lane_test,
+    _mask,
     _require_axiom,
     _voters,
 )
@@ -145,14 +156,15 @@ def _poss_jr_matrix(model: CandidateProbModel, w: Committee) -> DecisionResult:
     best = _covered(forced, w) | _covered(free, w)
     if _jr_on_bits(min_group_size(1, inst), forced, best, wset) is not None:
         return DecisionResult(False, POLY)
-    added: dict[int, list[int]] = {}
-    for c in w:
-        for i in _voters(free[c]):
-            added.setdefault(i, []).append(c)
-    rows = model.split_rows
+    # Only the voters with a free committee entry differ from the first
+    # profile, which holds the forced approvals alone.
     sets = list(model.first.profile)
-    for i, members in added.items():
-        sets[i] = tuple(sorted(rows[i][0] + members))
+    touched = _voters(_covered(free, w))
+    row_forced, row_free = model.row_masks
+    wmask = _mask(w)
+    masks = [row_forced[i] | row_free[i] & wmask for i in touched]
+    for i, s in zip(touched, _candidate_sets(inst.m, masks)):
+        sets[i] = s
     approve, miss, den = model.column_products
     num = math.prod([approve[c] if c in wset else miss[c] for c in range(inst.m)])
     return DecisionResult(
@@ -352,6 +364,25 @@ def _nec_jr_lottery(model: LotteryModel, w: Committee) -> DecisionResult:
     )
 
 
+@functools.cache
+def _byte_sets(j: int) -> tuple[tuple[int, ...], ...]:
+    """For each byte value, as byte ``j`` of a candidate mask, the
+    candidates its set bits stand for, ascending."""
+    return tuple(tuple(8 * j + b for b in range(8) if x >> b & 1) for x in range(256))
+
+
+def _candidate_sets(m: int, masks: list[int]) -> Iterator[tuple[int, ...]]:
+    """The candidates of each mask of ``masks``, ascending, for candidates
+    below ``m``: each byte of a mask is looked up in the table of its
+    position (``_byte_sets``) and the pieces are joined, lowest first."""
+    size = (m + 7) // 8
+    data = b"".join(map(int.to_bytes, masks, itertools.repeat(size), itertools.repeat("little")))
+    sets = map(_byte_sets(0).__getitem__, data[::size])
+    for j in range(1, size):
+        sets = map(add, sets, map(_byte_sets(j).__getitem__, data[j::size]))
+    return sets
+
+
 def _nec_jr_matrix(model: CandidateProbModel, w: Committee) -> DecisionResult:
     """The worst case: the voters who can dodge the committee (no forced
     approval inside it) each approve the outside candidate ``c`` when
@@ -369,10 +400,12 @@ def _nec_jr_matrix(model: CandidateProbModel, w: Committee) -> DecisionResult:
         return DecisionResult(True, POLY)
     (c,) = viol.common
     group = frozenset(viol.group)
-    prof = tuple(
-        tuple(sorted({*row_forced, c})) if i in group else tuple(row_forced)
-        for i, (row_forced, _) in enumerate(model.split_rows)
-    )
+    sets = list(model.first.profile)
+    row_forced = model.row_masks[0]
+    masks = [row_forced[i] | 1 << c for i in viol.group]
+    for i, s in zip(viol.group, _candidate_sets(inst.m, masks)):
+        sets[i] = s
+    prof = tuple(sets)
     # Every free entry is missed but those of the group at ``c``.
     _, miss, den = model.column_products
     num = math.prod(miss[:c]) * math.prod(miss[c + 1:])

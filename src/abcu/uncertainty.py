@@ -73,9 +73,11 @@ witnesses from, is kept with the plan.
 The polynomial JR questions read a model by candidate, not by voter,
 and each model keeps that view too, built on first use: a matrix
 model's voters per candidate as two bitsets, its forced and its free
-entries (``columns``), and apart from them, since only witness prices
-need them, each candidate's products of its free entries' numerators,
-of their complements and of the denominators (``column_products``); a
+entries (``columns``), and apart from them, since only witnesses need
+them, each row's forced and free entries as two candidate masks
+(``row_masks``) and each candidate's products of its free entries'
+numerators, of their complements and of the denominators
+(``column_products``); a
 Joint model's approvers per candidate, one list of voter bitsets per
 entry, each built the first time it is read, so a scan builds only as
 far as it reads (``approvers``); a Lottery model's approvers per
@@ -102,7 +104,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Union
 
-from .axioms import _approvers
+from .axioms import _approvers, _mask
 from .model import (
     _INT_TYPES,
     ApprovalSet,
@@ -270,16 +272,17 @@ class LotteryModel(_IndependentVoters):
 
 
 # The attributes a model of independent voters builds on first use.
-_STORED = ("split_rows", "columns", "column_products", "tables", "profile_count", "block",
-           "first", "layers")
+_STORED = ("split_rows", "columns", "row_masks", "column_products", "tables", "profile_count",
+           "block", "first", "layers")
 
 
 @dataclass(frozen=True)
 class CandidateProbModel(_IndependentVoters):
     """Independent approval probability for every (voter, candidate)
     pair; when tagged ``three_valued``, certain entries and unknowns at
-    1/2.  The rows classified by ``_split_row`` and two views of them by
-    candidate are built on first use and kept; callers never change them."""
+    1/2.  The rows classified by ``_split_row``, two views of them by
+    candidate and one as candidate masks are built on first use and
+    kept; callers never change them."""
 
     instance: Instance
     probs: tuple[tuple[Fraction, ...], ...]
@@ -298,6 +301,14 @@ class CandidateProbModel(_IndependentVoters):
         rows = self.split_rows
         return (_approvers(m, [row_forced for row_forced, _ in rows]),
                 _approvers(m, [[c for c, _, _ in row_free] for _, row_free in rows]))
+
+    @cached_property
+    def row_masks(self) -> tuple[list[int], list[int]]:
+        """``(forced, free)``: for each row, its forced and its free
+        entries as candidate masks."""
+        rows = self.split_rows
+        return ([_mask(row_forced) for row_forced, _ in rows],
+                [_mask(c for c, _, _ in row_free) for _, row_free in rows])
 
     @cached_property
     def column_products(self) -> tuple[list[int], list[int], int]:

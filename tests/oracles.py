@@ -28,6 +28,7 @@ import itertools
 import json
 import math
 from fractions import Fraction
+from typing import Callable
 
 from abcu import (
     DEFAULT_BUDGET,
@@ -40,10 +41,17 @@ from abcu import (
     profile_probability,
     satisfies,
 )
-from abcu.axioms import _COMMITTEE_FINDERS, Violation, _bit_view, _Levels
+from abcu.axioms import _COMMITTEE_FINDERS, Violation, _Levels, _mask, _View
 from abcu.decide import ENUM, POLY, DecisionResult
 from abcu.io import FORMAT
-from abcu.model import approval_profile, meets_threshold, min_group_size
+from abcu.model import (
+    ApprovalSet,
+    Instance,
+    Profile,
+    approval_profile,
+    meets_threshold,
+    min_group_size,
+)
 from abcu.uncertainty import _weighted_profiles
 
 ONE = Fraction(1)
@@ -255,6 +263,44 @@ def _jr_test(inst, wset):
     packed = _PackedSets(wset, width)
     lookup = packed.__getitem__
     return lambda prof: not (sum(map(lookup, prof), bias) & high)
+
+
+# The per-set bit view: (candidate mask, voter bitset) for each distinct
+# approval set, and each candidate's approvers.  The level tests read a
+# mask only within the committee, so they take it as they take the
+# library's split by committee part; the reference scans keep their own.
+
+
+class _SetMasks(dict):
+    """Approval set -> candidate bitmask, built on first use."""
+
+    __slots__ = ()
+
+    def __missing__(self, s: ApprovalSet) -> int:
+        mask = self[s] = _mask(s)
+        return mask
+
+
+def _bit_view(inst: Instance) -> Callable[[Profile], _View]:
+    """A function from a profile to its bit view, sharing one table of
+    set masks across every profile it is given.  The approvers are ORed
+    from the voters of each distinct set, which the set masks need
+    anyway; on the few-voter profiles enumeration feeds it, that is
+    cheaper than :func:`_approvers`."""
+    masks = _SetMasks()
+    m = inst.m
+
+    def view(prof: Profile) -> _View:
+        voters: dict[ApprovalSet, int] = {}
+        for i, s in enumerate(prof):
+            voters[s] = voters.get(s, 0) | 1 << i
+        approvers = [0] * m
+        for s, bits in voters.items():
+            for c in s:
+                approvers[c] |= bits
+        return [(masks[s], bits) for s, bits in voters.items()], approvers
+
+    return view
 
 
 def _satisfaction_test(inst, wset, axiom):

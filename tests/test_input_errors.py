@@ -246,3 +246,16 @@ class TestNegativeBudget:
         assert capsys.readouterr().err == (
             "budget exceeded: enumeration of 1 objects exceeds the budget of 0\n"
         )
+
+    def test_cli_refuses_before_any_gate(self, capsys):
+        # These questions read no budget on these documents, yet the
+        # command line refuses a negative one all the same.
+        for argv in (
+            ("decide", "nec", "jr", str(DOCS / "lottery.json")),
+            ("decide", "poss", "jr", str(DOCS / "joint.json")),
+            ("exists", "poss-jr", str(DOCS / "joint.json")),
+            ("decide", "poss", "jr", str(DOCS / "candidate-probability.json")),
+        ):
+            assert main(list(argv)) == 0
+            capsys.readouterr()
+            assert _error_line(capsys, *argv, "--budget", "-1") == NEGATIVE

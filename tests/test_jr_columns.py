@@ -540,7 +540,7 @@ class TestSizeJr:
 
 # The views each model kind builds on first use, and everything it keeps.
 VIEWS = {
-    CandidateProbModel: ("columns", "column_products", "first"),
+    CandidateProbModel: ("columns", "row_masks", "column_products", "first"),
     JointModel: ("approvers",),
     LotteryModel: ("layers", "first"),
 }
@@ -571,6 +571,7 @@ def _read_views(model):
         model.first
     else:
         model.columns
+        model.row_masks
         model.column_products
         model.first
 
@@ -676,7 +677,8 @@ class TestStorage:
 def builds(monkeypatch):
     """Count the builds of every stored view, by name."""
     counts = Counter()
-    for cls, name in ((CandidateProbModel, "columns"), (CandidateProbModel, "column_products"),
+    for cls, name in ((CandidateProbModel, "columns"), (CandidateProbModel, "row_masks"),
+                      (CandidateProbModel, "column_products"),
                       (uncertainty._IndependentVoters, "first"), (LotteryModel, "layers")):
         func = vars(cls)[name].func
 
@@ -712,7 +714,9 @@ class TestBuiltOnce:
             exists_poss_jr(model)
             first_plausible(model)
         # The columns are two approver builds: forced and free entries.
-        assert builds == {"columns": 1, "column_products": 1, "first": 1, "approvers": 2}
+        # The row masks are built once, for the first witness.
+        assert builds == {"columns": 1, "row_masks": 1, "column_products": 1, "first": 1,
+                          "approvers": 2}
         twin = CandidateProbModel(inst, model.probs, model.three_valued)
         is_nec_jr(twin, (0, 1))
         assert builds["columns"] == 2 and builds["approvers"] == 4
