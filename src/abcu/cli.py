@@ -85,7 +85,9 @@ def _machine_value(value):
             "common": list(value.common),
         }
     if isinstance(value, PlausibleProfile):
-        return {"profile": [list(s) for s in value.profile], "prob": _frac(value.prob)}
+        # The profile stays a tuple of tuples: ``_dumps`` renders each
+        # distinct set once.
+        return {"profile": value.profile, "prob": _frac(value.prob)}
     if isinstance(value, tuple):
         return [_machine_value(v) for v in value]
     if isinstance(value, dict):

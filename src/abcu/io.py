@@ -7,12 +7,21 @@ integers 0 and 1.  Non-integral JSON numbers are rejected: binary
 floats cannot represent the decimal the author wrote.  See
 ``docs/schema.md`` for the full schema and one example per kind.
 
-A document is read in one pass: every probability goes through one
-memoised parser per document (``uncertainty._probability_parser``), so
-each distinct raw value is parsed once, and the parsed values are
-handed to the model as they are.  A matrix row is parsed in one sweep;
-only a row that fails is read again entry by entry, to name the first
-bad entry's path.
+A document is read in whole-document passes (``_sweep``), one per
+layout: a matrix's rows all at once; every lottery voter's entries
+flattened into one list of probabilities and one of approval sets; every
+joint entry with its profile's sets flattened.  Each pass checks the
+JSON type of every container and the presence of every key with one
+test over the whole list, and parses every probability through one
+memoised parser per document (``uncertainty._ProbabilityParser``), so
+each distinct raw value is parsed once, by dict lookups with no Python
+call per entry.  The parsed values, the flattened sets and each voter's,
+entry's or row's length go to the model's constructor as they are.  A
+document that a pass refuses (a container of the wrong type, a missing
+key, a probability that is no string or exact int or does not parse)
+is read again by the per-entry reader (``_read``), to name the first bad
+entry's path.  A model-level error (a sum, a duplicate, a length) is
+raised by validation after the pass, and reads nothing again.
 
 Documents are written by ``_dumps``, which produces exactly the bytes of
 ``json.dumps(data, indent=2, sort_keys=True)`` for the value types a
@@ -20,7 +29,9 @@ document holds (str-keyed dicts, lists, tuples, str, int, bool and
 None) without the standard library's pure-Python indent encoder.  An
 approval set (a tuple of ints) is rendered once per nesting depth and
 reused wherever it recurs, so a joint model's repeated sets cost one
-dict lookup each.
+dict lookup each.  A list of dicts, such as a lottery voter's or a joint
+model's entries, is written in one loop (``_records``) that renders each
+key once and writes string values and approval sets in place.
 """
 
 from __future__ import annotations
@@ -31,6 +42,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
+from typing import Iterable
 
 from .model import (
     _INT_TYPES,
@@ -45,7 +58,10 @@ from .uncertainty import (
     JointModel,
     LotteryModel,
     Model,
-    _probability_parser,
+    _joint,
+    _lottery,
+    _matrix,
+    _ProbabilityParser,
     _three_valued,
     joint_model,
     lottery_model,
@@ -92,10 +108,14 @@ def _fraction(value, path: str, parse) -> Fraction:
         _fail(path, str(exc))
 
 
-# The item-type sets that mark a list of strings and a tuple of tuples;
-# a list holds only exact ints iff its item-type set is within _INT_TYPES.
+# The item-type sets that mark a list of strings, of tuples, of lists and
+# of dicts; a list holds only exact ints iff its item-type set is within
+# _INT_TYPES.
 _STR_TYPES = {str}
 _TUPLE_TYPES = {tuple}
+_LIST_TYPES = {list}
+_DICT_TYPES = {dict}
+_first = itemgetter(0)
 
 
 def _int_list(value, path: str) -> list[int]:
@@ -106,15 +126,94 @@ def _int_list(value, path: str) -> list[int]:
     return [_int(x, f"{path}[{j}]") for j, x in enumerate(value)]
 
 
+def _lists(values: list) -> bool:
+    return {*map(type, values)} <= _LIST_TYPES
+
+
+def _int_lists(values: list) -> bool:
+    """Whether ``values`` is a list of lists of exact ints."""
+    return _lists(values) and {*map(type, chain.from_iterable(values))} <= _INT_TYPES
+
+
+def _fields(records: list, *keys: str) -> list[list] | None:
+    """For each key, its value in each dict of ``records``; None when
+    some item is not a dict or lacks a key."""
+    if not {*map(type, records)} <= _DICT_TYPES:
+        return None
+    try:
+        return [list(map(itemgetter(key), records)) for key in keys]
+    except KeyError:
+        return None
+
+
+def _sweep(kind: str, data: dict, inst: Instance, parse: _ProbabilityParser) -> Model | None:
+    """The model of ``data`` read in one pass over the whole document, or
+    None when some container is not of its JSON type, some key is missing
+    or some probability does not parse; the per-entry reader then reads
+    the document again, to name the first bad entry's path.  A model-level
+    error (a sum, a duplicate, a length) is raised here, as that reader
+    raises it, by the model's constructor or validation."""
+    if kind == "joint":
+        fields = _fields(data["entries"], "prob", "profile")
+        if fields is None:
+            return None
+        lams, profiles = fields
+        if not (_lists(profiles) and _int_lists(list(chain.from_iterable(profiles)))):
+            return None
+        lams = _swept(parse, lams)
+        return None if lams is None else _joint(inst, lams, profiles)
+    if kind == "lottery":
+        voters = data["voters"]
+        if not _lists(voters):
+            return None
+        fields = _fields(list(chain.from_iterable(voters)), "prob", "set")
+        if fields is None or not _int_lists(fields[1]):
+            return None
+        lams = _swept(parse, fields[0])
+        return None if lams is None else _lottery(inst, lams, fields[1], list(map(len, voters)))
+    rows = data["rows"]
+    if not _lists(rows):
+        return None
+    try:
+        model = _matrix(inst, rows, kind == "three-valued", parse)
+    except InputError:
+        return None
+    return validate(model)
+
+
+def _swept(parse: _ProbabilityParser, values: list) -> list[Fraction] | None:
+    """``values`` parsed through the memo, or None when some value is
+    not a string or an exact int, or does not parse."""
+    try:
+        return parse.sweep(values)
+    except InputError:
+        return None
+
+
 def _parse_model(data, inst: Instance) -> Model:
     kind = _require(data, "kind", "model")
-    parse = _probability_parser()
     if kind == "joint":
-        entries = _require(data, "entries", "model")
-        if not isinstance(entries, list):
-            _fail("model.entries", "expected a list")
+        key, message = "entries", "expected a list"
+    elif kind == "lottery":
+        key, message = "voters", "expected a list"
+    elif kind in ("candidate-probability", "three-valued"):
+        key, message = "rows", "expected a list of rows"
+    else:
+        _fail("model.kind", f"unknown kind {kind!r}")
+    if not isinstance(_require(data, key, "model"), list):
+        _fail(f"model.{key}", message)
+    parse = _ProbabilityParser()
+    model = _sweep(kind, data, inst, parse)
+    return _read(kind, data, inst, parse) if model is None else model
+
+
+def _read(kind: str, data: dict, inst: Instance, parse: _ProbabilityParser) -> Model:
+    """The per-entry reader: the model of ``data`` read entry by entry,
+    so that an error names the first bad entry's path.  Only a document
+    that ``_sweep`` refuses is read here."""
+    if kind == "joint":
         built = []
-        for r, entry in enumerate(entries):
+        for r, entry in enumerate(data["entries"]):
             path = f"model.entries[{r}]"
             lam = _fraction(_require(entry, "prob", path), f"{path}.prob", parse)
             prof = _require(entry, "profile", path)
@@ -123,11 +222,8 @@ def _parse_model(data, inst: Instance) -> Model:
             built.append((lam, [_int_list(s, f"{path}.profile[{i}]") for i, s in enumerate(prof)]))
         return joint_model(inst, built)
     if kind == "lottery":
-        voters = _require(data, "voters", "model")
-        if not isinstance(voters, list):
-            _fail("model.voters", "expected a list")
         built = []
-        for i, voter in enumerate(voters):
+        for i, voter in enumerate(data["voters"]):
             path = f"model.voters[{i}]"
             if not isinstance(voter, list):
                 _fail(path, "expected a list of weighted approval sets")
@@ -139,23 +235,18 @@ def _parse_model(data, inst: Instance) -> Model:
                 for r, entry in enumerate(voter)
             ])
         return lottery_model(inst, built)
-    if kind in ("candidate-probability", "three-valued"):
-        rows = _require(data, "rows", "model")
-        if not isinstance(rows, list):
-            _fail("model.rows", "expected a list of rows")
-        built = []
-        for i, row in enumerate(rows):
-            if not isinstance(row, list):
-                _fail(f"model.rows[{i}]", "expected a list of probabilities")
-            try:
-                built.append(tuple(map(parse, row)))
-            except InputError:
-                # Read the row again entry by entry for the failing path.
-                built.append(tuple(
-                    _fraction(p, f"model.rows[{i}][{c}]", parse) for c, p in enumerate(row)
-                ))
-        return validate(CandidateProbModel(inst, tuple(built), kind == "three-valued"))
-    _fail("model.kind", f"unknown kind {kind!r}")
+    built = []
+    for i, row in enumerate(data["rows"]):
+        if not isinstance(row, list):
+            _fail(f"model.rows[{i}]", "expected a list of probabilities")
+        try:
+            built.append(tuple(map(parse, row)))
+        except InputError:
+            # Read the row again entry by entry for the failing path.
+            built.append(tuple(
+                _fraction(p, f"model.rows[{i}][{c}]", parse) for c, p in enumerate(row)
+            ))
+    return validate(CandidateProbModel(inst, tuple(built), kind == "three-valued"))
 
 
 def parse_document(text: str) -> Document:
@@ -189,12 +280,17 @@ def parse_document(text: str) -> Document:
 
 
 def _text(value) -> str:
-    """``str(value)`` for the numbers a report or document holds.  Python
-    refuses to write an integer longer than ``sys.get_int_max_str_digits()``
-    digits; such a number is an :class:`InputError` naming that limit,
-    which is left as it is."""
+    """``str(value)`` for a number a report or document holds."""
+    return _texts((value,))[0]
+
+
+def _texts(values: Iterable) -> list[str]:
+    """``[str(v) for v in values]`` for the numbers a report or document
+    holds.  Python refuses to write an integer longer than
+    ``sys.get_int_max_str_digits()`` digits; such a number is an
+    :class:`InputError` naming that limit, which is left as it is."""
     try:
-        return str(value)
+        return list(map(str, values))
     except ValueError:
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
         raise InputError(
@@ -205,20 +301,22 @@ def _text(value) -> str:
 
 def _model_payload(model: Model) -> dict:
     if isinstance(model, JointModel):
+        probs = iter(_texts(map(_first, model.entries)))
         return {
             "kind": "joint",
-            "entries": [{"prob": _text(lam), "profile": prof} for lam, prof in model.entries],
+            "entries": [{"prob": next(probs), "profile": prof} for _, prof in model.entries],
         }
     if isinstance(model, LotteryModel):
+        probs = iter(_texts(map(_first, chain.from_iterable(model.lotteries))))
         return {
             "kind": "lottery",
             "voters": [
-                [{"prob": _text(lam), "set": s} for lam, s in voter]
+                [{"prob": next(probs), "set": s} for _, s in voter]
                 for voter in model.lotteries
             ],
         }
     return {"kind": "three-valued" if _three_valued(model) else "candidate-probability",
-            "rows": [list(map(_text, row)) for row in model.probs]}
+            "rows": list(map(_texts, model.probs))}
 
 
 def _dumps(value) -> str:
@@ -254,15 +352,7 @@ def _write(value, newline: str, sets: dict) -> str:
             memo = sets.setdefault(newline, {})
             return memo.get(value) or memo.setdefault(value, _ints(value, newline))
         inner = newline + "  "
-        if types == _STR_TYPES:
-            items = map(encode_basestring_ascii, value)
-        elif types == _TUPLE_TYPES and {*map(type, chain.from_iterable(value))} <= _INT_TYPES:
-            # A profile: a tuple of approval sets.
-            memo = sets.setdefault(inner, {})
-            items = [memo.get(s) or memo.setdefault(s, _ints(s, inner)) for s in value]
-        else:
-            items = [_write(item, inner, sets) for item in value]
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
+        return "[" + inner + ("," + inner).join(_items(value, types, inner, sets)) + newline + "]"
     if kind is dict:
         if not value:
             return "{}"
@@ -278,6 +368,41 @@ def _write(value, newline: str, sets: dict) -> str:
     if value is False:
         return "false"
     raise TypeError(f"cannot write {kind.__name__} values into a document")
+
+
+def _items(values, types: set, newline: str, sets: dict) -> Iterable[str]:
+    """Each of ``values``, whose item types are ``types``, rendered at
+    the depth ``newline``."""
+    if types == _STR_TYPES:
+        return map(encode_basestring_ascii, values)
+    if types == _TUPLE_TYPES and {*map(type, chain.from_iterable(values))} <= _INT_TYPES:
+        # Approval sets, such as a profile or a lottery's sets.
+        memo = sets.setdefault(newline, {})
+        return [memo.get(s) or memo.setdefault(s, _ints(s, newline)) for s in values]
+    if types == _DICT_TYPES:
+        return _records(values, newline, sets)
+    return [_write(item, newline, sets) for item in values]
+
+
+def _records(records: list, newline: str, sets: dict) -> Iterable[str]:
+    """Dicts, such as a lottery voter's or a joint model's entries,
+    rendered at the depth ``newline``.  When they share their keys, as
+    entries do, each key's values are rendered as one column
+    (``_items``) and each dict is filled into one template, so each
+    key's text is rendered once and no dict costs a ``_write`` call."""
+    keys = {*map(tuple, map(sorted, records))}
+    if len(keys) != 1:
+        return [_write(record, newline, sets) for record in records]
+    (keys,) = keys
+    if not keys:
+        return ["{}"] * len(records)
+    inner = newline + "  "
+    columns = [list(map(itemgetter(key), records)) for key in keys]
+    heads = [encode_basestring_ascii(key).replace("{", "{{").replace("}", "}}") + ": {}"
+             for key in keys]
+    template = "{{" + inner + ("," + inner).join(heads) + newline + "}}"
+    return map(template.format,
+               *[_items(column, {*map(type, column)}, inner, sets) for column in columns])
 
 
 def emit_document(doc: Document) -> str:

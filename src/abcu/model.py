@@ -11,6 +11,7 @@ in general.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -132,6 +133,27 @@ def approval_set(members: Iterable[int], m: int | None = None) -> ApprovalSet:
             raise InputError(f"candidate id {c!r} is not an integer")
         if c < 0 or (m is not None and c >= m):
             raise InputError(f"candidate id {c} out of range for m={m}")
+    return canon
+
+
+def _approval_sets(sets: Iterable[Iterable[int]], m: int) -> list[ApprovalSet]:
+    """``[approval_set(s, m) for s in sets]`` in one pass: every set
+    canonicalised, then one type and range check over all members.
+    ``approval_set`` runs set by set only to raise the first error, so
+    each error is the one that reading the sets in order raises."""
+    canon: list[ApprovalSet] = []
+    try:
+        canon.extend(map(tuple, map(sorted, map(set, sets))))
+    except TypeError:  # unhashable or unorderable members, or no set at all
+        for s in canon:  # a set read before it may hold the first error
+            approval_set(s, m)
+        raise
+    members = list(itertools.chain.from_iterable(canon))
+    if not {*map(type, members)} <= _INT_TYPES or (
+        members and (min(members) < 0 or max(members) >= m)
+    ):
+        for s in canon:
+            approval_set(s, m)
     return canon
 
 

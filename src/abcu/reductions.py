@@ -185,6 +185,10 @@ def _weights(rng: random.Random, count: int) -> list[Fraction]:
     return [Fraction(x, total) for x in raw]
 
 
+# The certain entries of a random matrix, shared by every model.
+_BITS = (Fraction(0), Fraction(1))
+
+
 def gen_random(
     kind: str, n: int, m: int, k: int, uncertainty: int, seed: int
 ) -> Model:
@@ -204,7 +208,7 @@ def gen_random(
     if kind in ("3va", "cp"):
         if uncertainty > n * m:
             raise InputError(f"uncertainty {uncertainty} exceeds the {n * m} matrix entries")
-        rows = [[Fraction(rng.randint(0, 1)) for _ in range(m)] for _ in range(n)]
+        rows = [[_BITS[rng.randint(0, 1)] for _ in range(m)] for _ in range(n)]
         pairs = rng.sample([(i, c) for i in range(n) for c in range(m)], uncertainty)
         for i, c in pairs:
             if kind == "3va":

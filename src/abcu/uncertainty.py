@@ -37,14 +37,22 @@ Independent voters' lanes come from the product structure of their
 tables, in chunks of at most ``LANE_CHUNK`` profiles; a voter with one
 table entry gets no lanes and is counted with the others of its set.
 
-Probabilities are parsed once.  Each constructor call keeps one memo
-from raw value to ``Fraction`` (``_probability_parser``): a string or an
-exact ``int`` is parsed by ``parse_probability`` the first time it
-occurs and looked up afterwards; a ``Fraction`` is range-checked on its
-numerator and denominator and kept as it is; anything else goes
-straight to ``parse_probability``, so it fails with that function's
-message.  ``io`` parses a document with one such memo and hands the
-parsed values on, so no entry is parsed twice.
+Probabilities are parsed once per distinct value.  Each constructor
+call keeps one parser (``_ProbabilityParser``), a dict from raw value to
+``Fraction``: a string or an exact ``int`` is parsed by
+``parse_probability`` the first time it is looked up and found
+afterwards; a ``Fraction`` is range-checked on its numerator and
+denominator and kept as it is; anything else goes straight to
+``parse_probability``, so it fails with that function's message.  The
+constructors read their input in whole passes: every probability of
+the model in one, every approval set canonicalised and range-checked in
+one (``model._approval_sets``), and the results regrouped by voter,
+entry or row.  A list of strings and ints is parsed by dict lookups
+alone, with no Python call per entry, and a matrix of ``Fraction``
+objects is checked once per distinct object.  Only a malformed call
+reads its items one by one, to raise the error of the first bad one.
+``io`` parses a document with one such parser and hands the parsed
+values on, so no entry is parsed twice.
 
 Matrix rows are classified on integers (``_split_row``): an entry
 ``p = num/den`` is a forced approval when ``num == den``, free when
@@ -84,7 +92,10 @@ far as it reads (``approvers``); a Lottery model's approvers per
 candidate, one list of voter bitsets per set position ``t``, over each
 voter's ``t``-th set, built the same way (``layers``).  None of these
 is a dataclass field and a pickle leaves them out, with the classified
-rows and the scan plan; ``tva_to_cp`` hands on what is built.  Two
+rows and the scan plan; ``tva_to_cp`` hands on what is built.  The
+same holds for a matrix model's distinct entry objects
+(``entry_values``), which its constructor keeps as it parses and
+validation checks in place of every entry.  Two
 threads reading a view at once may both build it, and both build the
 same value.
 
@@ -99,10 +110,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Union
+from typing import Callable, Collection, Iterable, Iterator, Union
 
 from .axioms import _approvers, _mask
 from .model import (
@@ -111,6 +123,7 @@ from .model import (
     InputError,
     Instance,
     Profile,
+    _approval_sets,
     _check_budget,
     approval_profile,
     approval_set,
@@ -272,8 +285,8 @@ class LotteryModel(_IndependentVoters):
 
 
 # The attributes a model of independent voters builds on first use.
-_STORED = ("split_rows", "columns", "row_masks", "column_products", "tables", "profile_count",
-           "block", "first", "layers")
+_STORED = ("entry_values", "split_rows", "columns", "row_masks", "column_products", "tables",
+           "profile_count", "block", "first", "layers")
 
 
 @dataclass(frozen=True)
@@ -287,6 +300,14 @@ class CandidateProbModel(_IndependentVoters):
     instance: Instance
     probs: tuple[tuple[Fraction, ...], ...]
     three_valued: bool = False
+
+    @cached_property
+    def entry_values(self) -> Collection:
+        """The distinct entry objects, by identity (``_distinct_entries``),
+        which validation checks in place of every entry.  The
+        constructors keep it as they parse (``_matrix``); a model built
+        by hand computes it on first read."""
+        return _distinct_entries(self.probs)
 
     @cached_property
     def split_rows(self) -> list[tuple[list[int], list[tuple[int, int, int]]]]:
@@ -350,34 +371,95 @@ class PlausibleProfile:
 # construction
 
 
-def _probability_parser():
-    """``parse_probability`` memoised for one document or constructor call.
+# The item types of a list of raw probabilities that the parser's memo
+# may read directly.  ``bool`` and ``float`` are not among them: ``True ==
+# 1`` and ``1.0 == 1``, so they would find the key ``1``.
+_RAW_TYPES = {str, int}
+_FRACTION_TYPES = {Fraction}
 
-    Strings and exact ints are parsed once per distinct value.  A
-    ``Fraction`` in ``[0, 1]`` is kept as it is, checked on its integers.
-    Every other value, and every value that fails, goes to
-    ``parse_probability`` each time, so its error is unchanged.
+
+class _ProbabilityParser(dict):
+    """``parse_probability`` memoised for one document or constructor
+    call: a dict from raw value to ``Fraction``.
+
+    A string or an exact int is parsed the first time it is looked up
+    (``__missing__``) and found afterwards; a value that fails is not
+    kept, so it fails with the same error each time.  Called on one
+    value, the parser keeps a ``Fraction`` in ``[0, 1]`` as it is,
+    checked on its integers, and hands every other value to
+    ``parse_probability``.  ``sweep`` parses a list whose item types are
+    within ``{str, int}`` by dict lookups alone, with no Python call per
+    value; ``all`` parses any list.
     """
-    memo: dict = {}
 
-    def parse(value) -> Fraction:
+    __slots__ = ()
+
+    def __missing__(self, value) -> Fraction:
+        f = self[value] = parse_probability(value)
+        return f
+
+    def __call__(self, value) -> Fraction:
         kind = type(value)
         if kind is str or kind is int:
-            f = memo.get(value)
-            if f is None:
-                f = memo[value] = parse_probability(value)
-            return f
+            return self[value]
         if kind is Fraction and 0 <= value.numerator <= value.denominator:
             return value
         return parse_probability(value)
 
-    return parse
+    def sweep(self, values: list) -> list[Fraction] | None:
+        """``values`` parsed through the memo, or None when some item is
+        not a string or an exact int.  Raises the first failure's error."""
+        if {*map(type, values)} <= _RAW_TYPES:
+            return list(map(self.__getitem__, values))
+        return None
+
+    def all(self, values: list) -> list[Fraction]:
+        """``values`` parsed in order; raises the first failure's error."""
+        swept = self.sweep(values)
+        return list(map(self, values)) if swept is None else swept
+
+
+_first = operator.itemgetter(0)
+_second = operator.itemgetter(1)
+
+
+def _pairs(items: list) -> tuple[list, list]:
+    """The first and second items of each pair in ``items``; a
+    ``ValueError`` when some item is not a pair."""
+    pairs = list(map(tuple, items))
+    if {*map(len, pairs)} - {2}:
+        raise ValueError("not a pair")
+    return list(map(_first, pairs)), list(map(_second, pairs))
 
 
 def joint_model(inst: Instance, entries: Iterable[tuple[object, object]]) -> JointModel:
     """Build and validate a Joint model from (probability, profile) pairs."""
-    parse = _probability_parser()
-    built = tuple((parse(lam), approval_profile(prof, inst)) for lam, prof in entries)
+    parse = _ProbabilityParser()
+    read: list = []
+    try:
+        read.extend(entries)
+        lams, profiles = _pairs(read)
+        lams = parse.all(lams)
+        profiles = list(map(tuple, profiles))
+    except (InputError, TypeError, ValueError):
+        # The first error in reading order: an earlier entry's profile
+        # may hold one.
+        for lam, prof in read:
+            parse(lam)
+            approval_profile(prof, inst)
+        raise
+    return _joint(inst, lams, profiles)
+
+
+def _joint(inst: Instance, lams: list[Fraction], profiles: list) -> JointModel:
+    """A validated Joint model from its entries' parsed probabilities and
+    raw profiles, each a list of raw approval sets."""
+    n = inst.n
+    if {*map(len, profiles)} - {n}:
+        for prof in profiles:  # raises at the first error in reading order
+            approval_profile(prof, inst)
+    sets = iter(_approval_sets(itertools.chain.from_iterable(profiles), inst.m))
+    built = tuple(zip(lams, zip(*[sets] * n)))  # n sets at a time
     return _validated(JointModel(inst, built), check_sets=False)
 
 
@@ -385,28 +467,79 @@ def lottery_model(
     inst: Instance, lotteries: Iterable[Iterable[tuple[object, object]]]
 ) -> LotteryModel:
     """Build and validate a Lottery model from per-voter (probability, set) pairs."""
-    parse = _probability_parser()
-    built = tuple(
-        tuple((parse(lam), approval_set(s, inst.m)) for lam, s in voter)
-        for voter in lotteries
-    )
+    parse = _ProbabilityParser()
+    voters: list[tuple] = []
+    try:
+        voters.extend(map(tuple, lotteries))
+        lams, sets = _pairs(list(itertools.chain.from_iterable(voters)))
+        lams = parse.all(lams)
+    except (InputError, TypeError, ValueError):
+        # The first error in reading order: an earlier set may hold one.
+        for voter in voters:
+            for lam, s in voter:
+                parse(lam)
+                approval_set(s, inst.m)
+        raise
+    return _lottery(inst, lams, sets, list(map(len, voters)))
+
+
+def _lottery(inst: Instance, lams: list[Fraction], sets: list, lengths: list[int]) -> LotteryModel:
+    """A validated Lottery model from every voter's parsed probabilities
+    and raw approval sets, flattened in voter order, and each voter's
+    number of sets."""
+    pairs = zip(lams, _approval_sets(sets, inst.m))
+    built = tuple(tuple(itertools.islice(pairs, size)) for size in lengths)
     return _validated(LotteryModel(inst, built), check_sets=False)
 
 
-def _matrix(rows: Iterable[Iterable[object]]) -> tuple[tuple[Fraction, ...], ...]:
-    parse = _probability_parser()
-    return tuple(tuple(map(parse, row)) for row in rows)
+def _matrix(inst: Instance, rows: Iterable[Iterable[object]], three_valued: bool,
+            parse: _ProbabilityParser | None = None) -> CandidateProbModel:
+    """An unvalidated matrix model, its entries parsed in one pass by
+    ``parse``, a fresh parser (by default, a new one).  When every entry
+    is a string or an exact int, the parser's memo holds exactly the
+    distinct entry objects; when every entry is a ``Fraction``, each
+    distinct object is checked once.  Either way the distinct objects
+    are kept as ``entry_values``."""
+    parse = _ProbabilityParser() if parse is None else parse
+    read: list[tuple] = []
+    try:
+        read.extend(map(tuple, rows))
+    except TypeError:  # a row that is not iterable
+        parse.all(list(itertools.chain.from_iterable(read)))  # an earlier entry's error first
+        raise
+    flat = list(itertools.chain.from_iterable(read))
+    types = {*map(type, flat)}
+    if types <= _RAW_TYPES:
+        entries = list(map(parse.__getitem__, flat))
+        distinct = list(parse.values())
+    elif types == _FRACTION_TYPES:
+        # Each distinct object is checked once, in reading order, so the
+        # first bad one is the first bad entry; the others are kept.
+        distinct = _distinct_entries((flat,))
+        for p in distinct:
+            parse(p)
+        entries = flat
+    else:
+        entries = list(map(parse, flat))
+        distinct = None
+    it = iter(entries)
+    model = CandidateProbModel(
+        inst, tuple(tuple(itertools.islice(it, len(row))) for row in read), three_valued
+    )
+    if distinct is not None:
+        vars(model)["entry_values"] = distinct
+    return model
 
 
 def cp_model(inst: Instance, rows: Iterable[Iterable[object]]) -> CandidateProbModel:
     """Build and validate a CandidateProb model from an n-by-m matrix."""
-    return validate(CandidateProbModel(inst, _matrix(rows)))
+    return validate(_matrix(inst, rows, False))
 
 
 def tva_model(inst: Instance, rows: Iterable[Iterable[object]]) -> CandidateProbModel:
     """Build and validate a three-valued model, a CandidateProb model
     tagged ``three_valued``, from an n-by-m matrix."""
-    return validate(CandidateProbModel(inst, _matrix(rows), True))
+    return validate(_matrix(inst, rows, True))
 
 
 # ---------------------------------------------------------------------------
@@ -486,12 +619,14 @@ def _lam_errors(lam, where: str, errors: list[str]) -> None:
         errors.append(f"{where}: probability {lam} not in (0, 1]")
 
 
-def _entry_errors(rows, ok, message: str, errors: list[str]) -> None:
+def _entry_errors(model: CandidateProbModel, ok, message: str, errors: list[str]) -> None:
     """One error per matrix entry that fails ``ok``: ``message`` for an
-    exact value, a plain refusal for anything else."""
-    if all(map(ok, _distinct_entries(rows))):
+    exact value, a plain refusal for anything else.  The distinct
+    entries (``entry_values``) are checked first, so a valid matrix
+    costs one test per distinct value."""
+    if all(map(ok, model.entry_values)):
         return
-    for i, row in enumerate(rows):
+    for i, row in enumerate(model.probs):
         for c, p in enumerate(row):
             if not _exact(p):
                 errors.append(f"entry ({i}, {c}): {p!r} is not an exact probability")
@@ -566,9 +701,9 @@ def _model_errors(model: Model, check_sets: bool) -> list[str]:
     elif isinstance(model, CandidateProbModel):
         _matrix_errors(model.probs, inst, errors)
         if _three_valued(model):
-            _entry_errors(model.probs, _tva_entry_ok, "value {} not in {{0, 1/2, 1}}", errors)
+            _entry_errors(model, _tva_entry_ok, "value {} not in {{0, 1/2, 1}}", errors)
         else:
-            _entry_errors(model.probs, _cp_entry_ok, "probability {} not in [0, 1]", errors)
+            _entry_errors(model, _cp_entry_ok, "probability {} not in [0, 1]", errors)
     else:
         raise InputError(f"not an uncertainty model: {model!r}")
     return errors

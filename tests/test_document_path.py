@@ -23,6 +23,8 @@ from abcu import (
     gen_random,
     is_nec_jr,
     is_poss_jr,
+    joint_model,
+    lottery_model,
     lottery_to_joint,
     plausible_count,
     reduce_3sat,
@@ -86,6 +88,10 @@ VALUES = st.recursive(
         | st.lists(children, max_size=5).map(tuple)
         | st.lists(APPROVAL_SETS, max_size=5).map(tuple)
         | st.dictionaries(st.text(max_size=6), children, max_size=5)
+        # Records that share their keys, as a model's entries do.
+        | st.sets(st.text(max_size=4), max_size=3).flatmap(
+            lambda keys: st.lists(st.fixed_dictionaries(dict.fromkeys(keys, children)),
+                                  max_size=4))
     ),
     max_leaves=40,
 )
@@ -97,6 +103,9 @@ class TestWriter:
     @example([(1,), (True,), ((1,), (True,)), ((True,), (1,)), [1, True], (0, False)])
     @example({"é": "snowman ☃", "": [], "a": (), "b": {}, "c": [[]], "d": ((),)})
     @example([-(10**30), 10**30, 0, -1, ((), (0,), ())])
+    @example([{"{a}": "x", "b}": (1,)}, {"{a}": "{}", "b}": ()}, {}])
+    @example([[{"prob": "1/2", "set": (0, 1)}, {"prob": "1/2", "set": ()}], [{}, {}],
+              [{"prob": 1, "set": [0]}, {"prob": None, "set": ((0,),)}]])
     def test_matches_json_dumps(self, value):
         assert _dumps(value) == _reference_dumps(value)
 
@@ -275,6 +284,26 @@ class TestParseOnce:
         })
         doc, seen = self._count_parses(monkeypatch, text)
         assert sorted(map(repr, seen)) == sorted({repr(v) for row in rows for v in row})
+
+    def test_each_distinct_value_parsed_once_per_constructor_call(self, monkeypatch):
+        seen = []
+        real = model_module.parse_probability
+        monkeypatch.setattr("abcu.uncertainty.parse_probability",
+                            lambda value: seen.append(value) or real(value))
+        inst = Instance(2, 3, 1)
+        half = Fraction(1, 2)
+        calls = [
+            (lambda: cp_model(inst, [["1/2", 1, "0.5"], ["1/2", 0, "1"]]),
+             ["1/2", 1, "0.5", 0, "1"]),
+            (lambda: tva_model(inst, [[half, 1, 0], [0, half, "1/2"]]), [1, 0, "1/2"]),
+            (lambda: lottery_model(inst, [[("1/2", (0,)), ("1/2", [1])], [(1, {2})]]),
+             ["1/2", 1]),
+            (lambda: joint_model(inst, [("1/2", [[0], [1]]), ("1/2", [(1,), ()])]), ["1/2"]),
+        ]
+        for call, parsed in calls:
+            seen.clear()
+            call()
+            assert seen == parsed
 
     def test_parsed_values_are_shared_and_equal(self):
         text = json.dumps({

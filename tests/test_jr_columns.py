@@ -51,6 +51,7 @@ from abcu import (
     size_jr,
     tva_model,
     tva_to_cp,
+    validate,
 )
 from abcu import uncertainty
 from abcu.axioms import _jr_violation
@@ -545,7 +546,7 @@ VIEWS = {
     LotteryModel: ("layers", "first"),
 }
 STORED = {
-    CandidateProbModel: ("split_rows", *VIEWS[CandidateProbModel]),
+    CandidateProbModel: ("entry_values", "split_rows", *VIEWS[CandidateProbModel]),
     JointModel: ("weighted", "lanes", *VIEWS[JointModel]),
     LotteryModel: VIEWS[LotteryModel],
 }
@@ -677,8 +678,8 @@ class TestStorage:
 def builds(monkeypatch):
     """Count the builds of every stored view, by name."""
     counts = Counter()
-    for cls, name in ((CandidateProbModel, "columns"), (CandidateProbModel, "row_masks"),
-                      (CandidateProbModel, "column_products"),
+    for cls, name in ((CandidateProbModel, "entry_values"), (CandidateProbModel, "columns"),
+                      (CandidateProbModel, "row_masks"), (CandidateProbModel, "column_products"),
                       (uncertainty._IndependentVoters, "first"), (LotteryModel, "layers")):
         func = vars(cls)[name].func
 
@@ -720,6 +721,12 @@ class TestBuiltOnce:
         twin = CandidateProbModel(inst, model.probs, model.three_valued)
         is_nec_jr(twin, (0, 1))
         assert builds["columns"] == 2 and builds["approvers"] == 4
+        # The constructor kept the distinct entries; a hand-built model
+        # finds them once, when first validated.
+        assert "entry_values" not in builds
+        validate(twin)
+        validate(twin)
+        assert builds["entry_values"] == 1
 
     def test_joint_entries(self, builds):
         model = _examples()[2]

@@ -5,7 +5,9 @@ A CandidateProb model, three-valued or not, classifies its rows with
 the stored result.  These tests pin that it equals a fresh
 classification, that a model object classifies each row once however
 many questions it is asked, and that the stored rows are invisible to
-equality, hashing, ``repr``, the written document and pickling.
+equality, hashing, ``repr``, the written document and pickling.  The
+distinct entry objects that validation checks (``entry_values``) are
+pinned the same way.
 """
 
 import itertools
@@ -23,6 +25,7 @@ from abcu import (
     exists_nec_jr,
     exists_poss_jr,
     first_plausible,
+    gen_random,
     is_nec_jr,
     is_poss_jr,
     jr_probability,
@@ -31,12 +34,13 @@ from abcu import (
     profile_probability,
     tva_model,
     tva_to_cp,
+    validation_errors,
 )
 from abcu import uncertainty
 from abcu.decide import ENUM
-from abcu.io import document_for, emit_document
+from abcu.io import document_for, emit_document, parse_document
 from abcu.probability import DP_VOTERS
-from abcu.uncertainty import _split_row
+from abcu.uncertainty import _distinct_entries, _split_row
 from test_document_path import _matrix_models
 
 HALF = Fraction(1, 2)
@@ -67,6 +71,52 @@ class TestStoredEqualsFresh:
         cp = tva_to_cp(model)
         assert cp.split_rows is model.split_rows
         assert cp.split_rows == _fresh(cp).split_rows
+        assert vars(cp)["entry_values"] is vars(model)["entry_values"]
+
+
+def _ids(values):
+    return sorted(map(id, values))
+
+
+class TestEntryValues:
+    """``entry_values``: the distinct entry objects by identity, kept by
+    the constructors as they parse and computed on first read
+    otherwise."""
+
+    def test_constructors_keep_the_distinct_entries(self):
+        models = list(_matrix_models(200, seed=92))
+        models += [gen_random(kind, 30, 6, 2, 50, seed=s) for kind in ("cp", "3va")
+                   for s in range(5)]
+        models.append(cp_model(Instance(2, 2, 1), [[HALF, "1/2"], [HALF, Fraction(1, 2)]]))
+        for model in models:
+            assert "entry_values" in vars(model)
+            assert _ids(model.entry_values) == _ids(_distinct_entries(model.probs))
+
+    def test_parsed_documents_keep_the_distinct_entries(self):
+        for model in _matrix_models(60, seed=93):
+            parsed = parse_document(emit_document(document_for(model))).model
+            assert _ids(parsed.entry_values) == _ids(_distinct_entries(parsed.probs))
+            assert len(parsed.entry_values) == len(set(parsed.entry_values))
+
+    def test_hand_built_models_compute_it_on_first_read(self):
+        model = _fresh(_interesting_models()[0])
+        assert "entry_values" not in vars(model)
+        assert _ids(model.entry_values) == _ids(_distinct_entries(model.probs))
+
+    @pytest.mark.parametrize("three_valued", [False, True], ids=["cp", "3va"])
+    def test_each_bad_entry_of_a_hand_built_model_is_named(self, three_valued):
+        rows = ((0.5, HALF, Fraction(3, 2)), ("1/2", Fraction(1), Fraction(-1, 2)),
+                (HALF, 0.5, Fraction(3, 2)))
+        model = CandidateProbModel(Instance(3, 3, 1), rows, three_valued)
+        errors = validation_errors(model)
+        assert [e.split(":")[0] for e in errors] == [
+            "entry (0, 0)", "entry (0, 2)", "entry (1, 0)", "entry (1, 2)", "entry (2, 1)",
+            "entry (2, 2)",
+        ]
+        assert errors[0] == "entry (0, 0): 0.5 is not an exact probability"
+        assert errors[2] == "entry (1, 0): '1/2' is not an exact probability"
+        assert errors[1].endswith("3/2 not in {0, 1/2, 1}" if three_valued
+                                  else "probability 3/2 not in [0, 1]")
 
 
 def _interesting_models():
@@ -141,6 +191,17 @@ class TestInvisible:
             emit_document(document_for(model, (0, 1))),
             pickle.loads(pickle.dumps(model)),
         )
+
+    @pytest.mark.parametrize("which", [0, 1], ids=["cp", "3va"])
+    def test_entry_values_are_invisible(self, which):
+        model = _interesting_models()[which]
+        assert "entry_values" in vars(model)
+        fresh = _fresh(model)
+        assert self._observed(model) == self._observed(fresh)
+        assert model == fresh and hash(model) == hash(fresh) and repr(model) == repr(fresh)
+        thawed = pickle.loads(pickle.dumps(model))
+        assert "entry_values" not in vars(thawed) and "entry_values" not in repr(model)
+        assert set(thawed.entry_values) == set(model.entry_values)
 
     @pytest.mark.parametrize("which", [0, 1], ids=["cp", "3va"])
     def test_same_before_and_after_first_read(self, which):
