@@ -34,9 +34,7 @@ from .uncertainty import (
     LotteryModel,
     PlausibleProfile,
     cp_to_lottery,
-    first_plausible,
     lottery_to_joint,
-    plausible_count,
 )
 
 
@@ -60,12 +58,12 @@ def _need_committee(doc: Document):
 
 
 def _certain_profile(doc: Document):
-    if plausible_count(doc.model) != 1:
+    if doc.model.profile_count != 1:
         raise InputError(
             f"this query needs a certain profile, but the model has "
-            f"{plausible_count(doc.model)} plausible profiles"
+            f"{doc.model.profile_count} plausible profiles"
         )
-    return first_plausible(doc.model).profile
+    return doc.model.first.profile
 
 
 def _frac(f: Fraction) -> str:

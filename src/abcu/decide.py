@@ -114,9 +114,7 @@ from .uncertainty import (
     Model,
     PlausibleProfile,
     _lanes,
-    _profile_at,
     _profile_probability,
-    first_plausible,
 )
 
 POLY = "poly-special-case"
@@ -436,13 +434,9 @@ def _first(
 ) -> PlausibleProfile | None:
     """The first plausible profile, in enumeration order, that satisfies
     (``holds``) or violates ``axiom`` for ``wset``, or None: the lowest
-    bit of the first chunk's lane mask that has one.  Bit ``p`` is a
-    Joint model's entry ``p``; for independent voters the chunk's offset
-    plus ``p`` are the digits, voter 0 most significant, of the profile
-    in the mixed radix of the model's voter tables, where a voter of one
-    entry has radix 1."""
-    joint = isinstance(model, JointModel)
-    denom, chunks = _lanes(model, budget)
+    bit of the first chunk's lane mask that has one: the chunk's offset
+    plus that bit is the profile's index (``profile_at``)."""
+    _, chunks = _lanes(model, budget)
     test = _lane_test(model.instance, wset, axiom)
     offset = 0
     for count, lanes, _, fixed in chunks:
@@ -451,9 +445,7 @@ def _first(
         if not holds:
             mask = full & ~mask
         if mask:
-            p = offset + (mask & -mask).bit_length() - 1
-            prof, wt = model.weighted[1][p] if joint else _profile_at(model.tables, p)
-            return PlausibleProfile(prof, Fraction(wt, denom))
+            return model.profile_at(offset + (mask & -mask).bit_length() - 1)
         offset += count
     return None
 
@@ -571,7 +563,7 @@ def exists_poss_axiom(model: Model, axiom: str, *, budget: int | None = None) ->
             approvers = model.columns[0]
         return DecisionResult(
             True, POLY, witness_committee=_greedy_jr(inst, approvers),
-            witness_profile=first_plausible(model),
+            witness_profile=model.first,
         )
     _check_budget(math.comb(inst.m, inst.k), budget)
     for w in itertools.combinations(range(inst.m), inst.k):

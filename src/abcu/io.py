@@ -62,7 +62,6 @@ from .uncertainty import (
     _lottery,
     _matrix,
     _ProbabilityParser,
-    _three_valued,
     joint_model,
     lottery_model,
     validate,
@@ -315,7 +314,7 @@ def _model_payload(model: Model) -> dict:
                 for voter in model.lotteries
             ],
         }
-    return {"kind": "three-valued" if _three_valued(model) else "candidate-probability",
+    return {"kind": "three-valued" if model.three_valued else "candidate-probability",
             "rows": list(map(_texts, model.probs))}
 
 

@@ -118,18 +118,28 @@ def _exponent_ok(digits: str) -> bool:
 _INT_TYPES = {int}
 
 
+def _not_int(c) -> bool:
+    return not isinstance(c, int) or isinstance(c, bool)
+
+
 def approval_set(members: Iterable[int], m: int | None = None) -> ApprovalSet:
     """Canonicalize a collection of candidate ids: sorted, deduplicated.
 
-    When ``m`` is given, members must lie in ``0..m-1``.
+    When ``m`` is given, members must lie in ``0..m-1``.  Members that
+    cannot be sorted or hashed name the first non-integer in input order.
     """
-    canon = tuple(sorted(set(members)))
+    members = list(members)
+    try:
+        canon = tuple(sorted(set(members)))
+    except TypeError:  # unhashable or unorderable members: some is no int
+        bad = next(filter(_not_int, members))
+        raise InputError(f"candidate id {bad!r} is not an integer") from None
     if {*map(type, canon)} <= _INT_TYPES and (
         not canon or (canon[0] >= 0 and (m is None or canon[-1] < m))
     ):
         return canon
     for c in canon:
-        if not isinstance(c, int) or isinstance(c, bool):
+        if _not_int(c):
             raise InputError(f"candidate id {c!r} is not an integer")
         if c < 0 or (m is not None and c >= m):
             raise InputError(f"candidate id {c} out of range for m={m}")
@@ -141,11 +151,11 @@ def _approval_sets(sets: Iterable[Iterable[int]], m: int) -> list[ApprovalSet]:
     canonicalised, then one type and range check over all members.
     ``approval_set`` runs set by set only to raise the first error, so
     each error is the one that reading the sets in order raises."""
-    canon: list[ApprovalSet] = []
+    sets = list(sets)
     try:
-        canon.extend(map(tuple, map(sorted, map(set, sets))))
+        canon = list(map(tuple, map(sorted, map(set, sets))))
     except TypeError:  # unhashable or unorderable members, or no set at all
-        for s in canon:  # a set read before it may hold the first error
+        for s in sets:  # raises the first error in reading order
             approval_set(s, m)
         raise
     members = list(itertools.chain.from_iterable(canon))

@@ -26,7 +26,7 @@ from .model import (
     min_group_size,
 )
 from .probability import committee_probabilities
-from .uncertainty import Model, plausible_count
+from .uncertainty import Model
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,7 @@ def max_axiom(
     given lanes.
     """
     inst = model.instance
-    _check_budget(math.comb(inst.m, inst.k) * plausible_count(model), budget)
+    _check_budget(math.comb(inst.m, inst.k) * model.profile_count, budget)
     _require_axiom(axiom)
     committees = list(itertools.combinations(range(inst.m), inst.k))
     results = committee_probabilities(model, committees, axiom, budget, force_enumeration)

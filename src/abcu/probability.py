@@ -87,8 +87,6 @@ from .uncertainty import (
     Model,
     _lane_total,
     _lanes,
-    _three_valued,
-    plausible_count,
 )
 
 JOINT_SCAN = "joint-scan"
@@ -110,7 +108,7 @@ class ProbResult:
 
 
 def _with_counts(value: Fraction, method: str, model: Model) -> ProbResult:
-    if not _three_valued(model):
+    if not model.three_valued:
         return ProbResult(value, method)
     total = model.profile_count
     count, rest = divmod(value.numerator * total, value.denominator)
@@ -265,13 +263,13 @@ def _jr_path(model: Model, w: Committee, budget: int | None) -> ProbResult:
     form, or else the voter DP, behind the profile-count budget gate
     unless a three-valued model has ``k = n``."""
     inst = model.instance
-    if _three_valued(model):
+    if model.three_valued:
         if _certain_over_committee(model, w):
             return _with_counts(_certain_w_value(model, w), CLOSED_FORM_CERTAIN_W, model)
         if inst.k == inst.n:
             # A quota of 1 drops every bump, so the DP keeps one state: O(free entries).
             return _with_counts(_jr_dp(model, w), COUNT_K_EQ_N, model)
-    _check_budget(plausible_count(model), budget)
+    _check_budget(model.profile_count, budget)
     return _with_counts(_jr_dp(model, w), DP_VOTERS, model)
 
 
@@ -305,7 +303,7 @@ def jr_probability(
 def jr_satisfying_count(model: CandidateProbModel, w, *, budget: int | None = None) -> tuple[int, int]:
     """Exact (number of plausible profiles where ``w`` is JR, total
     number of plausible profiles) for a three-valued model."""
-    if not _three_valued(model):
+    if not model.three_valued:
         raise InputError("profile counting requires a three-valued model")
     result = jr_probability(model, w, budget=budget)
     assert result.counts is not None

@@ -5,9 +5,9 @@
 * CandidateProb: independent per-(voter, candidate) approval probabilities.
 * Three-valued: a CandidateProb model tagged ``three_valued``, its
   entries restricted to {0, 1/2, 1} (disapprove / unknown / approve), so
-  all completions of the unknown entries are equiprobable.  The tag is
-  read through one predicate (``_three_valued``): by validation, by the
-  closed forms and profile counts of ``probability`` and by ``io``.
+  all completions of the unknown entries are equiprobable.  Every model
+  has the attribute, false on Joint and Lottery models; validation, the
+  closed forms and profile counts of ``probability`` and ``io`` read it.
 
 A profile with positive probability is *plausible*.  This module
 provides validation, the conversions three-valued -> CandidateProb ->
@@ -29,10 +29,8 @@ over the lcm of their denominators.  Internal scans sum these integers;
 Flat scans, which sum over every profile or look for the first witness,
 read the same profiles and weights as lanes (``_lanes``): one integer
 per (voter, candidate) with one bit per profile, so a test of every
-profile is a few big-integer operations; ``_profile_at`` decodes a bit.
-A Joint model's lanes come column-wise from its entries, with no
-per-profile loop in Python, and are kept on the model with its
-common-denominator weights (``JointModel.lanes``, ``weighted``).
+profile is a few big-integer operations.  A Joint model's lanes come
+column-wise from its entries, with no per-profile loop in Python.
 Independent voters' lanes come from the product structure of their
 tables, in chunks of at most ``LANE_CHUNK`` profiles; a voter with one
 table entry gets no lanes and is counted with the others of its set.
@@ -57,47 +55,41 @@ values on, so no entry is parsed twice.
 Matrix rows are classified on integers (``_split_row``): an entry
 ``p = num/den`` is a forced approval when ``num == den``, free when
 ``0 < num < den`` and a certain disapproval when ``num == 0``.  Row
-expansion, ``first_plausible``, ``plausible_count``,
+expansion, the first profile, the profile count,
 ``profile_probability`` and the matrix paths of ``decide`` and
 ``probability`` work on this classification, and validation reads the
 same integers, so no path compares a ``Fraction`` per entry; a
-``Fraction`` is built only for a probability that is returned.  Each
-model object classifies its rows once, on first use, and keeps the
-result (``split_rows``), so a model asked many questions pays for one
-pass.  The stored rows are not a dataclass field: equality, hashing,
-``repr`` and the written document see only the matrix and its tag.
+``Fraction`` is built only for a probability that is returned.
 
-A Lottery or CandidateProb model keeps its scan plan the same way, each
-part built on first use: its voter tables (``tables``), its
-plausible-profile count (``profile_count``, which the budget gate of
-every scan reads in O(1)) and the inner block of its lanes
-(``block``: the inner voters' lanes and bit-sliced weights and the
-``fixed`` counts, sized by ``LANE_CHUNK`` when built).  So every scan
-of a model after the first pays only for the outer voters of each
-chunk and for its tests.  The first plausible profile (``first``),
-which ``first_plausible`` returns and the JR deciders start their
-witnesses from, is kept with the plan.
-
-The polynomial JR questions read a model by candidate, not by voter,
-and each model keeps that view too, built on first use: a matrix
-model's voters per candidate as two bitsets, its forced and its free
-entries (``columns``), and apart from them, since only witnesses need
-them, each row's forced and free entries as two candidate masks
-(``row_masks``) and each candidate's products of its free entries'
-numerators, of their complements and of the denominators
-(``column_products``); a
-Joint model's approvers per candidate, one list of voter bitsets per
-entry, each built the first time it is read, so a scan builds only as
-far as it reads (``approvers``); a Lottery model's approvers per
-candidate, one list of voter bitsets per set position ``t``, over each
-voter's ``t``-th set, built the same way (``layers``).  None of these
-is a dataclass field and a pickle leaves them out, with the classified
-rows and the scan plan; ``tva_to_cp`` hands on what is built.  The
-same holds for a matrix model's distinct entry objects
-(``entry_values``), which its constructor keeps as it parses and
-validation checks in place of every entry.  Two
-threads reading a view at once may both build it, and both build the
-same value.
+Every model kind answers the same facts about itself, so callers read
+attributes instead of asking for its kind: ``profile_count`` (the
+number of plausible profiles, which the budget gate of every scan reads
+in O(1)), ``first`` (the first plausible profile), ``profile_at(p)``
+(profile ``p`` in enumeration order, as a ``PlausibleProfile``),
+``lanes`` (the ``(denominator, chunks)`` of ``_lanes``) and
+``three_valued``.  What these and the polynomial questions read is
+built on first use and kept on the model as views: a Joint model's lanes
+and its approvers per candidate, one list of voter bitsets per entry,
+each built the first time it is read (``approvers``); an independent
+model's voter tables (``tables``), count, first profile and the inner
+block of its lanes (``block``: the inner voters' lanes and bit-sliced
+weights and the ``fixed`` counts, sized by ``LANE_CHUNK`` when built),
+so a scan after the first pays only for the outer voters of each chunk;
+a Lottery model's approvers per candidate, one list of voter bitsets
+per set position ``t``, built the same way (``layers``); a matrix
+model's distinct entry objects (``entry_values``, kept by the
+constructor as it parses and checked by validation in place of every
+entry), its classified rows (``split_rows``), its voters per candidate
+as two bitsets, its forced and its free entries (``columns``), each
+row's forced and free entries as two candidate masks (``row_masks``) and
+each candidate's products of its free entries' numerators, of their
+complements and of the denominators (``column_products``).  One rule
+covers every view: it is not a dataclass field, so equality, hashing,
+``repr`` and the written document see only the fields, and a pickle
+holds the fields alone (``_Model.__getstate__``).  ``tva_to_cp`` hands
+on every view already built, since the rows are the same.  Callers read
+the views and never change them.  Two threads reading a view at once
+may both build it, and both build the same value.
 
 Enumeration order is fixed: Joint entries in input order; Lottery
 combinations with voter 0 outermost and each voter's sets in input
@@ -133,31 +125,45 @@ from .model import (
 HALF = Fraction(1, 2)
 
 
-@dataclass(frozen=True)
-class JointModel:
-    """Distribution over whole approval profiles.
+class _Model:
+    """What every model kind answers alike: ``three_valued``, false unless
+    a matrix model is tagged so, and its state in a pickle, which holds
+    the dataclass fields only, so that no view built on first use is
+    written out."""
 
-    The entries over their common denominator (``weighted``), their
-    lanes (``lanes``) and each entry's per-candidate approvers
-    (``approvers``) are built on first use and kept on the object, like
-    the classified rows of a matrix model.  None is a dataclass field,
-    and a pickle leaves them out, so equality, hashing, ``repr``, pickles
-    and the written document see only the entries.
-    """
+    three_valued = False
+
+    def __getstate__(self) -> dict:
+        state = vars(self)
+        return {name: state[name] for name in self.__dataclass_fields__}
+
+
+@dataclass(frozen=True)
+class JointModel(_Model):
+    """Distribution over whole approval profiles.  Profile ``p`` is entry
+    ``p``; the lanes (``lanes``) and each entry's per-candidate approvers
+    (``approvers``) are built on first use and kept."""
 
     instance: Instance
     entries: tuple[tuple[Fraction, Profile], ...]
 
-    @cached_property
-    def weighted(self) -> tuple[int, list[tuple[Profile, int]]]:
-        """``(denominator, [(profile, integer weight)])`` in entry order."""
-        return _over_common_denominator(self.entries)
+    @property
+    def profile_count(self) -> int:
+        return len(self.entries)
+
+    @property
+    def first(self) -> PlausibleProfile:
+        return self.profile_at(0)
+
+    def profile_at(self, p: int) -> PlausibleProfile:
+        lam, prof = self.entries[p]
+        return PlausibleProfile(prof, lam)
 
     @cached_property
     def lanes(self) -> tuple[int, list[tuple]]:
         """``(denominator, [chunk])``: every entry in one chunk of lanes
         (see ``_lanes``)."""
-        denom, weighted = self.weighted
+        denom, weighted = _over_common_denominator(self.entries)
         profiles, weights = zip(*weighted)
         return denom, [_joint_chunk(self.instance, profiles, weights)]
 
@@ -168,9 +174,6 @@ class JointModel:
         the first time it is read."""
         entries = self.entries
         return _EntryApprovers(self.instance.m, len(entries), lambda p: entries[p][1])
-
-    def __getstate__(self) -> dict:
-        return _without(vars(self), ("weighted", "lanes", "approvers"))
 
 
 class _EntryApprovers:
@@ -198,39 +201,13 @@ class _EntryApprovers:
         return map(self.__getitem__, range(len(self.built)))
 
 
-def _without(state: dict, stored: tuple[str, ...]) -> dict:
-    """An object's attributes less the ``stored`` ones built on first use:
-    the state a pickle keeps."""
-    return {name: value for name, value in state.items() if name not in stored}
-
-
-class _IndependentVoters:
-    """The scan plan of a model of independent voters (Lottery or
-    CandidateProb): what every scan needs and no committee changes,
-    built on first use and kept on the object.  The voter
-    tables (``tables``), the plausible-profile count (``profile_count``),
-    the inner block of the lanes (``block``) and the first plausible
-    profile (``first``).  A pickle leaves them out, with every other
-    view built on first use.  Callers read them and never change them."""
-
-    @cached_property
-    def tables(self) -> list[tuple[int, list[tuple[ApprovalSet, int]]]]:
-        """Each voter's ``(denominator, [(approval set, weight)])`` table,
-        in enumeration order: a Lottery voter's entries in input order, a
-        matrix row expanded by ``_row_table``.  A profile's probability is
-        the product of its voters' weights over the product of the
-        denominators."""
-        if isinstance(self, LotteryModel):
-            return [_over_common_denominator(voter) for voter in self.lotteries]
-        return list(itertools.starmap(_row_table, self.split_rows))
-
-    @cached_property
-    def profile_count(self) -> int:
-        """The number of plausible profiles, the product of the table
-        sizes, computed without building a table."""
-        if isinstance(self, LotteryModel):
-            return math.prod(map(len, self.lotteries))
-        return 2 ** sum(len(free) for _, free in self.split_rows)
+class _IndependentVoters(_Model):
+    """A model of independent voters (Lottery or CandidateProb).  Its kind
+    builds the voter tables (``tables``): each voter's ``(denominator,
+    [(approval set, weight)])`` in enumeration order, so a profile's
+    probability is the product of its voters' weights over the product
+    of the denominators.  Every scan reads the inner block of the lanes
+    (``block``) built from them."""
 
     @cached_property
     def block(self) -> tuple:
@@ -238,37 +215,53 @@ class _IndependentVoters:
         (``_lane_block``), sized by ``LANE_CHUNK`` as it is when built."""
         return _lane_block(self.instance.m, self.tables)
 
-    @cached_property
-    def first(self) -> PlausibleProfile:
-        """The first plausible profile in enumeration order: each Lottery
-        voter's first set, or each matrix row's forced approvals alone."""
-        if isinstance(self, LotteryModel):
-            num = den = 1
-            sets = []
-            for voter in self.lotteries:
-                entry_lam, s = voter[0]
-                entry_num, entry_den = entry_lam.as_integer_ratio()
-                num *= entry_num
-                den *= entry_den
-                sets.append(s)
-            return PlausibleProfile(tuple(sets), Fraction(num, den))
-        # Forced approvals only: every free entry is disapproved.
-        _, miss, den = self.column_products
-        sets = tuple(tuple(forced) for forced, _ in self.split_rows)
-        return PlausibleProfile(sets, Fraction(math.prod(miss), den))
+    @property
+    def lanes(self) -> tuple[int, Iterator[tuple]]:
+        block = self.block
+        return block[0], _block_chunks(block)
 
-    def __getstate__(self) -> dict:
-        return _without(vars(self), _STORED)
+    def profile_at(self, p: int) -> PlausibleProfile:
+        """Profile ``p``: its digits in the mixed radix of the table
+        sizes, voter 0 most significant, index each voter's table."""
+        sets = []
+        weight = denom = 1
+        for den, table in reversed(self.tables):
+            p, j = divmod(p, len(table))
+            s, wt = table[j]
+            sets.append(s)
+            weight *= wt
+            denom *= den
+        return PlausibleProfile(tuple(reversed(sets)), Fraction(weight, denom))
 
 
 @dataclass(frozen=True)
 class LotteryModel(_IndependentVoters):
-    """Independent per-voter distributions over approval sets.  Its view
-    by candidate (``layers``) is built on first use and kept, like the
-    scan plan; callers never change it."""
+    """Independent per-voter distributions over approval sets; a voter's
+    table lists its entries in input order."""
 
     instance: Instance
     lotteries: tuple[tuple[tuple[Fraction, ApprovalSet], ...], ...]
+
+    @cached_property
+    def tables(self) -> list[tuple[int, list[tuple[ApprovalSet, int]]]]:
+        return [_over_common_denominator(voter) for voter in self.lotteries]
+
+    @cached_property
+    def profile_count(self) -> int:
+        return math.prod(map(len, self.lotteries))
+
+    @cached_property
+    def first(self) -> PlausibleProfile:
+        """Each voter's first set."""
+        num = den = 1
+        sets = []
+        for voter in self.lotteries:
+            entry_lam, s = voter[0]
+            entry_num, entry_den = entry_lam.as_integer_ratio()
+            num *= entry_num
+            den *= entry_den
+            sets.append(s)
+        return PlausibleProfile(tuple(sets), Fraction(num, den))
 
     @cached_property
     def layers(self) -> _EntryApprovers:
@@ -284,22 +277,30 @@ class LotteryModel(_IndependentVoters):
         )
 
 
-# The attributes a model of independent voters builds on first use.
-_STORED = ("entry_values", "split_rows", "columns", "row_masks", "column_products", "tables",
-           "profile_count", "block", "first", "layers")
-
-
 @dataclass(frozen=True)
 class CandidateProbModel(_IndependentVoters):
     """Independent approval probability for every (voter, candidate)
     pair; when tagged ``three_valued``, certain entries and unknowns at
-    1/2.  The rows classified by ``_split_row``, two views of them by
-    candidate and one as candidate masks are built on first use and
-    kept; callers never change them."""
+    1/2.  A row's table is its expansion by ``_row_table``."""
 
     instance: Instance
     probs: tuple[tuple[Fraction, ...], ...]
     three_valued: bool = False
+
+    @cached_property
+    def tables(self) -> list[tuple[int, list[tuple[ApprovalSet, int]]]]:
+        return list(itertools.starmap(_row_table, self.split_rows))
+
+    @cached_property
+    def profile_count(self) -> int:
+        return 2 ** sum(len(free) for _, free in self.split_rows)
+
+    @cached_property
+    def first(self) -> PlausibleProfile:
+        """Each row's forced approvals alone: every free entry is missed."""
+        _, miss, den = self.column_products
+        sets = tuple(tuple(forced) for forced, _ in self.split_rows)
+        return PlausibleProfile(sets, Fraction(math.prod(miss), den))
 
     @cached_property
     def entry_values(self) -> Collection:
@@ -352,11 +353,6 @@ class CandidateProbModel(_IndependentVoters):
 
 
 Model = Union[JointModel, LotteryModel, CandidateProbModel]
-
-
-def _three_valued(model: Model) -> bool:
-    """Whether ``model`` is three-valued: a matrix model tagged so."""
-    return isinstance(model, CandidateProbModel) and model.three_valued
 
 
 @dataclass(frozen=True)
@@ -700,7 +696,7 @@ def _model_errors(model: Model, check_sets: bool) -> list[str]:
                 errors.append(f"voter {i}: set probabilities sum to {Fraction(num, den)}, expected 1")
     elif isinstance(model, CandidateProbModel):
         _matrix_errors(model.probs, inst, errors)
-        if _three_valued(model):
+        if model.three_valued:
             _entry_errors(model, _tva_entry_ok, "value {} not in {{0, 1/2, 1}}", errors)
         else:
             _entry_errors(model, _cp_entry_ok, "probability {} not in [0, 1]", errors)
@@ -728,12 +724,11 @@ def _validated(model: Model, check_sets: bool) -> Model:
 def tva_to_cp(model: CandidateProbModel) -> CandidateProbModel:
     """A three-valued model as a plain CandidateProb one: the same
     matrix, untagged.  The rows are the same, so their classification is
-    handed on, with whatever else of the scan plan and the views by
-    candidate is already built."""
+    handed on, with every other view already built."""
     cp = CandidateProbModel(model.instance, model.probs)
     vars(cp)["split_rows"] = model.split_rows
-    stored = vars(model)
-    vars(cp).update((name, stored[name]) for name in _STORED if name in stored)
+    fields = model.__dataclass_fields__
+    vars(cp).update(item for item in vars(model).items() if item[0] not in fields)
     return cp
 
 
@@ -801,16 +796,11 @@ def lottery_to_joint(model: LotteryModel, budget: int | None = None) -> JointMod
 
 def plausible_count(model: Model) -> int:
     """Exact number of plausible profiles, computed without enumerating."""
-    if isinstance(model, JointModel):
-        return len(model.entries)
     return model.profile_count
 
 
 def first_plausible(model: Model) -> PlausibleProfile:
     """The first profile in enumeration order, without paying for enumeration."""
-    if isinstance(model, JointModel):
-        lam, prof = model.entries[0]
-        return PlausibleProfile(prof, lam)
     return model.first
 
 
@@ -849,9 +839,9 @@ def _weighted_profiles(
     for a positive integer ``weight``.  Raises :class:`BudgetError` up
     front when the profile count exceeds the budget.
     """
-    _check_budget(plausible_count(model), budget)
+    _check_budget(model.profile_count, budget)
     if isinstance(model, JointModel):
-        denom, entries = model.weighted
+        denom, entries = _over_common_denominator(model.entries)
         return denom, iter(entries)
     tables = model.tables
     return math.prod(d for d, _ in tables), _product([t for _, t in tables])
@@ -890,11 +880,8 @@ def _lanes(model: Model, budget: int | None) -> tuple[int, Iterator[tuple]]:
     :class:`BudgetError` up front when the plausible-profile count
     exceeds the budget.
     """
-    _check_budget(plausible_count(model), budget)
-    if isinstance(model, JointModel):
-        return model.lanes
-    block = model.block
-    return block[0], _block_chunks(block)
+    _check_budget(model.profile_count, budget)
+    return model.lanes
 
 
 def _lane_total(mask: int, weights: tuple[int, list[tuple[int, int]]]) -> int:
@@ -1042,23 +1029,6 @@ def _block_chunks(block: tuple) -> Iterator[tuple]:
             for c in s:
                 chunk[c][v] = full
         yield size, chunk, (scale, planes), fixed
-
-
-def _profile_at(
-    tables: list[tuple[int, list[tuple[ApprovalSet, int]]]], p: int
-) -> tuple[Profile, int]:
-    """Profile ``p`` of the product of per-voter ``(denominator, [(set,
-    weight)])`` tables and its weight: ``p``'s digits in the mixed radix
-    of the table sizes, voter 0 most significant, index each voter's
-    table."""
-    sets = []
-    weight = 1
-    for _, table in reversed(tables):
-        p, j = divmod(p, len(table))
-        s, wt = table[j]
-        sets.append(s)
-        weight *= wt
-    return tuple(reversed(sets)), weight
 
 
 def enumerate_plausible(model: Model, budget: int | None = None) -> Iterator[PlausibleProfile]:

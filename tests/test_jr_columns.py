@@ -547,7 +547,7 @@ VIEWS = {
 }
 STORED = {
     CandidateProbModel: ("entry_values", "split_rows", *VIEWS[CandidateProbModel]),
-    JointModel: ("weighted", "lanes", *VIEWS[JointModel]),
+    JointModel: ("lanes", *VIEWS[JointModel]),
     LotteryModel: VIEWS[LotteryModel],
 }
 
@@ -680,7 +680,8 @@ def builds(monkeypatch):
     counts = Counter()
     for cls, name in ((CandidateProbModel, "entry_values"), (CandidateProbModel, "columns"),
                       (CandidateProbModel, "row_masks"), (CandidateProbModel, "column_products"),
-                      (uncertainty._IndependentVoters, "first"), (LotteryModel, "layers")):
+                      (CandidateProbModel, "first"), (LotteryModel, "first"),
+                      (LotteryModel, "layers")):
         func = vars(cls)[name].func
 
         def counting(self, func=func, name=name):

@@ -387,13 +387,13 @@ class TestStoredJointLanes:
         model = _joint_example()
         before = self._observed(model)
         model.lanes
-        assert "lanes" in vars(model) and "weighted" in vars(model)
+        assert "lanes" in vars(model)
         after = self._observed(model)
         assert before == after
         twin = JointModel(model.instance, model.entries)
         assert model == twin and hash(model) == hash(twin)
         thawed = pickle.loads(pickle.dumps(model))
-        assert "lanes" not in vars(thawed) and "weighted" not in vars(thawed)
+        assert "lanes" not in vars(thawed)
         assert thawed == model and thawed.lanes == model.lanes
 
     def test_constructors_build_no_lanes(self):
@@ -408,7 +408,7 @@ class TestStoredJointLanes:
                                                   [(1, [2])]])),
         ]
         for joint in built:
-            assert "lanes" not in vars(joint) and "weighted" not in vars(joint)
+            assert "lanes" not in vars(joint)
 
     def test_built_once_per_model(self, monkeypatch):
         calls = []
@@ -427,19 +427,6 @@ class TestStoredJointLanes:
         other = JointModel(model.instance, model.entries)
         jr_probability(other, (0, 1))
         assert len(calls) == 2
-
-    def test_weighted_profiles_read_the_stored_weights(self, monkeypatch):
-        calls = []
-        over = uncertainty._over_common_denominator
-        monkeypatch.setattr(
-            uncertainty, "_over_common_denominator", lambda e: calls.append(e) or over(e)
-        )
-        model = _joint_example()
-        first = _weighted_profiles(model)
-        second = _weighted_profiles(model)
-        assert first[0] == second[0] and list(first[1]) == list(second[1])
-        jr_probability(model, (0, 1))
-        assert len(calls) == 1
 
 
 class TestMemory:

@@ -1,4 +1,9 @@
+import os
+import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,6 +18,8 @@ from abcu import (
     min_group_size,
     parse_probability,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestInstance:
@@ -89,6 +96,31 @@ class TestApprovalSet:
         with pytest.raises(InputError):
             committee([0], inst)
         assert committee([1], inst, size=1) == (1,)
+
+    @pytest.mark.parametrize("members,bad", [
+        (["x", 1, "3/2", 3], "'x'"), ([1, None, 2], "None"), ([0, [1]], "[1]"),
+        ([True, "a"], "True"), (iter([2, "b", 1]), "'b'"),
+    ])
+    def test_unsortable_members_name_the_first_non_integer(self, members, bad):
+        with pytest.raises(InputError, match=rf"^candidate id {re.escape(bad)} is not an integer$"):
+            approval_set(members, 4)
+
+    def test_unsortable_members_raise_alike_under_every_hash_seed(self):
+        # Sorting a set of strings and ints fails on whichever pair the
+        # hash order compares first; the error names input order instead.
+        code = (
+            "from abcu import Instance, lottery_model\n"
+            "try:\n"
+            "    lottery_model(Instance(2, 4, 1), [[(1, [0])], [(1, ['x', 1, '3/2', 3, 'y'])]])\n"
+            "except Exception as exc:\n"
+            "    print(type(exc).__name__, exc)\n"
+        )
+        outputs = {
+            subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                           env=dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED=seed)).stdout
+            for seed in ("1", "2")
+        }
+        assert outputs == {"InputError candidate id 'x' is not an integer\n"}
 
 
 class TestProbability:

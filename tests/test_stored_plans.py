@@ -146,10 +146,10 @@ def builds(monkeypatch):
         for module in (uncertainty, decide, probability, optimize):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, wrapped)
-    base = uncertainty._IndependentVoters
-    prop = functools.cached_property(counting("profile_count", vars(base)["profile_count"].func))
-    prop.__set_name__(base, "profile_count")
-    monkeypatch.setattr(base, "profile_count", prop)
+    for kind in (LotteryModel, CandidateProbModel):
+        prop = functools.cached_property(counting("profile_count", vars(kind)["profile_count"].func))
+        prop.__set_name__(kind, "profile_count")
+        monkeypatch.setattr(kind, "profile_count", prop)
     return counts
 
 
@@ -210,7 +210,7 @@ class TestInvisible:
         assert model == twin and hash(model) == hash(twin)
         assert not any(name in repr(model) for name in PLAN)
         thawed = pickle.loads(pickle.dumps(model))
-        assert not set(uncertainty._STORED) & set(vars(thawed))
+        assert set(vars(thawed)) == set(model.__dataclass_fields__)
         assert thawed == model
         assert _ask_everything(thawed) == _ask_everything(model)
 
