@@ -404,14 +404,7 @@ class _Levels:
         return None
 
 
-_VIOLATION_FINDERS = {
-    "jr": jr_violation,
-    "pjr": pjr_violation,
-    "ejr": ejr_violation,
-}
-
-# The same finders against a canonical committee's frozenset, for scans
-# that check one committee against many profiles.
+# The violation finders against a canonical committee's frozenset.
 _COMMITTEE_FINDERS = {
     "jr": _jr_violation,
     "pjr": _pjr_violation,
@@ -590,7 +583,7 @@ def _lane_test(inst: Instance, wset: frozenset[int], axiom: str) -> Callable[...
 
 def axiom_violation(inst: Instance, prof: Profile, w: Committee, axiom: str) -> Violation | None:
     """Dispatch to the requested axiom's violation finder."""
-    return _VIOLATION_FINDERS[_require_axiom(axiom)](inst, prof, w)
+    return _COMMITTEE_FINDERS[_require_axiom(axiom)](inst, prof, frozenset(committee(w, inst)))
 
 
 def is_jr(inst: Instance, prof: Profile, w: Committee) -> bool:

@@ -61,8 +61,8 @@ def max_axiom(
     given lanes.
     """
     inst = model.instance
-    _check_budget(math.comb(inst.m, inst.k) * model.profile_count, budget)
     _require_axiom(axiom)
+    _check_budget(math.comb(inst.m, inst.k) * model.profile_count, budget)
     committees = list(itertools.combinations(range(inst.m), inst.k))
     results = committee_probabilities(model, committees, axiom, budget, force_enumeration)
     values = [result.value for result in results]

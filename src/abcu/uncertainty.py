@@ -11,20 +11,23 @@
 
 A profile with positive probability is *plausible*.  This module
 provides validation, the conversions three-valued -> CandidateProb ->
-Lottery -> Joint, and a deterministic enumerator of plausible profiles
-with exact probabilities: the brute-force substrate every other module
-checks itself against.
+Lottery -> Joint, and one decoder of the enumeration order (below):
+``profile_at(p)`` is profile ``p`` with its exact probability.
+``enumerate_plausible`` and ``lottery_to_joint`` decode every index in
+turn, and the first-witness scans of ``decide`` the one index they find.
 
-Enumeration runs on one integer-weight kernel.  Each voter gets a table
-of (approval set, integer weight) over that voter's common denominator:
-a Lottery voter's entries in input order, a CandidateProb row expanded
-as in ``cp_to_lottery`` (free candidates ascending, disapprove before
-approve).  The kernel takes the product of the tables
-with voter 0 outermost, so a profile's probability is the product of its
-voters' weights over the product of their denominators, with no
-``Fraction`` arithmetic per profile.  A Joint model's entries are put
-over the lcm of their denominators.  Internal scans sum these integers;
-``enumerate_plausible`` turns each weight back into a ``Fraction``.
+A Joint model's profile ``p`` is its entry ``p``.  Independent voters
+each get a table of (approval set, integer weight) over that voter's
+common denominator: a Lottery voter's entries in input order, a
+CandidateProb row expanded as in ``cp_to_lottery`` (free candidates
+ascending, disapprove before approve).  The digits of ``p`` in the
+mixed radix of the table sizes, voter 0 most significant, index the
+tables, so a profile's probability is the product of its voters'
+weights over the product of their denominators, one ``Fraction`` per
+profile.  A voter whose table has one entry has radix 1: it approves
+that set in every profile, at weight 1 over denominator 1.  The voters
+are split once into these and the varying ones (``voter_split``), and
+only the varying voters' digits are decoded.
 
 Flat scans, which sum over every profile or look for the first witness,
 read the same profiles and weights as lanes (``_lanes``): one integer
@@ -71,10 +74,11 @@ in O(1)), ``first`` (the first plausible profile), ``profile_at(p)``
 built on first use and kept on the model as views: a Joint model's lanes
 and its approvers per candidate, one list of voter bitsets per entry,
 each built the first time it is read (``approvers``); an independent
-model's voter tables (``tables``), count, first profile and the inner
-block of its lanes (``block``: the inner voters' lanes and bit-sliced
-weights and the ``fixed`` counts, sized by ``LANE_CHUNK`` when built),
-so a scan after the first pays only for the outer voters of each chunk;
+model's voter tables (``tables``), count, first profile, split of the
+voters (``voter_split``) and the inner block of its lanes (``block``:
+the inner voters' lanes and bit-sliced weights and the ``fixed``
+counts, sized by ``LANE_CHUNK`` when built), so a scan after the first
+pays only for the outer voters of each chunk;
 a Lottery model's approvers per candidate, one list of voter bitsets
 per set position ``t``, built the same way (``layers``); a matrix
 model's distinct entry objects (``entry_values``, kept by the
@@ -207,13 +211,30 @@ class _IndependentVoters(_Model):
     [(approval set, weight)])`` in enumeration order, so a profile's
     probability is the product of its voters' weights over the product
     of the denominators.  Every scan reads the inner block of the lanes
-    (``block``) built from them."""
+    (``block``), and every decoded profile the split of the voters
+    (``voter_split``), built from them."""
+
+    @cached_property
+    def voter_split(self) -> tuple[list[ApprovalSet], list[tuple[int, int, list]]]:
+        """``(single, varying)``: the set of each voter whose table has
+        one entry, and every other voter as ``(voter, denominator,
+        table)``, both in voter order.  A single-set voter approves its
+        set in every profile, at weight 1 over denominator 1, and has
+        radix 1 in a profile's index."""
+        single = []
+        varying = []
+        for v, (den, table) in enumerate(self.tables):
+            if len(table) > 1:
+                varying.append((v, den, table))
+            else:
+                single.append(table[0][0])
+        return single, varying
 
     @cached_property
     def block(self) -> tuple:
         """The part of every lane chunk that no chunk changes
         (``_lane_block``), sized by ``LANE_CHUNK`` as it is when built."""
-        return _lane_block(self.instance.m, self.tables)
+        return _lane_block(self.instance.m, *self.voter_split)
 
     @property
     def lanes(self) -> tuple[int, Iterator[tuple]]:
@@ -221,17 +242,17 @@ class _IndependentVoters(_Model):
         return block[0], _block_chunks(block)
 
     def profile_at(self, p: int) -> PlausibleProfile:
-        """Profile ``p``: its digits in the mixed radix of the table
-        sizes, voter 0 most significant, index each voter's table."""
-        sets = []
+        """Profile ``p``: its digits in the mixed radix of the varying
+        voters' table sizes, the first most significant, index their
+        tables; every single-set voter keeps its set of ``first``."""
+        sets = list(self.first.profile)
         weight = denom = 1
-        for den, table in reversed(self.tables):
+        for v, den, table in reversed(self.voter_split[1]):
             p, j = divmod(p, len(table))
-            s, wt = table[j]
-            sets.append(s)
+            sets[v], wt = table[j]
             weight *= wt
             denom *= den
-        return PlausibleProfile(tuple(reversed(sets)), Fraction(weight, denom))
+        return PlausibleProfile(tuple(sets), Fraction(weight, denom))
 
 
 @dataclass(frozen=True)
@@ -783,11 +804,11 @@ def cp_to_lottery(model: CandidateProbModel, budget: int | None = None) -> Lotte
 
 
 def lottery_to_joint(model: LotteryModel, budget: int | None = None) -> JointModel:
-    """Take the product of the independent per-voter distributions."""
-    denom, profiles = _weighted_profiles(model, budget)
-    return JointModel(
-        model.instance, tuple((Fraction(wt, denom), prof) for prof, wt in profiles)
-    )
+    """Take the product of the independent per-voter distributions: one
+    entry per plausible profile, in enumeration order."""
+    return JointModel(model.instance, tuple(
+        (pp.prob, pp.profile) for pp in enumerate_plausible(model, budget)
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -812,39 +833,6 @@ def _over_common_denominator(entries) -> tuple[int, list]:
     ratios = [(lam.as_integer_ratio(), item) for lam, item in entries]
     denom = math.lcm(*{den for (_, den), _ in ratios})
     return denom, [(item, num * (denom // den)) for (num, den), item in ratios]
-
-
-def _product(tables) -> Iterator[tuple[Profile, int]]:
-    """Product of per-voter ``[(set, weight)]`` tables, voter 0 outermost.
-
-    The prefix over all voters but the last is built once and extended
-    by each of the last voter's sets in the innermost loop.
-    """
-    *head, last = tables
-    head_sets = [[s for s, _ in table] for table in head]
-    head_weights = [[wt for _, wt in table] for table in head]
-    for prefix, weights in zip(itertools.product(*head_sets), itertools.product(*head_weights)):
-        weight = math.prod(weights)
-        for s, wt in last:
-            yield prefix + (s,), weight * wt
-
-
-def _weighted_profiles(
-    model: Model, budget: int | None = None
-) -> tuple[int, Iterator[tuple[Profile, int]]]:
-    """The enumeration kernel: ``(denominator, iterator of (profile, weight))``.
-
-    Every plausible profile comes exactly once, in enumeration order
-    (see module docstring), with probability ``weight / denominator``
-    for a positive integer ``weight``.  Raises :class:`BudgetError` up
-    front when the profile count exceeds the budget.
-    """
-    _check_budget(model.profile_count, budget)
-    if isinstance(model, JointModel):
-        denom, entries = _over_common_denominator(model.entries)
-        return denom, iter(entries)
-    tables = model.tables
-    return math.prod(d for d, _ in tables), _product([t for _, t in tables])
 
 
 # ---------------------------------------------------------------------------
@@ -959,46 +947,42 @@ def _joint_chunk(inst: Instance, profiles: tuple[Profile, ...], weights: tuple[i
     return count, lanes, (1, _weight_planes(weights)), ()
 
 
-def _lane_block(m: int, tables: list[tuple[int, list[tuple[ApprovalSet, int]]]]) -> tuple:
-    """The chunk-independent part of the lanes of the product of per-voter
-    ``(denominator, [(set, weight)])`` tables: ``(denominator, size,
-    lanes, planes, fixed, outer)``.
+def _lane_block(m: int, single: list[ApprovalSet], varying: list[tuple[int, int, list]]) -> tuple:
+    """The chunk-independent part of the lanes of the product of the
+    voter tables, split as ``voter_split``: ``(denominator, size, lanes,
+    planes, fixed, outer)``.
 
-    A voter with one entry approves the same set in every profile, with
-    probability 1 (weight 1 over denominator 1), so it gets no lanes:
-    such voters are counted per distinct set in ``fixed``.  Of the other
-    voters, the inner ones, the longest suffix whose product of table
-    sizes fits ``LANE_CHUNK``, vary inside a chunk of ``size`` profiles.
-    Inner voter ``v``'s ``j``-th set covers the bits whose digit for
-    ``v`` is ``j``: a block of ``stride`` ones (the product of the later
-    voters' table sizes) at ``j * stride``, repeated every ``len(table) *
-    stride`` bits, that is the block pattern times a repunit.  ``lanes``
+    A single-set voter approves the same set in every profile, with
+    probability 1, so it gets no lanes: such voters are counted per
+    distinct set in ``fixed``.  Of the varying voters, the inner ones,
+    the longest suffix whose product of table sizes fits ``LANE_CHUNK``,
+    vary inside a chunk of ``size`` profiles.  Inner voter ``v``'s
+    ``j``-th set covers the bits whose digit for ``v`` is ``j``: a block
+    of ``stride`` ones (the product of the later voters' table sizes) at
+    ``j * stride``, repeated every ``len(table) * stride`` bits, that is
+    the block pattern times a repunit.  ``lanes``
     holds these, with 0 for every outer voter, and ``planes`` the inner
     weights bit-sliced (``_weight_planes``).  ``outer`` lists the outer
     voters' tables; their sets and weights are fixed per chunk
     (``_block_chunks``).
     """
     counts: dict[ApprovalSet, int] = {}
-    varying = []
-    for _, table in tables:
-        if len(table) > 1:
-            varying.append(table)
-        else:
-            (s, _), = table
-            counts[s] = counts.get(s, 0) + 1
+    for s in single:
+        counts[s] = counts.get(s, 0) + 1
     fixed = [(sum(1 << c for c in s), count) for s, count in counts.items()]
-    n = len(varying)
+    tables = [table for _, _, table in varying]
+    n = len(tables)
     split = max(n - 1, 0)
-    size = len(varying[-1]) if varying else 1
-    while split and size * len(varying[split - 1]) <= LANE_CHUNK:
+    size = len(tables[-1]) if tables else 1
+    while split and size * len(tables[split - 1]) <= LANE_CHUNK:
         split -= 1
-        size *= len(varying[split])
+        size *= len(tables[split])
     full = (1 << size) - 1
     lanes = [[0] * n for _ in range(m)]
     weights = [1]
     stride = size
     for v in range(split, n):
-        table = varying[v]
+        table = tables[v]
         period = stride
         stride //= len(table)
         repunit = full // ((1 << period) - 1)
@@ -1010,8 +994,8 @@ def _lane_block(m: int, tables: list[tuple[int, list[tuple[ApprovalSet, int]]]])
         for c, pattern in patterns.items():
             lanes[c][v] = pattern * repunit
         weights = [a * wt for a in weights for _, wt in table]
-    denom = math.prod(d for d, _ in tables)
-    return denom, size, lanes, _weight_planes(weights), fixed, varying[:split]
+    denom = math.prod(den for _, den, _ in varying)
+    return denom, size, lanes, _weight_planes(weights), fixed, tables[:split]
 
 
 def _block_chunks(block: tuple) -> Iterator[tuple]:
@@ -1034,12 +1018,13 @@ def _block_chunks(block: tuple) -> Iterator[tuple]:
 def enumerate_plausible(model: Model, budget: int | None = None) -> Iterator[PlausibleProfile]:
     """Every plausible profile exactly once, with its exact probability.
 
-    Deterministic order (see module docstring); probabilities sum to 1.
-    Raises :class:`BudgetError` up front when the profile count exceeds
-    the budget; exponential objects fail loudly, never silently.
+    Deterministic order (see module docstring), each index decoded by
+    ``profile_at``; probabilities sum to 1.  Raises :class:`BudgetError`
+    up front when the profile count exceeds the budget; exponential
+    objects fail loudly, never silently.
     """
-    denom, profiles = _weighted_profiles(model, budget)
-    return (PlausibleProfile(prof, Fraction(wt, denom)) for prof, wt in profiles)
+    _check_budget(model.profile_count, budget)
+    return map(model.profile_at, range(model.profile_count))
 
 
 def profile_probability(model: Model, prof) -> Fraction:

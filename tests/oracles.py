@@ -19,8 +19,8 @@ forms) and the ``json.dumps`` document writer are kept verbatim as the
 references for their integer-native and direct-writer replacements, and
 the lottery necessary-JR decider that rescans every voter per outside
 candidate as the reference for its one-pass replacement, and the flat
-scans that test one profile at a time (``_satisfaction_test`` over the
-enumeration kernel) as the reference for the lane scan and for the
+scans that test one profile at a time (``_satisfaction_test`` over
+``enumerate_plausible``) as the reference for the lane scan and for the
 deciders' first-witness scan.
 """
 
@@ -52,7 +52,6 @@ from abcu.model import (
     meets_threshold,
     min_group_size,
 )
-from abcu.uncertainty import _weighted_profiles
 
 ONE = Fraction(1)
 HALF = Fraction(1, 2)
@@ -319,12 +318,9 @@ def reference_first(model, wset, axiom, holds, budget=None):
     """The first plausible profile, in enumeration order, that satisfies
     (``holds``) or violates ``axiom`` for ``wset``, or None, testing one
     profile at a time: the flat scan ``decide._first`` replaced."""
-    denom, profiles = _weighted_profiles(model, budget)
+    plausible = enumerate_plausible(model, budget)
     test = _satisfaction_test(model.instance, wset, axiom)
-    for prof, wt in profiles:
-        if test(prof) == holds:
-            return PlausibleProfile(prof, Fraction(wt, denom))
-    return None
+    return next((pp for pp in plausible if test(pp.profile) == holds), None)
 
 
 def reference_decision(model, w, axiom, mode, budget=None):
@@ -358,12 +354,16 @@ def reference_exists(model, axiom, mode, budget=None):
 def reference_values_by_enumeration(model, committees, axiom, budget=None):
     """Exact satisfaction probabilities of ``committees`` from one pass
     over the plausible profiles, one profile at a time, summing integer
-    weights: the flat scan the lane scan replaced."""
+    weights over the lcm of the probabilities' denominators: the flat
+    scan the lane scan replaced."""
     inst = model.instance
-    denom, profiles = _weighted_profiles(model, budget)
+    plausible = [pp.prob.as_integer_ratio() + (pp.profile,)
+                 for pp in enumerate_plausible(model, budget)]
+    denom = math.lcm(*(den for _, den, _ in plausible))
     tests = [_satisfaction_test(inst, frozenset(w), axiom) for w in committees]
     totals = [0] * len(tests)
-    for prof, wt in profiles:
+    for num, den, prof in plausible:
+        wt = num * (denom // den)
         for j, holds in enumerate(tests):
             if holds(prof):
                 totals[j] += wt

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from abcu.cli import main
-from abcu.io import emit_document, parse_document
+from abcu.io import parse_document
 from abcu.uncertainty import JointModel
 from test_io import HOSTILE, hostile_documents
 

@@ -23,7 +23,6 @@ from abcu import (
     tva_model,
     profile_probability,
     reduce_3sat,
-    satisfies,
 )
 from oracles import (
     brute_sat,

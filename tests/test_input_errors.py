@@ -22,13 +22,16 @@ from abcu import (
     LotteryModel,
     axiom_probability,
     exists_nec_axiom,
+    exists_poss_axiom,
     is_nec_axiom,
+    is_poss_axiom,
     is_poss_jr,
     lottery_model,
     max_axiom,
     min_group_size,
     profile_probability,
     satisfies,
+    tva_model,
     validation_errors,
 )
 from abcu.axioms import _require_axiom
@@ -148,6 +151,24 @@ class TestLibrary:
         with pytest.raises(InputError) as exc:
             satisfies(Instance(1, 2, 1), [[0]], [0], "xjr")
         assert str(exc.value) == message
+
+    def test_unknown_axiom_before_the_budget(self):
+        # 256 plausible profiles over a budget of 1: every question names
+        # the unknown axiom before any gate counts.
+        model = tva_model(Instance(4, 2, 1), [["1/2", "1/2"]] * 4)
+        questions = [
+            lambda axiom: max_axiom(model, axiom, budget=1),
+            lambda axiom: axiom_probability(model, (0,), axiom, budget=1),
+            lambda axiom: is_poss_axiom(model, (0,), axiom, budget=1),
+            lambda axiom: is_nec_axiom(model, (0,), axiom, budget=1),
+            lambda axiom: exists_poss_axiom(model, axiom, budget=1),
+            lambda axiom: exists_nec_axiom(model, axiom, budget=1),
+        ]
+        for ask in questions:
+            with pytest.raises(InputError, match="^unknown axiom 'xyz'"):
+                ask("xyz")
+            with pytest.raises(BudgetError):
+                ask("ejr")
 
     def test_hand_built_models(self):
         inst = Instance(1, 2, 1)

@@ -1,5 +1,9 @@
-"""Differential tests for the integer-weight enumeration kernel and the
-scans built on it, plus the budget counts the enumeration paths report."""
+"""Differential tests for the enumeration of plausible profiles, which
+decodes each index by ``profile_at``, and the scans built on the same
+integer weights, plus the budget counts the enumeration paths report.
+The decoder writes the varying voters' sets into the first profile, so
+single-set voters are placed before, after and between the varying
+ones, and a model may have no varying voter at all."""
 
 import itertools
 import math
@@ -13,12 +17,14 @@ from abcu import (
     Instance,
     axiom_probability,
     cp_model,
+    cp_to_lottery,
     enumerate_plausible,
     gen_random,
     is_jr,
     joint_model,
     jr_probability,
     lottery_model,
+    lottery_to_joint,
     max_axiom,
     plausible_count,
     tva_model,
@@ -65,6 +71,56 @@ class TestEnumerationKernel:
         assert list(enumerate_plausible(lot)) == reference_plausible(lot)
         joint = joint_model(inst, [("1/6", [[0], [1]]), ("1/4", [[1], [1]]), ("7/12", [[], [0]])])
         assert list(enumerate_plausible(joint)) == reference_plausible(joint)
+
+
+# One letter per voter: "s" has a single approval set, "v" more than one.
+# The last two have no varying voter, so a single profile.
+LAYOUTS = ("ssvv", "vvss", "vsvsv", "svsvvs", "vv", "sss", "s")
+
+
+def _layout_lottery(rng, layout, m=4):
+    subsets = [s for r in range(m + 1) for s in itertools.combinations(range(m), r)]
+    voters = []
+    for kind in layout:
+        size = 1 if kind == "s" else rng.randint(2, 3)
+        raw = [rng.randint(1, 4) for _ in range(size)]
+        voters.append([(Fraction(x, sum(raw)), s) for x, s in zip(raw, rng.sample(subsets, size))])
+    return lottery_model(Instance(len(layout), m, 2), voters)
+
+
+def _layout_rows(rng, layout, values, m=4):
+    """Rows of 0 and 1, and in each row of a "v" voter one or two
+    entries drawn from ``values``."""
+    rows = []
+    for kind in layout:
+        row = [rng.choice(("0", "1")) for _ in range(m)]
+        if kind == "v":
+            for c in rng.sample(range(m), rng.randint(1, 2)):
+                row[c] = rng.choice(values)
+        rows.append(row)
+    return rows
+
+
+def _entries(model):
+    return tuple((pp.prob, pp.profile) for pp in reference_plausible(model))
+
+
+class TestDecoder:
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_single_set_voters_anywhere(self, layout):
+        rng = random.Random(layout)
+        for _ in range(12):
+            lottery = _layout_lottery(rng, layout)
+            inst = lottery.instance
+            cp = cp_model(inst, _layout_rows(rng, layout, ("1/2", "1/3", "3/4")))
+            tva = tva_model(inst, _layout_rows(rng, layout, ("1/2",)))
+            for model in (lottery, cp, tva):
+                want = reference_plausible(model)
+                assert list(enumerate_plausible(model)) == want
+                assert want[0] == model.first and len(want) == model.profile_count
+            assert lottery_to_joint(lottery).entries == _entries(lottery)
+            for model in (cp, tva):
+                assert lottery_to_joint(cp_to_lottery(model)).entries == _entries(model)
 
 
 class TestPackedJrTest:

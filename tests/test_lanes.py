@@ -9,11 +9,12 @@ a few big-integer operations.  These tests compare the lane values, over
 every committee, with the per-profile flat scan kept in
 ``tests/oracles.py`` and, on small models, with the brute force over
 voter groups.  They also pin the lanes themselves against the
-enumeration kernel, the stored joint lanes, and the memory bound of a
-forced scan.
+``Fraction``-product enumerator of ``tests/oracles.py``, the stored
+joint lanes, and the memory bound of a forced scan.
 """
 
 import itertools
+import math
 import pickle
 from collections import Counter
 import random
@@ -26,7 +27,9 @@ from hypothesis import given, settings, strategies as st
 from abcu import (
     Instance,
     JointModel,
+    LotteryModel,
     MaxResult,
+    PlausibleProfile,
     axiom_probability,
     cp_model,
     jr_probability,
@@ -41,7 +44,7 @@ from abcu import uncertainty
 from abcu.axioms import _at_least
 from abcu.io import document_for, emit_document, parse_document
 from abcu.probability import JOINT_SCAN, _scan_values
-from abcu.uncertainty import _lanes, _weighted_profiles
+from abcu.uncertainty import _lanes
 from oracles import (
     BRUTE,
     reference_max_axiom,
@@ -141,17 +144,34 @@ class TestAtLeast:
         assert _at_least([3, 1], 3) == 0
 
 
+def _lane_denominator(model):
+    """The denominator of the lanes: the lcm of a Joint model's entry
+    denominators, else the product over the voters of the lcm of a
+    lottery voter's, or of the product of a matrix row's free entries'."""
+    if isinstance(model, JointModel):
+        return math.lcm(*(lam.denominator for lam, _ in model.entries))
+    if isinstance(model, LotteryModel):
+        return math.prod(math.lcm(*(lam.denominator for lam, _ in voter))
+                         for voter in model.lotteries)
+    return math.prod(p.denominator for row in model.probs for p in row if 0 < p < 1)
+
+
+def _assert_decodes_to_reference(model):
+    denom, pairs = _decode(model, _lanes(model, None))
+    assert denom == _lane_denominator(model)
+    decoded = [PlausibleProfile(prof, Fraction(wt, denom)) for prof, wt in pairs]
+    assert decoded == reference_plausible(model)
+
+
 class TestLaneForm:
-    """``_lanes`` lists the enumeration kernel's profiles and weights."""
+    """``_lanes`` lists the plausible profiles and their weights in
+    enumeration order."""
 
     @pytest.mark.parametrize("seed", range(3))
     def test_decodes_to_the_kernel(self, seed):
         rng = random.Random(seed)
         for _ in range(60):
-            model = random_any(rng)
-            denom, pairs = _decode(model, _lanes(model, None))
-            kernel_denom, kernel = _weighted_profiles(model)
-            assert denom == kernel_denom and pairs == list(kernel)
+            _assert_decodes_to_reference(random_any(rng))
 
     @pytest.mark.parametrize("bound", [1, 2, 3, 8])
     def test_small_chunks_decode_to_the_kernel(self, monkeypatch, bound):
@@ -159,9 +179,7 @@ class TestLaneForm:
         rng = random.Random(bound)
         for _ in range(40):
             model = random_model(rng)
-            denom, pairs = _decode(model, _lanes(model, None))
-            kernel_denom, kernel = _weighted_profiles(model)
-            assert denom == kernel_denom and pairs == list(kernel)
+            _assert_decodes_to_reference(model)
             # More only when the last voter with lanes alone has more sets.
             sizes = [len(t) for _, t in model.tables if len(t) > 1]
             largest = max([bound] + sizes[-1:])

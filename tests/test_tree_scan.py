@@ -41,7 +41,7 @@ from abcu import (
 from abcu import axioms
 from abcu.decide import ENUM, DecisionResult
 from abcu.model import min_group_size
-from abcu.uncertainty import _lanes, _weighted_profiles
+from abcu.uncertainty import _lanes
 from oracles import (
     BRUTE,
     _satisfaction_test,
@@ -186,18 +186,14 @@ class TestAgainstFlatScan:
         over every profile."""
         for model, _ in _models(400 + seed, 80):
             inst = model.instance
+            profiles = reference_plausible(model)
             for axiom in AXIOMS:
-                denom, weighted = _weighted_profiles(model)
-                profiles = list(weighted)
                 want = DecisionResult(False, ENUM)
                 for w in itertools.combinations(range(inst.m), inst.k):
                     holds = _satisfaction_test(inst, frozenset(w), axiom)
-                    hit = next((p for p in profiles if holds(p[0])), None)
+                    hit = next((pp for pp in profiles if holds(pp.profile)), None)
                     if hit is not None:
-                        want = DecisionResult(
-                            True, ENUM, witness_committee=w,
-                            witness_profile=PlausibleProfile(hit[0], Fraction(hit[1], denom)),
-                        )
+                        want = DecisionResult(True, ENUM, witness_committee=w, witness_profile=hit)
                         break
                 assert exists_poss_axiom(model, axiom) == want
 

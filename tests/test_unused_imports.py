@@ -1,6 +1,6 @@
 """The unused-import and unused-private-definition check that CI runs
-over ``src/abcu`` (``tools/unused_imports.py``): the package is clean,
-and the check finds what it should."""
+over ``src/abcu``, ``tests`` and ``tools`` (``tools/unused_imports.py``):
+each is clean, and the check finds what it should."""
 
 import importlib.util
 from pathlib import Path
@@ -15,6 +15,11 @@ _spec.loader.exec_module(unused_imports)
 
 def test_src_has_no_unused_imports(capsys):
     assert unused_imports.main([str(ROOT / "src" / "abcu")]) == 0
+    assert capsys.readouterr().out == ""
+
+
+def test_tests_and_tools_have_no_unused_imports(capsys):
+    assert unused_imports.main([str(ROOT / "tests"), str(ROOT / "tools")]) == 0
     assert capsys.readouterr().out == ""
 
 
