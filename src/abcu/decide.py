@@ -108,6 +108,7 @@ from .model import (
     resolve_budget,
 )
 from .uncertainty import (
+    FREE,
     CandidateProbModel,
     JointModel,
     LotteryModel,
@@ -528,7 +529,7 @@ def exists_nec_axiom(
             chosen = sorted(mandatory + rest[:inst.k - len(mandatory)])
             return DecisionResult(True, POLY, witness_committee=tuple(chosen))
     if jr and isinstance(model, CandidateProbModel):
-        if all(len(free) == inst.m for _, free in model.split_rows):
+        if model.codes.count(FREE) == len(model.codes):
             # Every candidate can be the unanimous favourite, so only
             # the full candidate set is necessarily JR.
             if inst.k == inst.m:

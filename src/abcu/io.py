@@ -21,17 +21,23 @@ document that a pass refuses (a container of the wrong type, a missing
 key, a probability that is no string or exact int or does not parse)
 is read again by the per-entry reader (``_read``), to name the first bad
 entry's path.  A model-level error (a sum, a duplicate, a length) is
-raised by validation after the pass, and reads nothing again.
+raised by validation after the pass, and reads nothing again.  A parsed
+matrix is classified per distinct raw value as it is built
+(``uncertainty._codes``), and a parsed lottery is validated per distinct
+probability object and per distinct tuple of a voter's probabilities.
 
 Documents are written by ``_dumps``, which produces exactly the bytes of
 ``json.dumps(data, indent=2, sort_keys=True)`` for the value types a
 document holds (str-keyed dicts, lists, tuples, str, int, bool and
 None) without the standard library's pure-Python indent encoder.  An
 approval set (a tuple of ints) is rendered once per nesting depth and
-reused wherever it recurs, so a joint model's repeated sets cost one
-dict lookup each.  A list of dicts, such as a lottery voter's or a joint
+reused wherever it recurs, and each set object is type-checked once per
+depth (``_SetTexts``), so a joint model's repeated sets cost one dict
+lookup each.  A list of dicts, such as a lottery voter's or a joint
 model's entries, is written in one loop (``_records``) that renders each
-key once and writes string values and approval sets in place.
+key once and writes string values and approval sets in place.  The
+probability of a lottery or joint entry is written once per distinct
+object (``_distinct_texts``).
 """
 
 from __future__ import annotations
@@ -298,15 +304,25 @@ def _texts(values: Iterable) -> list[str]:
         ) from None
 
 
+def _distinct_texts(values: list) -> list[str]:
+    """``_texts(values)``, each distinct object written once: a lottery
+    built by a constructor or by ``cp_to_lottery`` shares one object per
+    distinct probability.  (A matrix's entries are written one by one:
+    looking each up by identity costs as much as writing it.)"""
+    distinct = dict(zip(map(id, values), values))
+    texts = dict(zip(distinct, _texts(distinct.values())))
+    return list(map(texts.__getitem__, map(id, values)))
+
+
 def _model_payload(model: Model) -> dict:
     if isinstance(model, JointModel):
-        probs = iter(_texts(map(_first, model.entries)))
+        probs = iter(_distinct_texts(list(map(_first, model.entries))))
         return {
             "kind": "joint",
             "entries": [{"prob": next(probs), "profile": prof} for _, prof in model.entries],
         }
     if isinstance(model, LotteryModel):
-        probs = iter(_texts(map(_first, chain.from_iterable(model.lotteries))))
+        probs = iter(_distinct_texts(list(map(_first, chain.from_iterable(model.lotteries)))))
         return {
             "kind": "lottery",
             "voters": [
@@ -321,7 +337,7 @@ def _model_payload(model: Model) -> dict:
 def _dumps(value) -> str:
     """``json.dumps(value, indent=2, sort_keys=True)`` for str-keyed
     dicts, lists, tuples, str, int, bool and None."""
-    return _write(value, "\n", {})
+    return _write(value, "\n", _Depths())
 
 
 def _ints(items, newline: str) -> str:
@@ -332,10 +348,40 @@ def _ints(items, newline: str) -> str:
     return "[" + inner + ("," + inner).join(map(int.__repr__, items)) + newline + "]"
 
 
-def _write(value, newline: str, sets: dict) -> str:
+class _SetTexts(dict):
+    """The approval sets (tuples of exact ints) written at one depth: each
+    set value's text, rendered once (``__missing__``), and in ``checked``
+    each set object's text by its id, once its members are type-checked,
+    so a set object that recurs is checked once.  Every set object is
+    part of the value being written, which outlives the writing, so no
+    id is reused while ``checked`` is in use."""
+
+    __slots__ = ("newline", "checked")
+
+    def __init__(self, newline: str):
+        super().__init__()
+        self.newline = newline
+        self.checked: dict[int, str] = {}
+
+    def __missing__(self, s: tuple) -> str:
+        text = self[s] = _ints(s, self.newline)
+        return text
+
+
+class _Depths(dict):
+    """Each depth's ``newline`` -> its ``_SetTexts``, made on first use."""
+
+    __slots__ = ()
+
+    def __missing__(self, newline: str) -> _SetTexts:
+        texts = self[newline] = _SetTexts(newline)
+        return texts
+
+
+def _write(value, newline: str, sets: _Depths) -> str:
     """``value`` rendered at the depth whose line break plus indent is
     ``newline``.  ``sets`` maps each depth's ``newline`` to the approval
-    sets (tuples of ints) rendered there, so each is rendered once."""
+    sets written there (``_SetTexts``), so each is rendered once."""
     kind = type(value)
     if kind is str:
         return encode_basestring_ascii(value)
@@ -348,8 +394,7 @@ def _write(value, newline: str, sets: dict) -> str:
         if types <= _INT_TYPES:
             if kind is list:
                 return _ints(value, newline)
-            memo = sets.setdefault(newline, {})
-            return memo.get(value) or memo.setdefault(value, _ints(value, newline))
+            return sets[newline][value]
         inner = newline + "  "
         return "[" + inner + ("," + inner).join(_items(value, types, inner, sets)) + newline + "]"
     if kind is dict:
@@ -369,21 +414,31 @@ def _write(value, newline: str, sets: dict) -> str:
     raise TypeError(f"cannot write {kind.__name__} values into a document")
 
 
-def _items(values, types: set, newline: str, sets: dict) -> Iterable[str]:
+def _items(values, types: set, newline: str, sets: _Depths) -> Iterable[str]:
     """Each of ``values``, whose item types are ``types``, rendered at
     the depth ``newline``."""
     if types == _STR_TYPES:
         return map(encode_basestring_ascii, values)
-    if types == _TUPLE_TYPES and {*map(type, chain.from_iterable(values))} <= _INT_TYPES:
-        # Approval sets, such as a profile or a lottery's sets.
-        memo = sets.setdefault(newline, {})
-        return [memo.get(s) or memo.setdefault(s, _ints(s, newline)) for s in values]
+    if types == _TUPLE_TYPES:
+        # Approval sets, such as a profile or a lottery's sets.  The set
+        # objects met at this depth before are not type-checked again;
+        # the check is by object, not value, since (1,) == (True,).
+        texts = sets[newline]
+        checked = texts.checked
+        if id(values[0]) in checked:
+            known = list(map(checked.get, map(id, values)))
+            if None not in known:
+                return known
+        if {*map(type, chain.from_iterable(values))} <= _INT_TYPES:
+            rendered = list(map(texts.__getitem__, values))
+            checked.update(zip(map(id, values), rendered))
+            return rendered
     if types == _DICT_TYPES:
         return _records(values, newline, sets)
     return [_write(item, newline, sets) for item in values]
 
 
-def _records(records: list, newline: str, sets: dict) -> Iterable[str]:
+def _records(records: list, newline: str, sets: _Depths) -> Iterable[str]:
     """Dicts, such as a lottery voter's or a joint model's entries,
     rendered at the depth ``newline``.  When they share their keys, as
     entries do, each key's values are rendered as one column

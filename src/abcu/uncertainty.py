@@ -55,14 +55,33 @@ reads its items one by one, to raise the error of the first bad one.
 ``io`` parses a document with one such parser and hands the parsed
 values on, so no entry is parsed twice.
 
-Matrix rows are classified on integers (``_split_row``): an entry
-``p = num/den`` is a forced approval when ``num == den``, free when
-``0 < num < den`` and a certain disapproval when ``num == 0``.  Row
-expansion, the first profile, the profile count,
-``profile_probability`` and the matrix paths of ``decide`` and
-``probability`` work on this classification, and validation reads the
-same integers, so no path compares a ``Fraction`` per entry; a
-``Fraction`` is built only for a probability that is returned.
+Matrix entries are classified once per distinct value, on integers: an
+entry ``p = num/den`` is a forced approval (``FORCED``) when ``num ==
+den``, free (``FREE``) for any other nonzero ``num`` and a certain
+disapproval (0) when ``num == 0``.  The classes are kept as ``codes``,
+one byte per entry in row-major order (``_codes``): a constructor that
+parses strings and ints classifies each raw value in its parser's memo
+and looks every entry's raw value up in one pass in C; a model built by
+hand or from ``Fraction`` entries classifies each distinct entry object
+and looks every entry up by identity, on first use.  Every matrix view
+is derived from the codes by bytes operations in C: a candidate's
+voters are a strided slice of them read as binary digits, a row's
+candidates a row slice, the profile count ``2 ** codes.count(FREE)``,
+and only the free entries are read for their numerators and
+denominators, once per distinct object.  Row expansion, the first
+profile, ``profile_probability`` and the matrix paths of ``decide`` and
+``probability`` work on these views, and validation reads the same
+integers, so no path compares a ``Fraction`` per entry; a ``Fraction``
+is built only for a probability that is returned.
+
+A Lottery model is validated the same way, in whole-model passes
+(``_lotteries_ok``): each distinct probability object is range-checked
+once, the sum of each distinct tuple of a voter's probability objects
+is taken once (``_integer_sum``), and every voter's sets are checked
+for duplicates by the sizes of their ``set``.  Only a model that these
+passes refuse is read voter by voter (``_lottery_errors``), so every
+message is the one that reading in order gives.  ``cp_to_lottery``
+builds one ``Fraction`` per distinct (weight, denominator) pair.
 
 Every model kind answers the same facts about itself, so callers read
 attributes instead of asking for its kind: ``profile_count`` (the
@@ -83,7 +102,8 @@ a Lottery model's approvers per candidate, one list of voter bitsets
 per set position ``t``, built the same way (``layers``); a matrix
 model's distinct entry objects (``entry_values``, kept by the
 constructor as it parses and checked by validation in place of every
-entry), its classified rows (``split_rows``), its voters per candidate
+entry), its entry classes (``codes``), which every other matrix view is
+derived from, its classified rows (``split_rows``), its voters per candidate
 as two bitsets, its forced and its free entries (``columns``), each
 row's forced and free entries as two candidate masks (``row_masks``) and
 each candidate's products of its free entries' numerators, of their
@@ -91,7 +111,7 @@ complements and of the denominators (``column_products``).  One rule
 covers every view: it is not a dataclass field, so equality, hashing,
 ``repr`` and the written document see only the fields, and a pickle
 holds the fields alone (``_Model.__getstate__``).  ``tva_to_cp`` hands
-on every view already built, since the rows are the same.  Callers read
+on the codes and every view already built, since the rows are the same.  Callers read
 the views and never change them.  Two threads reading a view at once
 may both build it, and both build the same value.
 
@@ -107,12 +127,13 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Collection, Iterable, Iterator, Union
 
-from .axioms import _approvers, _mask
+from .axioms import _approvers
 from .model import (
     _INT_TYPES,
     ApprovalSet,
@@ -127,6 +148,16 @@ from .model import (
 )
 
 HALF = Fraction(1, 2)
+
+# The classes of a matrix entry ``num/den`` in ``CandidateProbModel.codes``:
+# a certain disapproval (``num == 0``) is 0.
+FORCED = 1  # ``num == den``
+FREE = 2  # any other ``num != 0``
+# _SELECT[code] translates that code's byte to 1 and every other to 0, for
+# ``itertools.compress``; _DIGIT[code] translates it to "1" and every other
+# to "0", for ``int(digits, 2)``.
+_SELECT = [bytes(x == code for x in range(256)) for code in range(3)]
+_DIGIT = [bytes(48 + (x == code) for x in range(256)) for code in range(3)]
 
 
 class _Model:
@@ -302,7 +333,8 @@ class LotteryModel(_IndependentVoters):
 class CandidateProbModel(_IndependentVoters):
     """Independent approval probability for every (voter, candidate)
     pair; when tagged ``three_valued``, certain entries and unknowns at
-    1/2.  A row's table is its expansion by ``_row_table``."""
+    1/2.  A row's table is its expansion by ``_row_table``.  Every view
+    of the matrix is derived from one classification, ``codes``."""
 
     instance: Instance
     probs: tuple[tuple[Fraction, ...], ...]
@@ -314,13 +346,17 @@ class CandidateProbModel(_IndependentVoters):
 
     @cached_property
     def profile_count(self) -> int:
-        return 2 ** sum(len(free) for _, free in self.split_rows)
+        return 2 ** self.codes.count(FREE)
 
     @cached_property
     def first(self) -> PlausibleProfile:
         """Each row's forced approvals alone: every free entry is missed."""
         _, miss, den = self.column_products
-        sets = tuple(tuple(forced) for forced, _ in self.split_rows)
+        m = self.instance.m
+        forced = self.codes.translate(_SELECT[FORCED])
+        candidates = range(m)
+        sets = tuple([tuple(itertools.compress(candidates, forced[s:s + m]))
+                      for s in range(0, len(forced), m)])
         return PlausibleProfile(sets, Fraction(math.prod(miss), den))
 
     @cached_property
@@ -332,26 +368,65 @@ class CandidateProbModel(_IndependentVoters):
         return _distinct_entries(self.probs)
 
     @cached_property
+    def codes(self) -> bytes:
+        """Each entry's class, one byte per entry in row-major order
+        (``_codes``).  The constructors classify each distinct raw value
+        as they parse (``_matrix``); a model built by hand classifies
+        each of its distinct entry objects on first read."""
+        values = self.entry_values
+        return _codes(dict(zip(map(id, values), values)),
+                      map(id, itertools.chain.from_iterable(self.probs)))
+
+    def _ratios(self) -> tuple[dict[int, int], dict[int, int]]:
+        """The numerator and the denominator of each distinct entry, by
+        the id of its object."""
+        values = self.entry_values
+        return ({id(p): p.numerator for p in values}, {id(p): p.denominator for p in values})
+
+    @cached_property
     def split_rows(self) -> list[tuple[list[int], list[tuple[int, int, int]]]]:
-        return list(map(_split_row, self.probs))
+        """For each row, its forced approvals and its free entries ``(c,
+        num, den)``, each in ascending candidate order: the forced and the
+        free entries of the whole matrix in row-major order, cut into rows
+        by each row's counts of the two codes."""
+        m = self.instance.m
+        codes = self.codes
+        free = codes.translate(_SELECT[FREE])
+        nums, dens = self._ratios()
+        ids = list(map(id, itertools.compress(itertools.chain.from_iterable(self.probs), free)))
+        triples = zip(itertools.compress(itertools.cycle(range(m)), free),
+                      map(nums.__getitem__, ids), map(dens.__getitem__, ids))
+        forced = itertools.compress(itertools.cycle(range(m)), codes.translate(_SELECT[FORCED]))
+        starts = range(0, len(codes), m)
+        ends = range(m, len(codes) + m, m)
+
+        def cut(items: Iterator, code: int) -> Iterator[list]:
+            counts = map(codes.count, itertools.repeat(code), starts, ends)
+            return map(list, map(itertools.islice, itertools.repeat(items), counts))
+
+        return list(zip(cut(forced, FORCED), cut(triples, FREE)))
 
     @cached_property
     def columns(self) -> tuple[list[int], list[int]]:
         """``(forced, free)``: for each candidate, the voters whose entry
-        is 1 and the voters whose entry is strictly between 0 and 1, as
-        voter bitsets."""
+        is forced and the voters whose entry is free, as voter bitsets:
+        one strided slice of the reversed codes per candidate, read as
+        binary digits, the last voter first."""
         m = self.instance.m
-        rows = self.split_rows
-        return (_approvers(m, [row_forced for row_forced, _ in rows]),
-                _approvers(m, [[c for c, _, _ in row_free] for _, row_free in rows]))
+        rev = self.codes[::-1]
+        return tuple([int(digits[s::m], 2) for s in range(m - 1, -1, -1)]
+                     for digits in (rev.translate(_DIGIT[FORCED]), rev.translate(_DIGIT[FREE])))
 
     @cached_property
     def row_masks(self) -> tuple[list[int], list[int]]:
         """``(forced, free)``: for each row, its forced and its free
-        entries as candidate masks."""
-        rows = self.split_rows
-        return ([_mask(row_forced) for row_forced, _ in rows],
-                [_mask(c for c, _, _ in row_free) for _, row_free in rows])
+        entries as candidate masks: one slice of the reversed codes per
+        row, read as binary digits, the last candidate first."""
+        m = self.instance.m
+        rev = self.codes[::-1]
+        starts = range(len(rev) - m, -1, -m)
+        return tuple([int(digits[s:s + m], 2) for s in starts]
+                     for digits in (rev.translate(_DIGIT[FORCED]), rev.translate(_DIGIT[FREE])))
 
     @cached_property
     def column_products(self) -> tuple[list[int], list[int], int]:
@@ -360,17 +435,29 @@ class CandidateProbModel(_IndependentVoters):
         ``num/den``, and the product of every free entry's ``den``.  A
         profile that approves the free entries of some columns and misses
         those of the others has probability ``approve`` of the first times
-        ``miss`` of the rest, over ``den``."""
+        ``miss`` of the rest, over ``den``.  The free entries are read
+        column by column and counted per distinct object, so each
+        distinct entry of a column is one power."""
         m = self.instance.m
-        approve = [1] * m
-        miss = [1] * m
-        dens = [1] * m
-        for _, row_free in self.split_rows:
-            for c, num, den in row_free:
-                approve[c] *= num
-                miss[c] *= den - num
-                dens[c] *= den
-        return approve, miss, math.prod(dens)
+        free = self.codes.translate(_SELECT[FREE])
+        selectors = [free[c::m] for c in range(m)]
+        by_column = itertools.chain.from_iterable(zip(*self.probs))
+        ids = map(id, itertools.compress(by_column, b"".join(selectors)))
+        nums, dens = self._ratios()
+        approve = []
+        miss = []
+        den = 1
+        for count in map(bytes.count, selectors, itertools.repeat(1)):
+            column_approve = column_miss = column_den = 1
+            for key, times in Counter(itertools.islice(ids, count)).items():
+                num, d = nums[key], dens[key]
+                column_approve *= num ** times
+                column_miss *= (d - num) ** times
+                column_den *= d ** times
+            approve.append(column_approve)
+            miss.append(column_miss)
+            den *= column_den
+        return approve, miss, den
 
 
 Model = Union[JointModel, LotteryModel, CandidateProbModel]
@@ -514,9 +601,11 @@ def _matrix(inst: Instance, rows: Iterable[Iterable[object]], three_valued: bool
     """An unvalidated matrix model, its entries parsed in one pass by
     ``parse``, a fresh parser (by default, a new one).  When every entry
     is a string or an exact int, the parser's memo holds exactly the
-    distinct entry objects; when every entry is a ``Fraction``, each
-    distinct object is checked once.  Either way the distinct objects
-    are kept as ``entry_values``."""
+    distinct entry objects, and each of its raw values is classified
+    once (``codes``); when every entry is a ``Fraction``, each distinct
+    object is checked once, and the entries are classified by identity
+    on first use, as in a model built by hand.  Either way the distinct
+    objects are kept as ``entry_values``."""
     parse = _ProbabilityParser() if parse is None else parse
     read: list[tuple] = []
     try:
@@ -526,9 +615,11 @@ def _matrix(inst: Instance, rows: Iterable[Iterable[object]], three_valued: bool
         raise
     flat = list(itertools.chain.from_iterable(read))
     types = {*map(type, flat)}
+    codes = None
     if types <= _RAW_TYPES:
         entries = list(map(parse.__getitem__, flat))
         distinct = list(parse.values())
+        codes = _codes(parse, flat)
     elif types == _FRACTION_TYPES:
         # Each distinct object is checked once, in reading order, so the
         # first bad one is the first bad entry; the others are kept.
@@ -545,7 +636,21 @@ def _matrix(inst: Instance, rows: Iterable[Iterable[object]], three_valued: bool
     )
     if distinct is not None:
         vars(model)["entry_values"] = distinct
+    if codes is not None:
+        vars(model)["codes"] = codes
     return model
+
+
+def _codes(distinct: dict, keys: Iterable) -> bytes:
+    """A matrix's ``codes`` from ``distinct``, a dict from key to entry
+    ``num/den`` that holds every entry's key, and ``keys``, the entries'
+    keys in row-major order.  Each distinct entry is classified once on
+    its integers, ``FORCED`` when ``num == den``, ``FREE`` for any other
+    nonzero ``num`` and 0 otherwise, so an entry out of [0, 1] in a model
+    built by hand is free; the keys are then looked up in one pass in C."""
+    code = {key: FORCED if p.numerator == p.denominator else FREE if p.numerator else 0
+            for key, p in distinct.items()}
+    return bytes(bytearray(map(code.__getitem__, keys)))  # faster than bytes(map(...))
 
 
 def cp_model(inst: Instance, rows: Iterable[Iterable[object]]) -> CandidateProbModel:
@@ -587,11 +692,16 @@ def _set_ok(s, m: int) -> bool:
     )
 
 
+_AS_RATIO = operator.methodcaller("as_integer_ratio")
+
+
 def _integer_sum(lams: list[Fraction]) -> tuple[int, int]:
     """``sum(lams)`` as (numerator, denominator) over the lcm of the
-    denominators, with no ``Fraction`` arithmetic."""
-    den = math.lcm(*(lam.denominator for lam in lams))
-    return sum(lam.numerator * (den // lam.denominator) for lam in lams), den
+    denominators, with no ``Fraction`` arithmetic: one
+    ``as_integer_ratio`` call per value, then C-level integer passes."""
+    nums, dens = zip(*map(_AS_RATIO, lams))
+    den = math.lcm(*dens)
+    return sum(map(operator.mul, nums, map(operator.floordiv, itertools.repeat(den), dens))), den
 
 
 def _matrix_errors(rows, inst: Instance, errors: list[str]) -> None:
@@ -690,31 +800,8 @@ def _model_errors(model: Model, check_sets: bool) -> list[str]:
             if num != den:
                 errors.append(f"profile probabilities sum to {Fraction(num, den)}, expected 1")
     elif isinstance(model, LotteryModel):
-        if len(model.lotteries) != inst.n:
-            errors.append(f"{len(model.lotteries)} voter distributions, expected n={inst.n}")
-        for i, voter in enumerate(model.lotteries):
-            if not voter:
-                errors.append(f"voter {i}: empty distribution")
-                continue
-            seen_sets: set[ApprovalSet] = set()
-            for lam, s in voter:
-                if type(lam) is not Fraction or not 0 < lam.numerator <= lam.denominator:
-                    _lam_errors(lam, f"voter {i}", errors)
-                if check_sets and not _set_ok(s, inst.m):
-                    _set_errors(s, inst.m, f"voter {i}", errors)
-                try:
-                    duplicate = s in seen_sets
-                except TypeError:  # unhashable, reported above
-                    continue
-                if duplicate:
-                    errors.append(f"voter {i}: duplicate approval set {s}")
-                seen_sets.add(s)
-            lams = [lam for lam, _ in voter]
-            if not all(map(_exact, lams)):
-                continue
-            num, den = _integer_sum(lams)
-            if num != den:
-                errors.append(f"voter {i}: set probabilities sum to {Fraction(num, den)}, expected 1")
+        if not _lotteries_ok(model, check_sets):
+            _lottery_errors(model, check_sets, errors)
     elif isinstance(model, CandidateProbModel):
         _matrix_errors(model.probs, inst, errors)
         if model.three_valued:
@@ -724,6 +811,75 @@ def _model_errors(model: Model, check_sets: bool) -> list[str]:
     else:
         raise InputError(f"not an uncertainty model: {model!r}")
     return errors
+
+
+def _lotteries_ok(model: LotteryModel, check_sets: bool) -> bool:
+    """Whether a Lottery model is valid, decided in whole-model passes:
+    each distinct probability object is checked once, and the sum of
+    each distinct tuple of a voter's probability objects; each voter's
+    sets are checked for duplicates by the size of their ``set``, and
+    each distinct set object, when ``check_sets``, once.  False when
+    the model has an error or holds anything but ``Fraction``
+    probabilities and pairs, so that ``_lottery_errors`` lists the
+    errors as it reads voter by voter."""
+    lotteries = model.lotteries
+    inst = model.instance
+    try:
+        sizes = list(map(len, lotteries))
+        if len(sizes) != inst.n or 0 in sizes:
+            return False
+        pairs = list(itertools.chain.from_iterable(lotteries))
+        if {*map(len, pairs)} - {2}:
+            return False
+        lams = list(map(_first, pairs))
+        if not all([type(lam) is Fraction and 0 < lam.numerator <= lam.denominator
+                    for lam in dict(zip(map(id, lams), lams)).values()]):
+            return False
+        if check_sets:
+            sets = list(map(_second, pairs))
+            if not all([_set_ok(s, inst.m) for s in dict(zip(map(id, sets), sets)).values()]):
+                return False
+        if list(map(len, map(set, map(map, itertools.repeat(_second), lotteries)))) != sizes:
+            return False  # a duplicate set
+        ids = iter(list(map(id, lams)))
+        keys = map(tuple, map(itertools.islice, itertools.repeat(ids), sizes))
+        for voter in dict(zip(keys, lotteries)).values():
+            num, den = _integer_sum(list(map(_first, voter)))
+            if num != den:
+                return False
+    except (TypeError, LookupError):  # an unhashable set, or an item that is no pair
+        return False
+    return True
+
+
+def _lottery_errors(model: LotteryModel, check_sets: bool, errors: list[str]) -> None:
+    """Every error of a Lottery model, voter by voter."""
+    inst = model.instance
+    if len(model.lotteries) != inst.n:
+        errors.append(f"{len(model.lotteries)} voter distributions, expected n={inst.n}")
+    for i, voter in enumerate(model.lotteries):
+        if not voter:
+            errors.append(f"voter {i}: empty distribution")
+            continue
+        seen_sets: set[ApprovalSet] = set()
+        for lam, s in voter:
+            if type(lam) is not Fraction or not 0 < lam.numerator <= lam.denominator:
+                _lam_errors(lam, f"voter {i}", errors)
+            if check_sets and not _set_ok(s, inst.m):
+                _set_errors(s, inst.m, f"voter {i}", errors)
+            try:
+                duplicate = s in seen_sets
+            except TypeError:  # unhashable, reported above
+                continue
+            if duplicate:
+                errors.append(f"voter {i}: duplicate approval set {s}")
+            seen_sets.add(s)
+        lams = [lam for lam, _ in voter]
+        if not all(map(_exact, lams)):
+            continue
+        num, den = _integer_sum(lams)
+        if num != den:
+            errors.append(f"voter {i}: set probabilities sum to {Fraction(num, den)}, expected 1")
 
 
 def validate(model: Model) -> Model:
@@ -744,28 +900,13 @@ def _validated(model: Model, check_sets: bool) -> Model:
 
 def tva_to_cp(model: CandidateProbModel) -> CandidateProbModel:
     """A three-valued model as a plain CandidateProb one: the same
-    matrix, untagged.  The rows are the same, so their classification is
-    handed on, with every other view already built."""
+    matrix, untagged.  The rows are the same, so their classification
+    (``codes``) is handed on, with every other view already built."""
     cp = CandidateProbModel(model.instance, model.probs)
-    vars(cp)["split_rows"] = model.split_rows
+    vars(cp)["codes"] = model.codes
     fields = model.__dataclass_fields__
     vars(cp).update(item for item in vars(model).items() if item[0] not in fields)
     return cp
-
-
-def _split_row(row) -> tuple[list[int], list[tuple[int, int, int]]]:
-    """A matrix row on integers: its forced approvals (``p == 1``) and
-    its free entries ``(c, num, den)`` with ``0 < p = num/den < 1``, each
-    in ascending candidate order.  Entries equal to 0 are in neither."""
-    forced = []
-    free = []
-    for c, p in enumerate(row):
-        num, den = p.numerator, p.denominator
-        if num == den:
-            forced.append(c)
-        elif num:
-            free.append((c, num, den))
-    return forced, free
 
 
 def _row_table(forced, free) -> tuple[int, list[tuple[ApprovalSet, int]]]:
@@ -794,13 +935,27 @@ def cp_to_lottery(model: CandidateProbModel, budget: int | None = None) -> Lotte
     ``prod(p for approved) * prod(1 - p for not approved)``.  Support
     size is ``2**u_i`` for ``u_i`` undetermined entries, hence the
     budget check, row by row before any row is expanded.  The
-    distributions are the model's voter tables (``tables``).
+    distributions are the model's voter tables (``tables``), each weight
+    over its denominator one ``Fraction`` per distinct pair in the call.
     """
     for _, free in model.split_rows:
         _check_budget(2 ** len(free), budget)
+    fractions = _Fractions()
     return LotteryModel(model.instance, tuple(
-        tuple((Fraction(wt, den), s) for s, wt in table) for den, table in model.tables
+        tuple(zip(map(fractions.__getitem__, zip(map(_second, table), itertools.repeat(den))),
+                  map(_first, table)))
+        for den, table in model.tables
     ))
+
+
+class _Fractions(dict):
+    """``(numerator, denominator)`` -> its ``Fraction``, built on first use."""
+
+    __slots__ = ()
+
+    def __missing__(self, pair: tuple[int, int]) -> Fraction:
+        f = self[pair] = Fraction(*pair)
+        return f
 
 
 def lottery_to_joint(model: LotteryModel, budget: int | None = None) -> JointModel:

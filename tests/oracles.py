@@ -13,6 +13,9 @@ axiom checkers; they are the reference for every polynomial shortcut.
 Because they share ``enumerate_plausible`` with the solver, that
 enumerator is itself checked against the plain ``Fraction``-product
 enumerators kept here.
+The matrix views as they were built before the entry codes (rows
+classified entry by entry, then ``axioms._approvers`` and ``_mask`` over
+them) are kept as the reference for the views derived from the codes.
 The ``Fraction``-comparison matrix paths (row expansion, the first
 plausible profile, the matrix JR deciders and the three-valued closed
 forms) and the ``json.dumps`` document writer are kept verbatim as the
@@ -41,7 +44,7 @@ from abcu import (
     profile_probability,
     satisfies,
 )
-from abcu.axioms import _COMMITTEE_FINDERS, Violation, _Levels, _mask, _View
+from abcu.axioms import _COMMITTEE_FINDERS, Violation, _approvers, _Levels, _mask, _View
 from abcu.decide import ENUM, POLY, DecisionResult
 from abcu.io import FORMAT
 from abcu.model import (
@@ -580,6 +583,48 @@ def reference_row_lottery(row):
                 lam *= 1 - row[c]
         entries.append((lam, tuple(sorted(members))))
     return tuple(entries)
+
+
+def reference_split_row(row):
+    """A matrix row on integers, read entry by entry: its forced
+    approvals (``num == den``) and its free entries ``(c, num, den)``
+    (any other ``num != 0``), each in ascending candidate order."""
+    forced = []
+    free = []
+    for c, p in enumerate(row):
+        num, den = p.numerator, p.denominator
+        if num == den:
+            forced.append(c)
+        elif num:
+            free.append((c, num, den))
+    return forced, free
+
+
+def reference_matrix_views(model):
+    """Every view of a matrix model, built from its rows classified
+    entry by entry (``reference_split_row``): the voters per candidate
+    by ``axioms._approvers``, the row masks by ``axioms._mask``, the
+    column products by one loop over the free entries."""
+    m = model.instance.m
+    rows = [reference_split_row(row) for row in model.probs]
+    approve, miss, dens = [1] * m, [1] * m, [1] * m
+    for _, free in rows:
+        for c, num, den in free:
+            approve[c] *= num
+            miss[c] *= den - num
+            dens[c] *= den
+    den = math.prod(dens)
+    return {
+        "split_rows": rows,
+        "columns": (_approvers(m, [forced for forced, _ in rows]),
+                    _approvers(m, [[c for c, _, _ in free] for _, free in rows])),
+        "row_masks": ([_mask(forced) for forced, _ in rows],
+                      [_mask(c for c, _, _ in free) for _, free in rows]),
+        "column_products": (approve, miss, den),
+        "profile_count": 2 ** sum(len(free) for _, free in rows),
+        "first": PlausibleProfile(tuple(tuple(forced) for forced, _ in rows),
+                                  Fraction(math.prod(miss), den)),
+    }
 
 
 def reference_cp_to_lottery(model):

@@ -546,7 +546,7 @@ VIEWS = {
     LotteryModel: ("layers", "first"),
 }
 STORED = {
-    CandidateProbModel: ("entry_values", "split_rows", *VIEWS[CandidateProbModel]),
+    CandidateProbModel: ("entry_values", "codes", *VIEWS[CandidateProbModel]),
     JointModel: ("lanes", *VIEWS[JointModel]),
     LotteryModel: VIEWS[LotteryModel],
 }
@@ -676,7 +676,9 @@ class TestStorage:
 
 @pytest.fixture
 def builds(monkeypatch):
-    """Count the builds of every stored view, by name."""
+    """Count the builds of every stored view, by name; a matrix model's
+    ``codes`` are counted as the calls of ``uncertainty._codes``, which
+    both the constructors and the view build them with."""
     counts = Counter()
     for cls, name in ((CandidateProbModel, "entry_values"), (CandidateProbModel, "columns"),
                       (CandidateProbModel, "row_masks"), (CandidateProbModel, "column_products"),
@@ -698,6 +700,13 @@ def builds(monkeypatch):
         return approvers(m, prof)
 
     monkeypatch.setattr(uncertainty, "_approvers", counting_approvers)
+    codes = uncertainty._codes
+
+    def counting_codes(distinct, keys):
+        counts["codes"] += 1
+        return codes(distinct, keys)
+
+    monkeypatch.setattr(uncertainty, "_codes", counting_codes)
     return counts
 
 
@@ -705,6 +714,8 @@ class TestBuiltOnce:
     @pytest.mark.parametrize("which", [0, 1], ids=["cp", "3va"])
     def test_matrix_views(self, builds, which):
         model = _examples()[which]
+        # The constructors classified each example matrix's entries once.
+        assert builds.pop("codes") == 2
         inst = model.instance
         answers = Counter()
         for _ in range(3):
@@ -715,22 +726,25 @@ class TestBuiltOnce:
                     jr_probability(model, w)
             exists_poss_jr(model)
             first_plausible(model)
-        # The columns are two approver builds: forced and free entries.
-        # The row masks are built once, for the first witness.
-        assert builds == {"columns": 1, "row_masks": 1, "column_products": 1, "first": 1,
-                          "approvers": 2}
+        # Every view is derived from that classification, and the row
+        # masks are built once, for the first witness.  No view builds
+        # approvers.
+        assert builds == {"columns": 1, "row_masks": 1, "column_products": 1, "first": 1}
         twin = CandidateProbModel(inst, model.probs, model.three_valued)
         is_nec_jr(twin, (0, 1))
-        assert builds["columns"] == 2 and builds["approvers"] == 4
+        assert builds["columns"] == 2 and builds["codes"] == 1
+        assert "approvers" not in builds
         # The constructor kept the distinct entries; a hand-built model
-        # finds them once, when first validated.
-        assert "entry_values" not in builds
+        # finds them once, when its entries are first classified, and
+        # validation reads them.
+        assert builds["entry_values"] == 1
         validate(twin)
         validate(twin)
         assert builds["entry_values"] == 1
 
     def test_joint_entries(self, builds):
         model = _examples()[2]
+        builds.clear()  # the example matrices' codes
         for _ in range(3):
             for w in _committees(model.instance):
                 is_poss_jr(model, w)

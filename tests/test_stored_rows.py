@@ -1,13 +1,15 @@
-"""The row classification stored on a matrix model.
+"""The entry classification stored on a matrix model.
 
-A CandidateProb model, three-valued or not, classifies its rows with
-``uncertainty._split_row`` once, on first use, and every consumer reads
-the stored result.  These tests pin that it equals a fresh
-classification, that a model object classifies each row once however
-many questions it is asked, and that the stored rows are invisible to
-equality, hashing, ``repr``, the written document and pickling.  The
-distinct entry objects that validation checks (``entry_values``) are
-pinned the same way.
+A CandidateProb model, three-valued or not, classifies its entries once
+(``codes``, built by ``uncertainty._codes``): the constructors as they
+parse, a model built by hand on first use.  Every view, the classified
+rows (``split_rows``) among them, is derived from it.  These tests pin
+that the rows equal a classification entry by entry
+(``oracles.reference_split_row``), that a model object classifies its
+entries once however many questions it is asked, and that the stored
+views are invisible to equality, hashing, ``repr``, the written
+document and pickling.  The distinct entry objects that validation
+checks (``entry_values``) are pinned the same way.
 """
 
 import itertools
@@ -40,7 +42,8 @@ from abcu import uncertainty
 from abcu.decide import ENUM
 from abcu.io import document_for, emit_document, parse_document
 from abcu.probability import DP_VOTERS
-from abcu.uncertainty import _distinct_entries, _split_row
+from abcu.uncertainty import _distinct_entries
+from oracles import reference_split_row
 from test_document_path import _matrix_models
 
 HALF = Fraction(1, 2)
@@ -53,7 +56,7 @@ def _fresh(model):
 class TestStoredEqualsFresh:
     def test_random_models(self):
         for model in _matrix_models(200, seed=91):
-            assert model.split_rows == [_split_row(row) for row in model.probs]
+            assert model.split_rows == [reference_split_row(row) for row in model.probs]
 
     def test_rows_without_free_entries(self):
         model = cp_model(Instance(3, 3, 1), [[0, 1, 0], [1, 1, 1], [0, 0, 0]])
@@ -63,14 +66,14 @@ class TestStoredEqualsFresh:
         row = (Fraction(3, 2), Fraction(-1, 2), HALF, Fraction(1), Fraction(0))
         for three_valued in (False, True):
             model = CandidateProbModel(Instance(2, 5, 1), (row, row), three_valued)
-            assert model.split_rows == [_split_row(row)] * 2
+            assert model.split_rows == [reference_split_row(row)] * 2
             assert model.split_rows[0] == ([3], [(0, 3, 2), (1, -1, 2), (2, 1, 2)])
 
     def test_three_valued_embedding_hands_the_rows_on(self):
         model = tva_model(Instance(2, 3, 1), [["1/2", 1, 0], [0, "1/2", "1/2"]])
         cp = tva_to_cp(model)
-        assert cp.split_rows is model.split_rows
-        assert cp.split_rows == _fresh(cp).split_rows
+        assert cp.codes is model.codes
+        assert cp.split_rows == _fresh(cp).split_rows == model.split_rows
         assert vars(cp)["entry_values"] is vars(model)["entry_values"]
 
 
@@ -130,28 +133,32 @@ def _interesting_models():
 
 
 @pytest.fixture
-def split_calls(monkeypatch):
-    """Count the calls of ``_split_row``, by the row object passed."""
+def code_builds(monkeypatch):
+    """Count the builds of ``codes``: the calls of ``uncertainty._codes``,
+    by the constructors and by the view."""
     calls = []
+    codes = uncertainty._codes
 
-    def counting(row):
-        calls.append(row)
-        return _split_row(row)
+    def counting(distinct, keys):
+        calls.append(distinct)
+        return codes(distinct, keys)
 
-    monkeypatch.setattr(uncertainty, "_split_row", counting)
+    monkeypatch.setattr(uncertainty, "_codes", counting)
     return calls
 
 
 class TestOncePerModel:
     @pytest.mark.parametrize("which", [0, 1], ids=["cp", "3va"])
-    def test_every_question_reads_one_classification(self, split_calls, which):
+    def test_every_question_reads_one_classification(self, code_builds, which):
         model = _interesting_models()[which]
         inst = model.instance
         committees = list(itertools.combinations(range(inst.m), inst.k))
-        # is_poss_jr builds and prices its witness from the stored rows.
+        # The constructors classified both example models' entries.
+        assert len(code_builds) == 2
+        # is_poss_jr builds and prices its witness from the stored codes.
         poss = [is_poss_jr(model, w) for w in committees]
         assert any(r.answer for r in poss)
-        assert len(split_calls) == inst.n
+        assert len(code_builds) == 2
         nec = [is_nec_jr(model, w) for w in committees]
         assert any(not r.answer for r in nec)
         # max_axiom takes every committee's JR path, the voter DP included.
@@ -165,22 +172,27 @@ class TestOncePerModel:
         cp_to_lottery(model)
         for pp in enumerate_plausible(model):
             assert profile_probability(model, pp.profile) == pp.prob
-        assert len(split_calls) == inst.n
-        assert {id(row) for row in split_calls} == {id(row) for row in model.probs}
+        assert len(code_builds) == 2
 
-    def test_each_model_object_classifies_its_own_rows(self, split_calls):
+    def test_each_model_object_classifies_its_own_rows(self, code_builds):
         model = _interesting_models()[0]
         twin = _fresh(model)
         plausible_count(model)
         plausible_count(model)
         plausible_count(twin)
-        assert len(split_calls) == 2 * model.instance.n
+        plausible_count(twin)
+        # Both example models at construction, and the twin on first use.
+        assert len(code_builds) == 3
+        assert twin.codes == model.codes
 
-    def test_embedding_a_three_valued_model_classifies_once(self, split_calls):
-        model = _interesting_models()[1]
+    def test_embedding_a_three_valued_model_classifies_once(self, code_builds):
+        model = _fresh(_interesting_models()[1])
+        code_builds.clear()
         plausible_count(model)
         lottery = cp_to_lottery(tva_to_cp(model))
-        assert len(split_calls) == model.instance.n
+        assert len(code_builds) == 1
+        bare = _fresh(model)
+        assert tva_to_cp(bare).codes is bare.codes
         assert lottery == cp_to_lottery(_fresh(model))
 
 
@@ -214,4 +226,4 @@ class TestInvisible:
         assert after[0] == _fresh(model) and hash(after[0]) == hash(_fresh(model))
         assert after[4].split_rows == model.split_rows
         assert after[4].three_valued is model.three_valued is bool(which)
-        assert "split_rows" not in repr(model)
+        assert "split_rows" not in repr(model) and "codes" not in repr(model)
