@@ -37,14 +37,15 @@ per-candidate products (``column_products``), built only for a witness:
 a possible-JR witness approves the committee's free entries and misses
 every other one; a necessary-JR refutation misses every free entry but
 those of its group at the violated candidate, whose column is read once.
-A witness starts from the first profile, the forced approvals alone, and
-changes only the voters that differ from it: for possible JR the voters
-with a free committee entry (the OR of the committee's free columns),
-each of which gets its forced mask OR its free mask within the
-committee; for a refutation the group, which also approves the violated
-candidate.  The masks come from the rows stored as candidate masks
-(``row_masks``) and are decoded to sets by 256-entry tables, one per
-byte position, so no loop runs over every voter or every free entry.
+A witness is built on the rows stored as two row words (``row_words``:
+every row's forced and free candidate masks in one integer each, see
+``uncertainty``) by a few big-integer operations: for possible JR the
+forced word OR the free word within the committee, whose mask is
+repeated at the start of every row (``_spread``); for a refutation the
+forced word OR the violated candidate's bit in the rows of the group.
+The word is decoded to sets in one whole-matrix pass
+(``uncertainty._row_sets``), so no loop in Python runs over the voters
+or the free entries.
 
 A lottery's layer ``t`` holds each candidate's voters whose ``t``-th set
 holds it.  The voters who can approve an outside candidate ``c`` with a
@@ -79,16 +80,15 @@ checker.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, or_
-from typing import Iterator
+from operator import or_
 
 from .axioms import (
     _COMMITTEE_FINDERS,
+    _DIGIT_BITS,
     Violation,
     _covered,
     _greedy_jr,
@@ -116,6 +116,8 @@ from .uncertainty import (
     PlausibleProfile,
     _lanes,
     _profile_probability,
+    _row_sets,
+    _row_width,
 )
 
 POLY = "poly-special-case"
@@ -155,19 +157,15 @@ def _poss_jr_matrix(model: CandidateProbModel, w: Committee) -> DecisionResult:
     best = _covered(forced, w) | _covered(free, w)
     if _jr_on_bits(min_group_size(1, inst), forced, best, wset) is not None:
         return DecisionResult(False, POLY)
-    # Only the voters with a free committee entry differ from the first
-    # profile, which holds the forced approvals alone.
-    sets = list(model.first.profile)
-    touched = _voters(_covered(free, w))
-    row_forced, row_free = model.row_masks
-    wmask = _mask(w)
-    masks = [row_forced[i] | row_free[i] & wmask for i in touched]
-    for i, s in zip(touched, _candidate_sets(inst.m, masks)):
-        sets[i] = s
+    # Each row approves its forced candidates and its free committee
+    # members: the committee mask is repeated at the start of every row.
+    row_forced, row_free = model.row_words
+    every_row = _spread((1 << inst.n) - 1, inst.n, inst.m)
+    sets = _row_sets(row_forced | row_free & _mask(w) * every_row, inst.n, inst.m)
     approve, miss, den = model.column_products
     num = math.prod([approve[c] if c in wset else miss[c] for c in range(inst.m)])
     return DecisionResult(
-        True, POLY, witness_profile=PlausibleProfile(tuple(sets), Fraction(num, den)),
+        True, POLY, witness_profile=PlausibleProfile(sets, Fraction(num, den)),
     )
 
 
@@ -363,23 +361,17 @@ def _nec_jr_lottery(model: LotteryModel, w: Committee) -> DecisionResult:
     )
 
 
-@functools.cache
-def _byte_sets(j: int) -> tuple[tuple[int, ...], ...]:
-    """For each byte value, as byte ``j`` of a candidate mask, the
-    candidates its set bits stand for, ascending."""
-    return tuple(tuple(8 * j + b for b in range(8) if x >> b & 1) for x in range(256))
-
-
-def _candidate_sets(m: int, masks: list[int]) -> Iterator[tuple[int, ...]]:
-    """The candidates of each mask of ``masks``, ascending, for candidates
-    below ``m``: each byte of a mask is looked up in the table of its
-    position (``_byte_sets``) and the pieces are joined, lowest first."""
-    size = (m + 7) // 8
-    data = b"".join(map(int.to_bytes, masks, itertools.repeat(size), itertools.repeat("little")))
-    sets = map(_byte_sets(0).__getitem__, data[::size])
-    for j in range(1, size):
-        sets = map(add, sets, map(_byte_sets(j).__getitem__, data[j::size]))
-    return sets
+def _spread(bits: int, n: int, m: int) -> int:
+    """The voter bitset ``bits`` of ``n`` voters with voter ``i``'s bit
+    moved to the start of row ``i`` of a row word of ``m`` candidates
+    (``CandidateProbModel.row_words``): its binary digits, lowest first,
+    as bytes 0 and 1, are copied into every row's first byte of a zero
+    buffer."""
+    digits = bin(bits)[:1:-1].encode().translate(_DIGIT_BITS)
+    step = _row_width(m) // 8
+    buf = bytearray(n * step)
+    buf[:len(digits) * step:step] = digits
+    return int.from_bytes(buf, "little")
 
 
 def _nec_jr_matrix(model: CandidateProbModel, w: Committee) -> DecisionResult:
@@ -394,17 +386,14 @@ def _nec_jr_matrix(model: CandidateProbModel, w: Committee) -> DecisionResult:
     wset = frozenset(w)
     forced, free = model.columns
     possible = list(map(or_, forced, free))
-    viol = _jr_on_bits(min_group_size(1, inst), possible, _covered(forced, w), wset)
+    covered = _covered(forced, w)
+    viol = _jr_on_bits(min_group_size(1, inst), possible, covered, wset)
     if viol is None:
         return DecisionResult(True, POLY)
     (c,) = viol.common
     group = frozenset(viol.group)
-    sets = list(model.first.profile)
-    row_forced = model.row_masks[0]
-    masks = [row_forced[i] | 1 << c for i in viol.group]
-    for i, s in zip(viol.group, _candidate_sets(inst.m, masks)):
-        sets[i] = s
-    prof = tuple(sets)
+    approve_c = _spread(possible[c] & ~covered, inst.n, inst.m) << c
+    prof = _row_sets(model.row_words[0] | approve_c, inst.n, inst.m)
     # Every free entry is missed but those of the group at ``c``.
     _, miss, den = model.column_products
     num = math.prod(miss[:c]) * math.prod(miss[c + 1:])

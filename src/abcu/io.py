@@ -35,7 +35,9 @@ reused wherever it recurs, and each set object is type-checked once per
 depth (``_SetTexts``), so a joint model's repeated sets cost one dict
 lookup each.  A list of dicts, such as a lottery voter's or a joint
 model's entries, is written in one loop (``_records``) that renders each
-key once and writes string values and approval sets in place.  The
+key once and writes string values and approval sets in place; the
+entries of every voter of a lottery are written in one such loop, and
+the texts cut back into voters by their lengths.  The
 probability of a lottery or joint entry is written once per distinct
 object (``_distinct_texts``).
 """
@@ -46,7 +48,7 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from typing import Iterable
@@ -434,20 +436,37 @@ def _items(values, types: set, newline: str, sets: _Depths) -> Iterable[str]:
             checked.update(zip(map(id, values), rendered))
             return rendered
     if types == _DICT_TYPES:
-        return _records(values, newline, sets)
+        keys = _shared_keys(values)
+        if keys is not None:
+            return _records(values, keys, newline, sets)
+    elif types == _LIST_TYPES and all(values) and type(values[0][0]) is dict:
+        # Nonempty lists of dicts, such as a lottery's voters: when every
+        # dict of every list has the same keys, all of them are rendered
+        # in one pass and their texts are cut back into the lists.
+        records = list(chain.from_iterable(values))
+        if {*map(type, records)} == _DICT_TYPES:
+            keys = _shared_keys(records)
+            if keys is not None:
+                inner = newline + "  "
+                texts = iter(_records(records, keys, inner, sets))
+                return ["[" + inner + ("," + inner).join(islice(texts, size)) + newline + "]"
+                        for size in map(len, values)]
     return [_write(item, newline, sets) for item in values]
 
 
-def _records(records: list, newline: str, sets: _Depths) -> Iterable[str]:
-    """Dicts, such as a lottery voter's or a joint model's entries,
-    rendered at the depth ``newline``.  When they share their keys, as
-    entries do, each key's values are rendered as one column
-    (``_items``) and each dict is filled into one template, so each
-    key's text is rendered once and no dict costs a ``_write`` call."""
+def _shared_keys(records: list) -> tuple | None:
+    """The keys of every dict of ``records``, sorted, when they are the
+    same for all of them, else None."""
     keys = {*map(tuple, map(sorted, records))}
-    if len(keys) != 1:
-        return [_write(record, newline, sets) for record in records]
-    (keys,) = keys
+    return keys.pop() if len(keys) == 1 else None
+
+
+def _records(records: list, keys: tuple, newline: str, sets: _Depths) -> Iterable[str]:
+    """Dicts that share the sorted ``keys``, such as a lottery voter's or
+    a joint model's entries, rendered at the depth ``newline``: each
+    key's values are rendered as one column (``_items``) and each dict is
+    filled into one template, so each key's text is rendered once and no
+    dict costs a ``_write`` call."""
     if not keys:
         return ["{}"] * len(records)
     inner = newline + "  "

@@ -15,7 +15,10 @@ enumerator is itself checked against the plain ``Fraction``-product
 enumerators kept here.
 The matrix views as they were built before the entry codes (rows
 classified entry by entry, then ``axioms._approvers`` and ``_mask`` over
-them) are kept as the reference for the views derived from the codes.
+them) are kept as the reference for the views derived from the codes,
+and the decoder of one candidate mask at a time by byte tables
+(``reference_candidate_sets``) as the reference for the whole-matrix
+decoder of row words (``uncertainty._row_sets``).
 The ``Fraction``-comparison matrix paths (row expansion, the first
 plausible profile, the matrix JR deciders and the three-valued closed
 forms) and the ``json.dumps`` document writer are kept verbatim as the
@@ -600,11 +603,54 @@ def reference_split_row(row):
     return forced, free
 
 
+def reference_row_width(m):
+    """The bits of one row of a row word: ``m`` rounded up to a multiple of 16."""
+    return 16 * math.ceil(m / 16)
+
+
+def reference_row_word(m, masks):
+    """The candidate masks of the rows, one per row, as one row word:
+    row ``i``'s mask shifted to bit ``i * reference_row_width(m)``."""
+    width = reference_row_width(m)
+    return sum(mask << i * width for i, mask in enumerate(masks))
+
+
+def _byte_sets(j):
+    """For each byte value, as byte ``j`` of a candidate mask, the
+    candidates its set bits stand for, ascending."""
+    return tuple(tuple(8 * j + b for b in range(8) if x >> b & 1) for x in range(256))
+
+
+def reference_candidate_sets(m, masks):
+    """The candidates of each mask of ``masks``, ascending, for candidates
+    below ``m``, one mask at a time: each byte of a mask is looked up in
+    the table of its position (``_byte_sets``) and the pieces are joined,
+    lowest first."""
+    size = (m + 7) // 8
+    tables = [_byte_sets(j) for j in range(size)]
+    sets = []
+    for mask in masks:
+        s = ()
+        for j, byte in enumerate(mask.to_bytes(size, "little")):
+            s += tables[j][byte]
+        sets.append(s)
+    return sets
+
+
+def reference_row_sets(word, n, m):
+    """The approval sets of the ``n`` rows of a row word, row by row:
+    each row's mask cut out of the word and decoded on its own."""
+    width = reference_row_width(m)
+    row = (1 << width) - 1
+    return tuple(reference_candidate_sets(m, [word >> i * width & row for i in range(n)]))
+
+
 def reference_matrix_views(model):
     """Every view of a matrix model, built from its rows classified
     entry by entry (``reference_split_row``): the voters per candidate
-    by ``axioms._approvers``, the row masks by ``axioms._mask``, the
-    column products by one loop over the free entries."""
+    by ``axioms._approvers``, the row masks by ``axioms._mask``, placed
+    in one row word each by shifts (``reference_row_word``), the column
+    products by one loop over the free entries."""
     m = model.instance.m
     rows = [reference_split_row(row) for row in model.probs]
     approve, miss, dens = [1] * m, [1] * m, [1] * m
@@ -618,8 +664,8 @@ def reference_matrix_views(model):
         "split_rows": rows,
         "columns": (_approvers(m, [forced for forced, _ in rows]),
                     _approvers(m, [[c for c, _, _ in free] for _, free in rows])),
-        "row_masks": ([_mask(forced) for forced, _ in rows],
-                      [_mask(c for c, _, _ in free) for _, free in rows]),
+        "row_words": (reference_row_word(m, [_mask(forced) for forced, _ in rows]),
+                      reference_row_word(m, [_mask(c for c, _, _ in free) for _, free in rows])),
         "column_products": (approve, miss, den),
         "profile_count": 2 ** sum(len(free) for _, free in rows),
         "first": PlausibleProfile(tuple(tuple(forced) for forced, _ in rows),

@@ -1,7 +1,7 @@
 """Single-profile checks and matrix JR witnesses on bit columns: the set
 bits of a voter bitset, the EJR/PJR checks on the voters split by
 committee part (PJR only where EJR fails), and the matrix JR witnesses
-decoded from per-row candidate masks, each against a reference."""
+decoded from the row words, each against a reference."""
 
 import random
 from fractions import Fraction

@@ -92,6 +92,10 @@ VALUES = st.recursive(
         | st.sets(st.text(max_size=4), max_size=3).flatmap(
             lambda keys: st.lists(st.fixed_dictionaries(dict.fromkeys(keys, children)),
                                   max_size=4))
+        # Lists of such records, as a lottery's voters are.
+        | st.sets(st.text(max_size=4), max_size=3).flatmap(
+            lambda keys: st.lists(st.lists(st.fixed_dictionaries(dict.fromkeys(keys, children)),
+                                           max_size=3), max_size=4))
     ),
     max_leaves=40,
 )
@@ -106,6 +110,14 @@ class TestWriter:
     @example([{"{a}": "x", "b}": (1,)}, {"{a}": "{}", "b}": ()}, {}])
     @example([[{"prob": "1/2", "set": (0, 1)}, {"prob": "1/2", "set": ()}], [{}, {}],
               [{"prob": 1, "set": [0]}, {"prob": None, "set": ((0,),)}]])
+    # Voters that share their keys, voters whose keys differ, an empty
+    # voter, a voter with a non-dict entry and a voter that is a tuple.
+    @example([[{"prob": "1/2", "set": (0,)}],
+              [{"prob": "1/2", "set": (0,)}, {"prob": "1", "set": ()}]])
+    @example([[{"a": 1}, {"a": (2,)}], [{"b": 2}]])
+    @example([[{"a": 1}], [], [{"a": 1}]])
+    @example([[{"a": 1}], [{"a": 2}, 3]])
+    @example([[{"a": 1}], ({"a": 2},)])
     def test_matches_json_dumps(self, value):
         assert _dumps(value) == _reference_dumps(value)
 

@@ -52,7 +52,7 @@ from oracles import (
     reference_split_row,
 )
 
-VIEWS = ("split_rows", "columns", "row_masks", "column_products", "profile_count", "first")
+VIEWS = ("split_rows", "columns", "row_words", "column_products", "profile_count", "first")
 WIDTHS = (1, 8, 9, 17)
 RAW = ("0", "1", 0, 1, "1/2", "1/3", "2/3", "3/4", "0.25", "2/4", "5/6")
 

@@ -541,7 +541,7 @@ class TestSizeJr:
 
 # The views each model kind builds on first use, and everything it keeps.
 VIEWS = {
-    CandidateProbModel: ("columns", "row_masks", "column_products", "first"),
+    CandidateProbModel: ("columns", "row_words", "column_products", "first"),
     JointModel: ("approvers",),
     LotteryModel: ("layers", "first"),
 }
@@ -572,7 +572,7 @@ def _read_views(model):
         model.first
     else:
         model.columns
-        model.row_masks
+        model.row_words
         model.column_products
         model.first
 
@@ -681,7 +681,7 @@ def builds(monkeypatch):
     both the constructors and the view build them with."""
     counts = Counter()
     for cls, name in ((CandidateProbModel, "entry_values"), (CandidateProbModel, "columns"),
-                      (CandidateProbModel, "row_masks"), (CandidateProbModel, "column_products"),
+                      (CandidateProbModel, "row_words"), (CandidateProbModel, "column_products"),
                       (CandidateProbModel, "first"), (LotteryModel, "first"),
                       (LotteryModel, "layers")):
         func = vars(cls)[name].func
@@ -727,9 +727,9 @@ class TestBuiltOnce:
             exists_poss_jr(model)
             first_plausible(model)
         # Every view is derived from that classification, and the row
-        # masks are built once, for the first witness.  No view builds
+        # words are built once, for the first witness.  No view builds
         # approvers.
-        assert builds == {"columns": 1, "row_masks": 1, "column_products": 1, "first": 1}
+        assert builds == {"columns": 1, "row_words": 1, "column_products": 1, "first": 1}
         twin = CandidateProbModel(inst, model.probs, model.three_valued)
         is_nec_jr(twin, (0, 1))
         assert builds["columns"] == 2 and builds["codes"] == 1
