@@ -33,10 +33,12 @@ voters with no committee entry above 0 (the OR of the committee's
 forced and free columns) and counts the forced columns outside it; the
 worst case leaves uncovered the voters with no forced committee entry
 and counts forced and free columns together.  Witnesses are priced from
-per-candidate products (``column_products``), built only for a witness:
-a possible-JR witness approves the committee's free entries and misses
-every other one; a necessary-JR refutation misses every free entry but
-those of its group at the violated candidate, whose column is read once.
+per-candidate products (``column_products``) and their product of
+misses (``missed``), built only for a witness: a possible-JR witness
+approves the committee's free entries and misses every other one, so
+each member's column swaps its misses for its approvals; a necessary-JR
+refutation misses every free entry but those of its group at the
+violated candidate, whose column is read once.
 A witness is built on the rows stored as two row words (``row_words``:
 every row's forced and free candidate masks in one integer each, see
 ``uncertainty``) by a few big-integer operations: for possible JR the
@@ -162,8 +164,12 @@ def _poss_jr_matrix(model: CandidateProbModel, w: Committee) -> DecisionResult:
     row_forced, row_free = model.row_words
     every_row = _spread((1 << inst.n) - 1, inst.n, inst.m)
     sets = _row_sets(row_forced | row_free & _mask(w) * every_row, inst.n, inst.m)
+    # Every free entry is missed but the members': each member's column
+    # swaps its ``miss`` for its ``approve``.
     approve, miss, den = model.column_products
-    num = math.prod([approve[c] if c in wset else miss[c] for c in range(inst.m)])
+    num = model.missed
+    for c in w:
+        num = num // miss[c] * approve[c]
     return DecisionResult(
         True, POLY, witness_profile=PlausibleProfile(sets, Fraction(num, den)),
     )
@@ -396,7 +402,7 @@ def _nec_jr_matrix(model: CandidateProbModel, w: Committee) -> DecisionResult:
     prof = _row_sets(model.row_words[0] | approve_c, inst.n, inst.m)
     # Every free entry is missed but those of the group at ``c``.
     _, miss, den = model.column_products
-    num = math.prod(miss[:c]) * math.prod(miss[c + 1:])
+    num = model.missed // miss[c]
     for i in _voters(free[c]):
         p_num, p_den = model.probs[i][c].as_integer_ratio()
         num *= p_num if i in group else p_den - p_num

@@ -22,24 +22,37 @@ key, a probability that is no string or exact int or does not parse)
 is read again by the per-entry reader (``_read``), to name the first bad
 entry's path.  A model-level error (a sum, a duplicate, a length) is
 raised by validation after the pass, and reads nothing again.  A parsed
-matrix is classified per distinct raw value as it is built
-(``uncertainty._codes``), and a parsed lottery is validated per distinct
-probability object and per distinct tuple of a voter's probabilities.
+matrix keeps its raw entries and is classified per distinct raw value
+on the first read of its codes (``uncertainty._codes``), so a document
+that is only validated is never classified; a parsed lottery is
+validated per distinct probability object and per distinct tuple of a
+voter's probabilities.
 
-Documents are written by ``_dumps``, which produces exactly the bytes of
+Reports are written by ``_dumps``, which produces exactly the bytes of
 ``json.dumps(data, indent=2, sort_keys=True)`` for the value types a
-document holds (str-keyed dicts, lists, tuples, str, int, bool and
-None) without the standard library's pure-Python indent encoder.  An
-approval set (a tuple of ints) is rendered once per nesting depth and
-reused wherever it recurs, and each set object is type-checked once per
-depth (``_SetTexts``), so a joint model's repeated sets cost one dict
-lookup each.  A list of dicts, such as a lottery voter's or a joint
-model's entries, is written in one loop (``_records``) that renders each
-key once and writes string values and approval sets in place; the
-entries of every voter of a lottery are written in one such loop, and
-the texts cut back into voters by their lengths.  The
-probability of a lottery or joint entry is written once per distinct
-object (``_distinct_texts``).
+report holds (str-keyed dicts, lists, tuples, str, int, bool and None)
+without the standard library's pure-Python indent encoder.  An approval
+set (a tuple of ints) is rendered once per nesting depth and reused
+wherever it recurs, and each set object is type-checked once per depth
+(``_SetTexts``), so a witness profile's repeated sets cost one dict
+lookup each.
+
+A document is written by ``emit_document`` as one list of pieces,
+joined once, so no nesting level copies the text below it again.  The
+header keys (``committee``, ``format``, ``instance``, ``size``) go
+through the report writer; the model goes through its layout's writer
+(``_write_model``), which appends one piece per record, a matrix row, a
+lottery voter or a joint entry, each one ``%``-template filled in one
+pass (``_filled``).  Every record is filled from texts made once per
+distinct value: a matrix entry's once per distinct object of
+``entry_values``, looked up by identity; a lottery or joint
+probability's once per distinct object; an approval set's once per
+distinct value at its depth, all rendered in one pass
+(``_int_arrays``).  A set object is type-checked unless it is the object
+one profile earlier at the same voter, so a joint model's repeated sets
+are not checked again; when a set is not a tuple of exact ints, which
+only a model built by hand holds, the sets are written by the report
+writer, as ``json.dumps`` writes them.
 """
 
 from __future__ import annotations
@@ -48,10 +61,10 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain, compress, islice, repeat
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
-from typing import Iterable
+from operator import is_not, itemgetter
+from typing import Collection, Iterable, Iterator, NamedTuple
 
 from .model import (
     _INT_TYPES,
@@ -66,6 +79,7 @@ from .uncertainty import (
     JointModel,
     LotteryModel,
     Model,
+    _distinct_entries,
     _joint,
     _lottery,
     _matrix,
@@ -123,6 +137,7 @@ _TUPLE_TYPES = {tuple}
 _LIST_TYPES = {list}
 _DICT_TYPES = {dict}
 _first = itemgetter(0)
+_second = itemgetter(1)
 
 
 def _int_list(value, path: str) -> list[int]:
@@ -306,53 +321,64 @@ def _texts(values: Iterable) -> list[str]:
         ) from None
 
 
-def _distinct_texts(values: list) -> list[str]:
-    """``_texts(values)``, each distinct object written once: a lottery
-    built by a constructor or by ``cp_to_lottery`` shares one object per
-    distinct probability.  (A matrix's entries are written one by one:
-    looking each up by identity costs as much as writing it.)"""
-    distinct = dict(zip(map(id, values), values))
-    texts = dict(zip(distinct, _texts(distinct.values())))
-    return list(map(texts.__getitem__, map(id, values)))
-
-
-def _model_payload(model: Model) -> dict:
-    if isinstance(model, JointModel):
-        probs = iter(_distinct_texts(list(map(_first, model.entries))))
-        return {
-            "kind": "joint",
-            "entries": [{"prob": next(probs), "profile": prof} for _, prof in model.entries],
-        }
-    if isinstance(model, LotteryModel):
-        probs = iter(_distinct_texts(list(map(_first, chain.from_iterable(model.lotteries)))))
-        return {
-            "kind": "lottery",
-            "voters": [
-                [{"prob": next(probs), "set": s} for _, s in voter]
-                for voter in model.lotteries
-            ],
-        }
-    return {"kind": "three-valued" if model.three_valued else "candidate-probability",
-            "rows": list(map(_texts, model.probs))}
-
-
 def _dumps(value) -> str:
     """``json.dumps(value, indent=2, sort_keys=True)`` for str-keyed
     dicts, lists, tuples, str, int, bool and None."""
     return _write(value, "\n", _Depths())
 
 
+# The line break and indent of each depth of a document: the header keys
+# sit at depth 1, the model's keys at 2 and its records (matrix rows,
+# lottery voters, joint entries) at 3; a lottery's and a joint model's
+# approval sets sit at 5.
+_NEWLINES = ["\n" + "  " * depth for depth in range(6)]
+
+
+class _Array(NamedTuple):
+    """The ``%``-templates of a record that holds one JSON array of one
+    item a line: with the array empty, and with its items' text, joined
+    by ``sep``, in the last ``%s``.  Indexed by whether the array has
+    items.  The empty array's template takes that text too, as ``%.0s``,
+    which writes none of it."""
+
+    empty: str
+    full: str
+    sep: str
+
+
+def _array(newline: str, head: str = "", tail: str = "") -> _Array:
+    """The templates of a JSON array at the depth ``newline`` between
+    ``head`` and ``tail``."""
+    inner = newline + "  "
+    return _Array(head + "[]%.0s" + tail, head + "[" + inner + "%s" + newline + "]" + tail,
+                  "," + inner)
+
+
+def _filled(template: _Array, lengths: list[int], texts: list[str],
+            *heads: list[str]) -> Iterator[str]:
+    """Records that each hold one array: ``texts`` cut into consecutive
+    runs of ``lengths``, each run joined and filled, after the record's
+    own item of each of ``heads``, into ``template``."""
+    runs = map(template.sep.join, map(islice, repeat(iter(texts)), lengths))
+    return map(str.__mod__, map(template.__getitem__, map(bool, lengths)), zip(*heads, runs))
+
+
 def _ints(items, newline: str) -> str:
     """A list or tuple of exact ints as a JSON array at one depth."""
-    if not items:
-        return "[]"
-    inner = newline + "  "
-    return "[" + inner + ("," + inner).join(map(int.__repr__, items)) + newline + "]"
+    return _int_arrays((items,), newline)[0]
+
+
+def _int_arrays(arrays, newline: str) -> list[str]:
+    """Each of ``arrays``, lists or tuples of exact ints, as a JSON array
+    at the depth ``newline``."""
+    members = list(map(int.__repr__, chain.from_iterable(arrays)))
+    return list(_filled(_array(newline), list(map(len, arrays)), members))
 
 
 class _SetTexts(dict):
     """The approval sets (tuples of exact ints) written at one depth: each
-    set value's text, rendered once (``__missing__``), and in ``checked``
+    set value's text, rendered once (``__missing__``, or ``add`` for many
+    sets in one pass), and in ``checked``
     each set object's text by its id, once its members are type-checked,
     so a set object that recurs is checked once.  Every set object is
     part of the value being written, which outlives the writing, so no
@@ -368,6 +394,12 @@ class _SetTexts(dict):
     def __missing__(self, s: tuple) -> str:
         text = self[s] = _ints(s, self.newline)
         return text
+
+    def add(self, sets: Iterable[tuple]) -> None:
+        """Render, in one pass, each value of ``sets``, tuples of exact
+        ints, that is not rendered yet."""
+        new = list(dict.fromkeys(sets).keys() - self.keys())
+        self.update(zip(new, _int_arrays(new, self.newline)))
 
 
 class _Depths(dict):
@@ -422,7 +454,7 @@ def _items(values, types: set, newline: str, sets: _Depths) -> Iterable[str]:
     if types == _STR_TYPES:
         return map(encode_basestring_ascii, values)
     if types == _TUPLE_TYPES:
-        # Approval sets, such as a profile or a lottery's sets.  The set
+        # Approval sets, such as a witness profile.  The set
         # objects met at this depth before are not type-checked again;
         # the check is by object, not value, since (1,) == (True,).
         texts = sets[newline]
@@ -432,68 +464,118 @@ def _items(values, types: set, newline: str, sets: _Depths) -> Iterable[str]:
             if None not in known:
                 return known
         if {*map(type, chain.from_iterable(values))} <= _INT_TYPES:
+            texts.add(values)
             rendered = list(map(texts.__getitem__, values))
             checked.update(zip(map(id, values), rendered))
             return rendered
-    if types == _DICT_TYPES:
-        keys = _shared_keys(values)
-        if keys is not None:
-            return _records(values, keys, newline, sets)
-    elif types == _LIST_TYPES and all(values) and type(values[0][0]) is dict:
-        # Nonempty lists of dicts, such as a lottery's voters: when every
-        # dict of every list has the same keys, all of them are rendered
-        # in one pass and their texts are cut back into the lists.
-        records = list(chain.from_iterable(values))
-        if {*map(type, records)} == _DICT_TYPES:
-            keys = _shared_keys(records)
-            if keys is not None:
-                inner = newline + "  "
-                texts = iter(_records(records, keys, inner, sets))
-                return ["[" + inner + ("," + inner).join(islice(texts, size)) + newline + "]"
-                        for size in map(len, values)]
     return [_write(item, newline, sets) for item in values]
 
 
-def _shared_keys(records: list) -> tuple | None:
-    """The keys of every dict of ``records``, sorted, when they are the
-    same for all of them, else None."""
-    keys = {*map(tuple, map(sorted, records))}
-    return keys.pop() if len(keys) == 1 else None
+_ROW = _array(_NEWLINES[3])  # a matrix row or a lottery voter
+_LOTTERY_ENTRY = '{%s"prob": %%s,%s"set": %%s%s}' % (_NEWLINES[5], _NEWLINES[5], _NEWLINES[4])
+_JOINT_ENTRY = _array(_NEWLINES[4], '{%s"prob": %%s,%s"profile": ' % (_NEWLINES[4], _NEWLINES[4]),
+                      _NEWLINES[3] + "}")
 
 
-def _records(records: list, keys: tuple, newline: str, sets: _Depths) -> Iterable[str]:
-    """Dicts that share the sorted ``keys``, such as a lottery voter's or
-    a joint model's entries, rendered at the depth ``newline``: each
-    key's values are rendered as one column (``_items``) and each dict is
-    filled into one template, so each key's text is rendered once and no
-    dict costs a ``_write`` call."""
-    if not keys:
-        return ["{}"] * len(records)
+def _quoted(values: Iterable, distinct: Collection) -> list[str]:
+    """The JSON string of ``str(v)`` for each of ``values``, written once
+    per object of ``distinct``, which holds every distinct object of
+    ``values``: a probability that a constructor or a conversion shares
+    among entries, or a matrix entry (``entry_values``)."""
+    texts = dict(zip(map(id, distinct), map(encode_basestring_ascii, _texts(distinct))))
+    return list(map(texts.__getitem__, map(id, values)))
+
+
+def _set_texts(sets: list, stride: int, depths: _Depths) -> list[str]:
+    """The text of each approval set of ``sets`` at depth 5, rendered
+    once per distinct value (``_SetTexts.add``).  Each set object is
+    type-checked unless it is the object ``stride`` items earlier, such
+    as a voter's set in consecutive joint entries; the check is by
+    object, not value, since ``(1,) == (True,)``.  When some set is not
+    a tuple of exact ints, which only a model built by hand holds, every
+    set is written by ``_write``, as ``json.dumps`` writes it."""
+    newline = _NEWLINES[5]
+    fresh = list(compress(sets, map(is_not, sets, chain(repeat(None, stride), sets))))
+    members = chain.from_iterable(fresh)
+    if {*map(type, fresh)} <= _TUPLE_TYPES and {*map(type, members)} <= _INT_TYPES:
+        texts = depths[newline]
+        texts.add(fresh)  # every set's value is some fresh set's
+        return list(map(texts.__getitem__, sets))
+    return [_write(s, newline, depths) for s in sets]
+
+
+def _extend_array(out: list[str], items: list[str], newline: str) -> None:
+    """Append to ``out`` the JSON array of the texts ``items`` at the
+    depth ``newline``, each item a piece of its own."""
+    if not items:
+        out.append("[]")
+        return
     inner = newline + "  "
-    columns = [list(map(itemgetter(key), records)) for key in keys]
-    heads = [encode_basestring_ascii(key).replace("{", "{{").replace("}", "}}") + ": {}"
-             for key in keys]
-    template = "{{" + inner + ("," + inner).join(heads) + newline + "}}"
-    return map(template.format,
-               *[_items(column, {*map(type, column)}, inner, sets) for column in columns])
+    out.append("[" + inner)
+    out += islice(chain.from_iterable(zip(repeat("," + inner), items)), 1, None)
+    out.append(newline + "]")
+
+
+def _write_model(model: Model, out: list[str], depths: _Depths) -> None:
+    """Append ``model``'s payload at depth 1 to ``out``, one piece per
+    record: a matrix row, a lottery voter or a joint entry, each filled
+    into its layout's template from texts written once per distinct
+    value."""
+    if isinstance(model, JointModel):
+        lams = list(map(_first, model.entries))
+        profiles = list(map(_second, model.entries))
+        sets = _set_texts(list(chain.from_iterable(profiles)), model.instance.n, depths)
+        records = _filled(_JOINT_ENTRY, list(map(len, profiles)), sets,
+                          _quoted(lams, _distinct_entries((lams,))))
+        out.append('{\n    "entries": ')
+        _extend_array(out, list(records), _NEWLINES[2])
+        out.append(',\n    "kind": "joint"\n  }')
+        return
+    if isinstance(model, LotteryModel):
+        entries = list(chain.from_iterable(model.lotteries))
+        lams = list(map(_first, entries))
+        probs = _quoted(lams, _distinct_entries((lams,)))
+        texts = list(map(_LOTTERY_ENTRY.__mod__,
+                         zip(probs, _set_texts(list(map(_second, entries)), 1, depths))))
+        records = _filled(_ROW, list(map(len, model.lotteries)), texts)
+        out.append('{\n    "kind": "lottery",\n    "voters": ')
+    else:
+        kind = "three-valued" if model.three_valued else "candidate-probability"
+        texts = _quoted(chain.from_iterable(model.probs), model.entry_values)
+        records = _filled(_ROW, list(map(len, model.probs)), texts)
+        out.append('{\n    "kind": "%s",\n    "rows": ' % kind)
+    _extend_array(out, list(records), _NEWLINES[2])
+    out.append("\n  }")
 
 
 def emit_document(doc: Document) -> str:
-    """Canonical JSON for a document; ``parse_document`` round-trips it."""
-    data: dict = {
+    """Canonical JSON for a document; ``parse_document`` round-trips it.
+    The header keys are written by ``_write`` and the model by its
+    layout's writer (``_write_model``), into one list joined once."""
+    depths = _Depths()
+    header: dict = {
         "format": FORMAT,
         "instance": {
             "voters": doc.instance.n,
             "candidates": doc.instance.m,
             "committee_size": doc.instance.k,
         },
-        "model": _model_payload(doc.model),
+        "model": None,
     }
     if doc.committee is not None:
-        data["committee"] = doc.committee
+        header["committee"] = doc.committee
     if doc.size is not None:
-        data["size"] = doc.size
-    return _dumps(data) + "\n"
+        header["size"] = doc.size
+    out: list[str] = []
+    for key, value in sorted(header.items()):
+        out += ",\n  ", encode_basestring_ascii(key), ": "
+        if key == "model":
+            _write_model(doc.model, out, depths)
+        else:
+            out.append(_write(value, "\n  ", depths))
+    out[0] = "{\n  "
+    out.append("\n}\n")
+    return "".join(out)
 
 
 def document_for(model: Model, committee: Committee | None = None,

@@ -25,10 +25,11 @@ below).  On a three-valued model, a CandidateProb model tagged
 Every other JR probability on a Lottery or CandidateProb model comes
 from a dynamic program over the independent voters (``dp-voters``).  A
 profile violates JR for ``w`` iff some outside candidate is approved by
-a quota ``ceil(n/k)`` of voters who approve no member of ``w``.  So the state after a prefix of voters is one counter
-per outside candidate, its number of unrepresented approvers so far,
-and a step that brings a counter to the quota drops its mass.  There
-are at most ``ceil(n/k)**(m-k)`` states, so the program is polynomial
+a quota ``ceil(n/k)`` of voters who approve no member of ``w``.  So the
+state after a prefix of voters is one counter per outside candidate
+that some voter may approve, its number of unrepresented approvers so
+far, and a step that brings a counter to the quota drops its mass.
+There are at most ``ceil(n/k)**(m-k)`` states, so the program is polynomial
 in ``n`` for fixed ``m - k``, and never reaches more states than the
 enumeration it replaces visits profile prefixes.  It runs behind the
 same profile-count budget gate as enumeration.
@@ -189,41 +190,43 @@ def _jr_dp(model: Model, w: Committee) -> Fraction:
     """JR probability of canonical committee ``w`` under a Lottery or
     CandidateProb model, by one pass over the voters.
 
-    A state packs one counter per outside candidate, the number of
-    unrepresented voters so far who approve it, into fields of
-    ``quota.bit_length() + 1`` bits.  Each field starts at
+    A state packs one counter per candidate outside ``w`` that some
+    voter may approve (``approved``; no other candidate can reach the
+    quota), the number of unrepresented voters so far who approve it,
+    into fields of ``quota.bit_length() + 1`` bits.  Each field starts at
     ``top - quota`` for its top bit ``top``, so a counter reaches the
     quota exactly when its top bit is set, and a field never carries
     into the next; such a step is a violation and its mass is dropped.
     ``states`` maps each reachable state to an integer weight over the
-    running denominator ``denom``.
+    running denominator ``denom``.  Every field's start and top bit are
+    one field's times the repunit with a 1 at the bottom of each field,
+    and a set's bump is summed from its candidates' field offsets, so no
+    integer is wider than a state and none is kept per candidate.
     """
     inst = model.instance
     wset = set(w)
     quota = min_group_size(1, inst)
     width = quota.bit_length() + 1
     top = 1 << (width - 1)
-    unit: dict[int, int] = {}
-    start = high = 0
-    for j, c in enumerate(c for c in range(inst.m) if c not in wset):
-        unit[c] = 1 << (width * j)
-        start += (top - quota) << (width * j)
-        high |= top << (width * j)
-    states = {start: 1}
+    counted = [c for c in model.approved if c not in wset]
+    offset = dict(zip(counted, range(0, width * len(counted), width)))
+    repunit = ((1 << width * len(counted)) - 1) // ((1 << width) - 1)
+    high = top * repunit
+    states = {(top - quota) * repunit: 1}
     denom = 1
     if isinstance(model, LotteryModel):
         for den, table in model.tables:
             # Sets that meet ``w`` or are empty keep the state; the others
             # bump the counters of their candidates.
             keep = 0
-            bumps: dict[int, int] = {}
+            moves: dict[int, int] = {}
             for s, wt in table:
                 if s and wset.isdisjoint(s):
-                    bump = sum(unit[c] for c in s)
-                    bumps[bump] = bumps.get(bump, 0) + wt
+                    bump = sum([1 << offset[c] for c in s])
+                    moves[bump] = moves.get(bump, 0) + wt
                 else:
                     keep += wt
-            states = _advance(states, keep, bumps.items(), high)
+            states = _advance(states, keep, moves.items(), high)
             denom *= den
             if not states:
                 return Fraction(0)
@@ -242,10 +245,10 @@ def _jr_dp(model: Model, w: Committee) -> Fraction:
                 unrep *= den - num
             else:
                 den_out *= den
-                outside.append((den - num, unit[c], num))
-        branch = _advance(states, 0, [(sum(unit[c] for c in forced), unrep)], high)
-        for miss, bump, num in outside:
-            branch = _advance(branch, miss, [(bump, num)], high)
+                outside.append((den - num, c, num))
+        branch = _advance(states, 0, [(sum([1 << offset[c] for c in forced]), unrep)], high)
+        for miss, c, num in outside:
+            branch = _advance(branch, miss, [(1 << offset[c], num)], high)
         represented = (den_in - unrep) * den_out
         if represented:
             for state, x in states.items():

@@ -59,12 +59,13 @@ Matrix entries are classified once per distinct value, on integers: an
 entry ``p = num/den`` is a forced approval (``FORCED``) when ``num ==
 den``, free (``FREE``) for any other nonzero ``num`` and a certain
 disapproval (0) when ``num == 0``.  The classes are kept as ``codes``,
-one byte per entry in row-major order (``_codes``): a constructor that
-parses strings and ints classifies each raw value in its parser's memo
+one byte per entry in row-major order (``_codes``), built on first use,
+so a document that is only validated never classifies: a matrix parsed
+from strings and ints classifies each raw value in its parser's memo
 and looks every entry's raw value up in one pass in C; a model built by
 hand or from ``Fraction`` entries classifies each distinct entry object
-and looks every entry up by identity, on first use.  Every matrix view
-is derived from the codes by bytes operations in C: a candidate's
+and looks every entry up by identity.  Every matrix view is derived
+from the codes by bytes operations in C: a candidate's
 voters are a strided slice of them read as binary digits, the rows'
 candidates one row word per class (below), the profile count
 ``2 ** codes.count(FREE)``, and only the free entries are read for
@@ -125,9 +126,11 @@ as two bitsets, its forced and its free entries (``columns``), every
 row's forced and every row's free entries as candidate masks packed into
 one integer each (``row_words``) and each candidate's products of its
 free entries' numerators, of their complements and of the denominators
-(``column_products``).  One rule
-covers every view: it is not a dataclass field, so equality, hashing,
-``repr`` and the written document see only the fields, and a pickle
+(``column_products``), the product of every complement (``missed``),
+and for both independent kinds the candidates that some voter may
+approve (``approved``).  One rule covers every view: it is not a
+dataclass field, so equality, hashing, ``repr`` and the written
+document see only the fields, and a pickle
 holds the fields alone (``_Model.__getstate__``).  ``tva_to_cp`` hands
 on the codes and every view already built, since the rows are the same.  Callers read
 the views and never change them.  Two threads reading a view at once
@@ -337,6 +340,12 @@ class LotteryModel(_IndependentVoters):
         return PlausibleProfile(tuple(sets), Fraction(num, den))
 
     @cached_property
+    def approved(self) -> list[int]:
+        """The candidates that some voter's set holds, ascending."""
+        return sorted(set(itertools.chain.from_iterable(
+            map(_second, itertools.chain.from_iterable(self.lotteries)))))
+
+    @cached_property
     def layers(self) -> _EntryApprovers:
         """For each set position ``t``, each candidate's voters whose
         ``t``-th set holds it, as voter bitsets: ``axioms._approvers``
@@ -372,9 +381,8 @@ class CandidateProbModel(_IndependentVoters):
     @cached_property
     def first(self) -> PlausibleProfile:
         """Each row's forced approvals alone: every free entry is missed."""
-        _, miss, den = self.column_products
         sets = _row_sets(self.row_words[0], len(self.probs), self.instance.m)
-        return PlausibleProfile(sets, Fraction(math.prod(miss), den))
+        return PlausibleProfile(sets, Fraction(self.missed, self.column_products[2]))
 
     @cached_property
     def entry_values(self) -> Collection:
@@ -387,9 +395,14 @@ class CandidateProbModel(_IndependentVoters):
     @cached_property
     def codes(self) -> bytes:
         """Each entry's class, one byte per entry in row-major order
-        (``_codes``).  The constructors classify each distinct raw value
-        as they parse (``_matrix``); a model built by hand classifies
-        each of its distinct entry objects on first read."""
+        (``_codes``), built on first read.  A matrix parsed from strings
+        and ints is classified per distinct raw value, by the parser's
+        memo and the raw entries that ``_matrix`` keeps until then
+        (``raw_entries``); any other model classifies each of its
+        distinct entry objects."""
+        raw = vars(self).pop("raw_entries", None)
+        if raw is not None:
+            return _codes(*raw)
         values = self.entry_values
         return _codes(dict(zip(map(id, values), values)),
                       map(id, itertools.chain.from_iterable(self.probs)))
@@ -433,6 +446,13 @@ class CandidateProbModel(_IndependentVoters):
         rev = self.codes[::-1]
         return tuple([int(digits[s::m], 2) for s in range(m - 1, -1, -1)]
                      for digits in (rev.translate(_DIGIT[FORCED]), rev.translate(_DIGIT[FREE])))
+
+    @cached_property
+    def approved(self) -> list[int]:
+        """The candidates that some row approves with positive
+        probability, ascending: those with a forced or a free entry."""
+        forced, free = self.columns
+        return list(itertools.compress(range(self.instance.m), map(operator.or_, forced, free)))
 
     @cached_property
     def row_words(self) -> tuple[int, int]:
@@ -481,6 +501,14 @@ class CandidateProbModel(_IndependentVoters):
             miss.append(column_miss)
             den *= column_den
         return approve, miss, den
+
+    @cached_property
+    def missed(self) -> int:
+        """The product of every candidate's ``miss`` (``column_products``),
+        unreduced: over ``den``, the probability of missing every free
+        entry.  A profile that approves the free entries of a few columns
+        is priced from it by dividing out their ``miss``, each nonzero."""
+        return math.prod(self.column_products[1])
 
 
 Model = Union[JointModel, LotteryModel, CandidateProbModel]
@@ -624,10 +652,11 @@ def _matrix(inst: Instance, rows: Iterable[Iterable[object]], three_valued: bool
     """An unvalidated matrix model, its entries parsed in one pass by
     ``parse``, a fresh parser (by default, a new one).  When every entry
     is a string or an exact int, the parser's memo holds exactly the
-    distinct entry objects, and each of its raw values is classified
-    once (``codes``); when every entry is a ``Fraction``, each distinct
-    object is checked once, and the entries are classified by identity
-    on first use, as in a model built by hand.  Either way the distinct
+    distinct entry objects, and the raw entries are kept for ``codes``,
+    which classifies each raw value once on first read; when every entry
+    is a ``Fraction``, each distinct object is checked once, and the
+    entries are classified by identity on first use, as in a model built
+    by hand.  Either way the distinct
     objects are kept as ``entry_values``."""
     parse = _ProbabilityParser() if parse is None else parse
     read: list[tuple] = []
@@ -638,11 +667,11 @@ def _matrix(inst: Instance, rows: Iterable[Iterable[object]], three_valued: bool
         raise
     flat = list(itertools.chain.from_iterable(read))
     types = {*map(type, flat)}
-    codes = None
+    raw = None
     if types <= _RAW_TYPES:
         entries = list(map(parse.__getitem__, flat))
         distinct = list(parse.values())
-        codes = _codes(parse, flat)
+        raw = parse, flat
     elif types == _FRACTION_TYPES:
         # Each distinct object is checked once, in reading order, so the
         # first bad one is the first bad entry; the others are kept.
@@ -659,8 +688,8 @@ def _matrix(inst: Instance, rows: Iterable[Iterable[object]], three_valued: bool
     )
     if distinct is not None:
         vars(model)["entry_values"] = distinct
-    if codes is not None:
-        vars(model)["codes"] = codes
+    if raw is not None:
+        vars(model)["raw_entries"] = raw
     return model
 
 

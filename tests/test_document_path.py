@@ -13,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from abcu import (
     CandidateProbModel,
+    Graph,
     Instance,
     JointModel,
     LotteryModel,
@@ -167,6 +168,68 @@ class TestEmitDocument:
         for model in _matrix_models(40, seed=73):
             doc = document_for(model)
             assert emit_document(doc) == reference_emit_document(doc)
+
+    def test_conversions_of_the_size_of_cli_documents(self):
+        # A 240-voter matrix with 3 to 5 free entries per row, its lottery
+        # and the joint product of a lottery with 7 two-set voters: 128
+        # entries of 240 sets.
+        rng = random.Random(31)
+        inst = Instance(240, 10, 3)
+        rows = []
+        for _ in range(inst.n):
+            free = set(rng.sample(range(inst.m), rng.randint(3, 5)))
+            rows.append([f"{rng.randint(1, 5)}/{rng.randint(6, 9)}" if c in free
+                         else rng.choice(("0", "1")) for c in range(inst.m)])
+        lottery = cp_to_lottery(cp_model(inst, rows))
+        singles = [[(1, tuple(sorted(rng.sample(range(inst.m), rng.randint(0, 4)))))]
+                   for _ in range(233)]
+        doubles = [[("1/3", (0, 4)), ("2/3", (2, 5, 9))] for _ in range(7)]
+        product = lottery_to_joint(lottery_model(inst, singles + doubles))
+        assert len(product.entries) == 128
+        for model in (lottery, product):
+            doc = document_for(model, (0, 1, 2), 2)
+            assert emit_document(doc) == reference_emit_document(doc)
+
+    def test_vertex_cover_gadget_of_90_vertices(self):
+        rng = random.Random(37)
+        pairs = itertools.combinations(range(90), 2)
+        graph = Graph(90, tuple(e for e in pairs if rng.random() < 0.06))
+        model, _, w = reduce_vc(graph)
+        doc = document_for(model, w)
+        assert emit_document(doc) == reference_emit_document(doc)
+
+    def test_models_built_by_hand(self):
+        # Sets that hold True, next to equal sets of ints, at the same
+        # position of consecutive entries and repeated as one object;
+        # empty sets, profiles and voters; a matrix of unreduced and of
+        # equal but distinct Fraction entries.
+        inst = Instance(2, 3, 1)
+        true_set = (True, 2)
+        half = Fraction(1, 2)
+        models = [
+            LotteryModel(inst, (((half, (1, 2)), (half, true_set)), ((Fraction(1), ()),))),
+            LotteryModel(inst, (((Fraction(1), (True,)),), ((Fraction(1), (1,)),))),
+            LotteryModel(inst, ((), ((half, (0,)), (half, (0, 1))))),
+            JointModel(inst, ((half, ((1, 2), ())), (half, (true_set, ())))),
+            JointModel(inst, ((half, (true_set, (0,))), (half, (true_set, (0,))))),
+            JointModel(inst, ((Fraction(1), ()),)),
+            JointModel(inst, ()),
+            CandidateProbModel(inst, ((_unreduced(2, 4), _unreduced(3, 3), Fraction(0)),
+                                      (Fraction(1, 2), Fraction(1, 2), _unreduced(0, 5)))),
+            CandidateProbModel(inst, ((), ())),
+        ]
+        for model in models:
+            for committee in (None, (True,), (0,)):
+                doc = document_for(model, committee)
+                assert emit_document(doc) == reference_emit_document(doc)
+
+
+def _unreduced(num, den):
+    """A ``Fraction`` left as ``num/den``, as a model built by hand may
+    hold it."""
+    f = Fraction(num, den)
+    f._numerator, f._denominator = num, den
+    return f
 
 
 # ---------------------------------------------------------------------------

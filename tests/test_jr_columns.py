@@ -714,8 +714,8 @@ class TestBuiltOnce:
     @pytest.mark.parametrize("which", [0, 1], ids=["cp", "3va"])
     def test_matrix_views(self, builds, which):
         model = _examples()[which]
-        # The constructors classified each example matrix's entries once.
-        assert builds.pop("codes") == 2
+        # The constructors keep the raw entries; none classifies them.
+        assert "codes" not in builds
         inst = model.instance
         answers = Counter()
         for _ in range(3):
@@ -726,13 +726,15 @@ class TestBuiltOnce:
                     jr_probability(model, w)
             exists_poss_jr(model)
             first_plausible(model)
-        # Every view is derived from that classification, and the row
+        # The entries are classified once, on the first read of the codes;
+        # every view is derived from that classification, and the row
         # words are built once, for the first witness.  No view builds
         # approvers.
-        assert builds == {"columns": 1, "row_words": 1, "column_products": 1, "first": 1}
+        assert builds == {"codes": 1, "columns": 1, "row_words": 1, "column_products": 1,
+                          "first": 1}
         twin = CandidateProbModel(inst, model.probs, model.three_valued)
         is_nec_jr(twin, (0, 1))
-        assert builds["columns"] == 2 and builds["codes"] == 1
+        assert builds["columns"] == 2 and builds["codes"] == 2
         assert "approvers" not in builds
         # The constructor kept the distinct entries; a hand-built model
         # finds them once, when its entries are first classified, and

@@ -153,12 +153,13 @@ class TestOncePerModel:
         model = _interesting_models()[which]
         inst = model.instance
         committees = list(itertools.combinations(range(inst.m), inst.k))
-        # The constructors classified both example models' entries.
-        assert len(code_builds) == 2
-        # is_poss_jr builds and prices its witness from the stored codes.
+        # The constructors keep the raw entries; none classifies them.
+        assert len(code_builds) == 0
+        # is_poss_jr classifies on its first read of the codes, and builds
+        # and prices its witness from them.
         poss = [is_poss_jr(model, w) for w in committees]
         assert any(r.answer for r in poss)
-        assert len(code_builds) == 2
+        assert len(code_builds) == 1
         nec = [is_nec_jr(model, w) for w in committees]
         assert any(not r.answer for r in nec)
         # max_axiom takes every committee's JR path, the voter DP included.
@@ -172,7 +173,7 @@ class TestOncePerModel:
         cp_to_lottery(model)
         for pp in enumerate_plausible(model):
             assert profile_probability(model, pp.profile) == pp.prob
-        assert len(code_builds) == 2
+        assert len(code_builds) == 1
 
     def test_each_model_object_classifies_its_own_rows(self, code_builds):
         model = _interesting_models()[0]
@@ -181,8 +182,8 @@ class TestOncePerModel:
         plausible_count(model)
         plausible_count(twin)
         plausible_count(twin)
-        # Both example models at construction, and the twin on first use.
-        assert len(code_builds) == 3
+        # Each model object on its first use.
+        assert len(code_builds) == 2
         assert twin.codes == model.codes
 
     def test_embedding_a_three_valued_model_classifies_once(self, code_builds):
