@@ -60,13 +60,14 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import and_, or_
-from typing import Callable, Iterator
+from collections.abc import Callable, Iterator
 
 from .model import (
     Committee,
     InputError,
     Instance,
     Profile,
+    approval_profile,
     committee,
     min_group_size,
 )
@@ -107,14 +108,40 @@ def _approvers(m: int, prof: Profile) -> list[int]:
     """Each candidate's approvers in ``prof``, as a voter bitset: the
     per-candidate view that every polynomial JR question reads.  Each
     candidate's binary digits are written into one buffer, the last voter
-    first, and parsed once."""
+    first, and parsed once.  The m buffers are followed by m read-only
+    ones, so an id in ``m..2m-1`` or ``-m..-1`` raises ``TypeError``, as
+    a non-integer id does, and an id from ``2m`` on or below ``-2m``
+    raises ``IndexError``.  A bool id is read as 0 or 1.  Not caught: an
+    id in ``-2m..-m-1``, as a list index, reads as candidate ``id + 2m``;
+    a dict of the buffers would refuse it, but makes this read 12-25%
+    slower."""
     digits = [bytearray(b"0") * len(prof) for _ in range(m)]
+    buffers = digits + [b""] * m
     j = len(prof)
     for s in prof:
         j -= 1
         for c in s:
-            digits[c][j] = 49  # "1"
+            buffers[c][j] = 49  # "1"
     return [int(column, 2) for column in digits]
+
+
+def _on_profile(find: Callable, inst: Instance, prof, *args):
+    """``find(inst, prof, *args)`` on the profile as given when it is a
+    tuple or list of ``n`` sets that :func:`_approvers` reads without
+    error, as it reads their canonical forms, so a valid profile costs no
+    check of its own.  Otherwise ``find`` runs on
+    ``approval_profile(prof, inst)``, which raises the
+    :class:`InputError` naming what is wrong, unless a set is a one-shot
+    iterator that the failed read has used up: that is refused."""
+    if type(prof) in (tuple, list) and len(prof) == inst.n:
+        try:
+            return find(inst, prof, *args)
+        except (IndexError, TypeError):
+            for i, s in enumerate(prof):
+                if isinstance(s, Iterator):
+                    raise InputError(f"approval set {i} is an iterator, already read; "
+                                     "pass approval sets as collections") from None
+    return find(inst, approval_profile(prof, inst), *args)
 
 
 def _covered(approvers: list[int], members) -> int:
@@ -148,8 +175,7 @@ def jr_violation(inst: Instance, prof: Profile, w: Committee) -> Violation | Non
     the unrepresented voters approving it and compare the group against
     the quota.  The witness group is the maximal one for its candidate.
     """
-    w = committee(w, inst)
-    return _jr_violation(inst, prof, frozenset(w))
+    return _on_profile(_jr_violation, inst, prof, frozenset(committee(w, inst)))
 
 
 def ejr_violation(inst: Instance, prof: Profile, w: Committee) -> Violation | None:
@@ -163,8 +189,7 @@ def ejr_violation(inst: Instance, prof: Profile, w: Committee) -> Violation | No
     quota of eligible approvers.  The witness is that group for the
     lexicographically first such ``T`` at the lowest failing level.
     """
-    w = committee(w, inst)
-    return _ejr_violation(inst, prof, frozenset(w))
+    return _on_profile(_ejr_violation, inst, prof, frozenset(committee(w, inst)))
 
 
 def _ejr_violation(inst: Instance, prof: Profile, wset: frozenset[int]) -> Violation | None:
@@ -203,8 +228,7 @@ def pjr_violation(inst: Instance, prof: Profile, w: Committee) -> Violation | No
     violation is PJR's own lowest failing level and group, which may lie
     above the EJR level or not exist.
     """
-    w = committee(w, inst)
-    return _pjr_violation(inst, prof, frozenset(w))
+    return _on_profile(_pjr_violation, inst, prof, frozenset(committee(w, inst)))
 
 
 def _pjr_violation(inst: Instance, prof: Profile, wset: frozenset[int]) -> Violation | None:
@@ -226,7 +250,9 @@ def _pjr_violation(inst: Instance, prof: Profile, wset: frozenset[int]) -> Viola
     cover = 0
     for i in _voters(approvers):
         later = approvers >> (i + 1) << (i + 1)
-        joined = cover | _mask(prof[i]) & levels.wmask
+        # The members voter i approves, read off the view, so a set that
+        # repeats an id counts it once.
+        joined = cover | _mask(c for c in levels.wset if view[1][c] >> i & 1)
         need = quota - len(group) - 1
         if any(not joined & ~s and (pool & later).bit_count() >= need for s, pool in inside):
             group.append(i)
@@ -498,16 +524,19 @@ def _any_lanes(lanes: list[list[int]], members) -> list[int]:
     return union
 
 
-def _lane_test(inst: Instance, wset: frozenset[int], axiom: str) -> Callable[..., int]:
+def _lane_test(model, wset: frozenset[int], axiom: str) -> Callable[..., int]:
     """The single-profile tests on every profile of a chunk at once: a
     function from the chunk's lanes (``lanes[c][v]``), its all-ones mask
     and its ``fixed`` voters (see ``uncertainty._lanes``) to the mask of
-    the profiles that satisfy ``axiom`` for ``wset``, as
-    ``_COMMITTEE_FINDERS`` would find no violation in them.
+    the profiles of ``model`` (any uncertainty model) that satisfy
+    ``axiom`` for ``wset``, as ``_COMMITTEE_FINDERS`` would find no
+    violation in them.
 
     * JR: the lanes where each voter approves no member of ``wset``, then
       per outside candidate the lanes where at least the quota of those
-      voters approve it.
+      voters approve it.  Only a candidate that some voter may approve
+      (``model.approved``) can reach the quota, so the test costs nothing
+      per other candidate.
     * EJR: each voter's count of approved members, bit-sliced as "at
       least j" lanes; level ``ell``'s pool is the lanes where a voter
       approves fewer than ``ell`` members.
@@ -521,15 +550,17 @@ def _lane_test(inst: Instance, wset: frozenset[int], axiom: str) -> Callable[...
     already violate leave every later pool.  A fixed voter is in a pool
     in every lane or in none, so its count is taken off the quota.
     """
+    inst = model.instance
     members = sorted(wset)
-    wmask = _mask(wset)
     if axiom == "jr":
         quota = min_group_size(1, inst)
-        outside = [c for c in range(inst.m) if c not in wset]
+        outside = [c for c in model.approved if c not in wset]
 
         def jr(lanes: list[list[int]], full: int, fixed: list[tuple[int, int]]) -> int:
             unrepresented = [~x for x in _any_lanes(lanes, members)]
-            fixed = [f for f in fixed if not f[0] & wmask]
+            if fixed:  # made per call: one kept per committee test costs m bits each
+                wmask = _mask(wset)
+                fixed = [f for f in fixed if not f[0] & wmask]
             violating = 0
             for c in outside:
                 count = sum(k for mask, k in fixed if mask >> c & 1) if fixed else 0
@@ -539,6 +570,7 @@ def _lane_test(inst: Instance, wset: frozenset[int], axiom: str) -> Callable[...
             return full & ~violating
 
         return jr
+    wmask = _mask(wset)
     levels = _Levels(inst, wset)
 
     def ejr(lanes: list[list[int]], full: int, fixed: list[tuple[int, int]]) -> int:
@@ -583,7 +615,8 @@ def _lane_test(inst: Instance, wset: frozenset[int], axiom: str) -> Callable[...
 
 def axiom_violation(inst: Instance, prof: Profile, w: Committee, axiom: str) -> Violation | None:
     """Dispatch to the requested axiom's violation finder."""
-    return _COMMITTEE_FINDERS[_require_axiom(axiom)](inst, prof, frozenset(committee(w, inst)))
+    find = _COMMITTEE_FINDERS[_require_axiom(axiom)]
+    return _on_profile(find, inst, prof, frozenset(committee(w, inst)))
 
 
 def is_jr(inst: Instance, prof: Profile, w: Committee) -> bool:
@@ -611,7 +644,7 @@ def greedy_jr_committee(inst: Instance, prof: Profile) -> Committee:
     the lowest-indexed unused candidates.  Each pick represents a quota
     of voters, so at most ``k`` picks happen before the loop stops.
     """
-    return _greedy_jr(inst, _approvers(inst.m, prof))
+    return _greedy_jr(inst, _on_profile(lambda _, p: _approvers(inst.m, p), inst, prof))
 
 
 def _greedy_jr(inst: Instance, approvers: list[int]) -> Committee:

@@ -83,8 +83,8 @@ def _machine_value(value):
             "common": list(value.common),
         }
     if isinstance(value, PlausibleProfile):
-        # The profile stays a tuple of tuples: ``_dumps`` renders each
-        # distinct set once.
+        # The profile stays a tuple of tuples, so ``_dumps`` writes it
+        # through the approval-set writer, each distinct set once.
         return {"profile": value.profile, "prob": _frac(value.prob)}
     if isinstance(value, tuple):
         return [_machine_value(v) for v in value]

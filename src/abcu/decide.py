@@ -433,7 +433,7 @@ def _first(
     bit of the first chunk's lane mask that has one: the chunk's offset
     plus that bit is the profile's index (``profile_at``)."""
     _, chunks = _lanes(model, budget)
-    test = _lane_test(model.instance, wset, axiom)
+    test = _lane_test(model, wset, axiom)
     offset = 0
     for count, lanes, _, fixed in chunks:
         full = (1 << count) - 1

@@ -28,31 +28,26 @@ that is only validated is never classified; a parsed lottery is
 validated per distinct probability object and per distinct tuple of a
 voter's probabilities.
 
-Reports are written by ``_dumps``, which produces exactly the bytes of
-``json.dumps(data, indent=2, sort_keys=True)`` for the value types a
-report holds (str-keyed dicts, lists, tuples, str, int, bool and None)
-without the standard library's pure-Python indent encoder.  An approval
-set (a tuple of ints) is rendered once per nesting depth and reused
-wherever it recurs, and each set object is type-checked once per depth
-(``_SetTexts``), so a witness profile's repeated sets cost one dict
-lookup each.
-
-A document is written by ``emit_document`` as one list of pieces,
-joined once, so no nesting level copies the text below it again.  The
-header keys (``committee``, ``format``, ``instance``, ``size``) go
-through the report writer; the model goes through its layout's writer
-(``_write_model``), which appends one piece per record, a matrix row, a
-lottery voter or a joint entry, each one ``%``-template filled in one
-pass (``_filled``).  Every record is filled from texts made once per
-distinct value: a matrix entry's once per distinct object of
-``entry_values``, looked up by identity; a lottery or joint
-probability's once per distinct object; an approval set's once per
-distinct value at its depth, all rendered in one pass
-(``_int_arrays``).  A set object is type-checked unless it is the object
-one profile earlier at the same voter, so a joint model's repeated sets
-are not checked again; when a set is not a tuple of exact ints, which
-only a model built by hand holds, the sets are written by the report
-writer, as ``json.dumps`` writes them.
+Reports and documents are written by ``_dumps`` and ``emit_document``,
+which produce exactly the bytes of ``json.dumps(data, indent=2,
+sort_keys=True)`` without the standard library's pure-Python indent
+encoder, and keep no state between calls.  A report holds str-keyed
+dicts, lists, tuples, str, int, bool and None (``_write``).  A document
+is one list of pieces, joined once, so no nesting level copies the text
+below it again: the header keys go through ``_write`` and the model
+through its layout's writer (``_write_model``), which appends one piece
+per record, a matrix row, a lottery voter or a joint entry, each one
+``%``-template filled in one pass (``_filled``) from texts made once per
+distinct value.  A matrix entry's text is made once per distinct object
+of ``entry_values`` and a probability's once per distinct object, both
+looked up by identity.  Every list of approval sets, a witness profile
+or a model's sets, goes through one writer (``_set_texts``): it renders
+each distinct set value once, in one pass (``_int_arrays``), and
+type-checks a set object unless it is the object one item earlier, or
+in a joint model one profile earlier at the same voter, so repeated
+sets are not checked again.  When a set is not a tuple of exact ints,
+which only a value built by hand holds, the sets are written by
+``_write``, as ``json.dumps`` writes them.
 """
 
 from __future__ import annotations
@@ -324,7 +319,7 @@ def _texts(values: Iterable) -> list[str]:
 def _dumps(value) -> str:
     """``json.dumps(value, indent=2, sort_keys=True)`` for str-keyed
     dicts, lists, tuples, str, int, bool and None."""
-    return _write(value, "\n", _Depths())
+    return _write(value, "\n")
 
 
 # The line break and indent of each depth of a document: the header keys
@@ -375,47 +370,9 @@ def _int_arrays(arrays, newline: str) -> list[str]:
     return list(_filled(_array(newline), list(map(len, arrays)), members))
 
 
-class _SetTexts(dict):
-    """The approval sets (tuples of exact ints) written at one depth: each
-    set value's text, rendered once (``__missing__``, or ``add`` for many
-    sets in one pass), and in ``checked``
-    each set object's text by its id, once its members are type-checked,
-    so a set object that recurs is checked once.  Every set object is
-    part of the value being written, which outlives the writing, so no
-    id is reused while ``checked`` is in use."""
-
-    __slots__ = ("newline", "checked")
-
-    def __init__(self, newline: str):
-        super().__init__()
-        self.newline = newline
-        self.checked: dict[int, str] = {}
-
-    def __missing__(self, s: tuple) -> str:
-        text = self[s] = _ints(s, self.newline)
-        return text
-
-    def add(self, sets: Iterable[tuple]) -> None:
-        """Render, in one pass, each value of ``sets``, tuples of exact
-        ints, that is not rendered yet."""
-        new = list(dict.fromkeys(sets).keys() - self.keys())
-        self.update(zip(new, _int_arrays(new, self.newline)))
-
-
-class _Depths(dict):
-    """Each depth's ``newline`` -> its ``_SetTexts``, made on first use."""
-
-    __slots__ = ()
-
-    def __missing__(self, newline: str) -> _SetTexts:
-        texts = self[newline] = _SetTexts(newline)
-        return texts
-
-
-def _write(value, newline: str, sets: _Depths) -> str:
+def _write(value, newline: str) -> str:
     """``value`` rendered at the depth whose line break plus indent is
-    ``newline``.  ``sets`` maps each depth's ``newline`` to the approval
-    sets written there (``_SetTexts``), so each is rendered once."""
+    ``newline``."""
     kind = type(value)
     if kind is str:
         return encode_basestring_ascii(value)
@@ -426,17 +383,15 @@ def _write(value, newline: str, sets: _Depths) -> str:
             return "[]"
         types = {*map(type, value)}
         if types <= _INT_TYPES:
-            if kind is list:
-                return _ints(value, newline)
-            return sets[newline][value]
+            return _ints(value, newline)
         inner = newline + "  "
-        return "[" + inner + ("," + inner).join(_items(value, types, inner, sets)) + newline + "]"
+        return "[" + inner + ("," + inner).join(_items(value, types, inner)) + newline + "]"
     if kind is dict:
         if not value:
             return "{}"
         inner = newline + "  "
         return "{" + inner + ("," + inner).join(
-            [encode_basestring_ascii(key) + ": " + _write(item, inner, sets)
+            [encode_basestring_ascii(key) + ": " + _write(item, inner)
              for key, item in sorted(value.items())]
         ) + newline + "}"
     if value is None:
@@ -448,27 +403,14 @@ def _write(value, newline: str, sets: _Depths) -> str:
     raise TypeError(f"cannot write {kind.__name__} values into a document")
 
 
-def _items(values, types: set, newline: str, sets: _Depths) -> Iterable[str]:
+def _items(values, types: set, newline: str) -> Iterable[str]:
     """Each of ``values``, whose item types are ``types``, rendered at
     the depth ``newline``."""
     if types == _STR_TYPES:
         return map(encode_basestring_ascii, values)
-    if types == _TUPLE_TYPES:
-        # Approval sets, such as a witness profile.  The set
-        # objects met at this depth before are not type-checked again;
-        # the check is by object, not value, since (1,) == (True,).
-        texts = sets[newline]
-        checked = texts.checked
-        if id(values[0]) in checked:
-            known = list(map(checked.get, map(id, values)))
-            if None not in known:
-                return known
-        if {*map(type, chain.from_iterable(values))} <= _INT_TYPES:
-            texts.add(values)
-            rendered = list(map(texts.__getitem__, values))
-            checked.update(zip(map(id, values), rendered))
-            return rendered
-    return [_write(item, newline, sets) for item in values]
+    if types == _TUPLE_TYPES:  # approval sets, such as a witness profile
+        return _set_texts(values, 1, newline)
+    return [_write(item, newline) for item in values]
 
 
 _ROW = _array(_NEWLINES[3])  # a matrix row or a lottery voter
@@ -486,22 +428,20 @@ def _quoted(values: Iterable, distinct: Collection) -> list[str]:
     return list(map(texts.__getitem__, map(id, values)))
 
 
-def _set_texts(sets: list, stride: int, depths: _Depths) -> list[str]:
-    """The text of each approval set of ``sets`` at depth 5, rendered
-    once per distinct value (``_SetTexts.add``).  Each set object is
+def _set_texts(sets, stride: int, newline: str) -> list[str]:
+    """The text of each approval set of ``sets`` at the depth
+    ``newline``, rendered once per distinct value.  Each set object is
     type-checked unless it is the object ``stride`` items earlier, such
     as a voter's set in consecutive joint entries; the check is by
     object, not value, since ``(1,) == (True,)``.  When some set is not
-    a tuple of exact ints, which only a model built by hand holds, every
-    set is written by ``_write``, as ``json.dumps`` writes it."""
-    newline = _NEWLINES[5]
+    a tuple of exact ints, every set is written by ``_write``, as
+    ``json.dumps`` writes it."""
     fresh = list(compress(sets, map(is_not, sets, chain(repeat(None, stride), sets))))
-    members = chain.from_iterable(fresh)
-    if {*map(type, fresh)} <= _TUPLE_TYPES and {*map(type, members)} <= _INT_TYPES:
-        texts = depths[newline]
-        texts.add(fresh)  # every set's value is some fresh set's
+    if {*map(type, fresh)} <= _TUPLE_TYPES and {*map(type, chain.from_iterable(fresh))} <= _INT_TYPES:
+        distinct = list(dict.fromkeys(fresh))  # every set's value is some fresh set's
+        texts = dict(zip(distinct, _int_arrays(distinct, newline)))
         return list(map(texts.__getitem__, sets))
-    return [_write(s, newline, depths) for s in sets]
+    return [_write(s, newline) for s in sets]
 
 
 def _extend_array(out: list[str], items: list[str], newline: str) -> None:
@@ -516,7 +456,7 @@ def _extend_array(out: list[str], items: list[str], newline: str) -> None:
     out.append(newline + "]")
 
 
-def _write_model(model: Model, out: list[str], depths: _Depths) -> None:
+def _write_model(model: Model, out: list[str]) -> None:
     """Append ``model``'s payload at depth 1 to ``out``, one piece per
     record: a matrix row, a lottery voter or a joint entry, each filled
     into its layout's template from texts written once per distinct
@@ -524,7 +464,7 @@ def _write_model(model: Model, out: list[str], depths: _Depths) -> None:
     if isinstance(model, JointModel):
         lams = list(map(_first, model.entries))
         profiles = list(map(_second, model.entries))
-        sets = _set_texts(list(chain.from_iterable(profiles)), model.instance.n, depths)
+        sets = _set_texts(list(chain.from_iterable(profiles)), model.instance.n, _NEWLINES[5])
         records = _filled(_JOINT_ENTRY, list(map(len, profiles)), sets,
                           _quoted(lams, _distinct_entries((lams,))))
         out.append('{\n    "entries": ')
@@ -536,7 +476,7 @@ def _write_model(model: Model, out: list[str], depths: _Depths) -> None:
         lams = list(map(_first, entries))
         probs = _quoted(lams, _distinct_entries((lams,)))
         texts = list(map(_LOTTERY_ENTRY.__mod__,
-                         zip(probs, _set_texts(list(map(_second, entries)), 1, depths))))
+                         zip(probs, _set_texts(list(map(_second, entries)), 1, _NEWLINES[5]))))
         records = _filled(_ROW, list(map(len, model.lotteries)), texts)
         out.append('{\n    "kind": "lottery",\n    "voters": ')
     else:
@@ -552,7 +492,6 @@ def emit_document(doc: Document) -> str:
     """Canonical JSON for a document; ``parse_document`` round-trips it.
     The header keys are written by ``_write`` and the model by its
     layout's writer (``_write_model``), into one list joined once."""
-    depths = _Depths()
     header: dict = {
         "format": FORMAT,
         "instance": {
@@ -570,9 +509,9 @@ def emit_document(doc: Document) -> str:
     for key, value in sorted(header.items()):
         out += ",\n  ", encode_basestring_ascii(key), ": "
         if key == "model":
-            _write_model(doc.model, out, depths)
+            _write_model(doc.model, out)
         else:
-            out.append(_write(value, "\n  ", depths))
+            out.append(_write(value, "\n  "))
     out[0] = "{\n  "
     out.append("\n}\n")
     return "".join(out)

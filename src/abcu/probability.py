@@ -75,7 +75,6 @@ from .axioms import _covered, _lane_test, _require_axiom
 from .model import (
     Committee,
     InputError,
-    Instance,
     _check_budget,
     committee,
     meets_threshold,
@@ -147,14 +146,14 @@ def _certain_w_value(model: CandidateProbModel, w: Committee) -> Fraction:
 
 
 def _lane_values(
-    inst: Instance, lanes: tuple[int, Iterable[tuple]], committees: list[Committee], axiom: str
+    model: Model, lanes: tuple[int, Iterable[tuple]], committees: list[Committee], axiom: str
 ) -> list[Fraction]:
     """Exact satisfaction probabilities of ``committees`` from the
     ``(denominator, chunks)`` of ``uncertainty._lanes``: each committee's
     lane test marks a chunk's satisfying profiles, whose integer weights
     are summed."""
     denom, chunks = lanes
-    tests = [_lane_test(inst, frozenset(w), axiom) for w in committees]
+    tests = [_lane_test(model, frozenset(w), axiom) for w in committees]
     totals = [0] * len(tests)
     for count, chunk, weights, fixed in chunks:
         full = (1 << count) - 1
@@ -168,7 +167,7 @@ def _scan_values(
 ) -> list[Fraction]:
     """Exact satisfaction probabilities of ``committees`` from one pass
     over the plausible profiles, as lanes."""
-    return _lane_values(model.instance, _lanes(model, budget), committees, axiom)
+    return _lane_values(model, _lanes(model, budget), committees, axiom)
 
 
 def _advance(states: dict[int, int], keep: int, moves, high: int) -> dict[int, int]:
@@ -289,7 +288,7 @@ def committee_probabilities(
     all the committees, behind the profile-count budget gate."""
     if axiom == "jr" and not force_enumeration:
         if isinstance(model, JointModel):
-            values = _lane_values(model.instance, model.lanes, committees, "jr")
+            values = _lane_values(model, model.lanes, committees, "jr")
             return [ProbResult(value, JOINT_SCAN) for value in values]
         return [_jr_path(model, w, budget) for w in committees]
     values = _scan_values(model, committees, axiom, budget)

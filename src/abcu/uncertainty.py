@@ -127,8 +127,8 @@ row's forced and every row's free entries as candidate masks packed into
 one integer each (``row_words``) and each candidate's products of its
 free entries' numerators, of their complements and of the denominators
 (``column_products``), the product of every complement (``missed``),
-and for both independent kinds the candidates that some voter may
-approve (``approved``).  One rule covers every view: it is not a
+and for every kind the candidates that some voter may approve
+(``approved``).  One rule covers every view: it is not a
 dataclass field, so equality, hashing, ``repr`` and the written
 document see only the fields, and a pickle
 holds the fields alone (``_Model.__getstate__``).  ``tva_to_cp`` hands
@@ -200,7 +200,8 @@ class _Model:
 @dataclass(frozen=True)
 class JointModel(_Model):
     """Distribution over whole approval profiles.  Profile ``p`` is entry
-    ``p``; the lanes (``lanes``) and each entry's per-candidate approvers
+    ``p``; the lanes (``lanes``), the candidates some entry approves
+    (``approved``) and each entry's per-candidate approvers
     (``approvers``) are built on first use and kept."""
 
     instance: Instance
@@ -225,6 +226,12 @@ class JointModel(_Model):
         denom, weighted = _over_common_denominator(self.entries)
         profiles, weights = zip(*weighted)
         return denom, [_joint_chunk(self.instance, profiles, weights)]
+
+    @cached_property
+    def approved(self) -> list[int]:
+        """The candidates that some entry's profile approves, ascending."""
+        return sorted(set(itertools.chain.from_iterable(
+            itertools.chain.from_iterable(map(_second, self.entries)))))
 
     @cached_property
     def approvers(self) -> _EntryApprovers:

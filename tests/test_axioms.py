@@ -7,6 +7,7 @@ from abcu import (
     Instance,
     InputError,
     approval_profile,
+    axiom_violation,
     ejr_violation,
     greedy_jr_committee,
     is_ejr,
@@ -14,6 +15,7 @@ from abcu import (
     is_pjr,
     jr_violation,
     pjr_violation,
+    satisfies,
 )
 from oracles import BRUTE, brute_jr, random_profile, violation_holds
 
@@ -87,6 +89,98 @@ class TestGreedy:
         inst = Instance(2, 2, 1)
         prof = approval_profile([[0], [0]], inst)
         assert greedy_jr_committee(inst, prof) == (0,)
+
+
+# Every single-profile question, on a profile and a committee.
+QUESTIONS = [
+    jr_violation,
+    pjr_violation,
+    ejr_violation,
+    is_jr,
+    is_pjr,
+    is_ejr,
+    lambda inst, prof, w: axiom_violation(inst, prof, w, "jr"),
+    lambda inst, prof, w: axiom_violation(inst, prof, w, "pjr"),
+    lambda inst, prof, w: satisfies(inst, prof, w, "ejr"),
+    lambda inst, prof, w: greedy_jr_committee(inst, prof),
+]
+
+
+class TestProfileInput:
+    """The single-profile questions read a profile of ``n`` sets of ids
+    in ``0..m-1`` as it is, and refuse any other with the error that
+    ``approval_profile`` raises for it."""
+
+    @pytest.mark.parametrize("prof", [
+        ((0,),),                   # too few sets
+        ((1,), (1,), (1,)),        # too many
+        ((-1,), (-1,)),            # negative, -m..-1
+        ((-3,), ()),
+        ((-7,), ()),               # below -2m
+        ((3,), ()),                # out of range, m..2m-1
+        ((5,), ()),
+        ((6,), ()),                # from 2m on
+        (("a",), ()),              # not an integer
+        (((0,),), ()),
+        ((1.0,), ()),
+    ])
+    def test_malformed_profiles(self, prof):
+        inst = Instance(2, 3, 1)
+        with pytest.raises(InputError) as want:
+            approval_profile(prof, inst)
+        for ask in QUESTIONS:
+            with pytest.raises(InputError) as got:
+                ask(inst, prof, (0,))
+            assert str(got.value) == str(want.value)
+
+    def test_plain_profiles_as_their_canonical_forms(self):
+        # Lists of unsorted ids that may repeat, and an iterator of sets.
+        rng = random.Random(62)
+        for _ in range(300):
+            m = rng.randint(1, 6)
+            inst = Instance(rng.randint(1, 7), m, rng.randint(1, m))
+            w = tuple(rng.sample(range(m), inst.k))
+            prof = [[rng.randrange(m) for _ in range(rng.randint(0, 6))] for _ in range(inst.n)]
+            canon = approval_profile(prof, inst)
+            for ask in QUESTIONS:
+                want = ask(inst, canon, w)
+                assert ask(inst, prof, w) == want
+                assert ask(inst, iter(map(tuple, prof)), w) == want
+
+    def test_a_repeated_id_joins_the_pjr_group(self):
+        # Voter 1 approves candidate 5 twice: it is one approval, and the
+        # voter belongs to the witness group.
+        inst = Instance(5, 6, 2)
+        prof = ((), (1, 5, 1), (5,), (0, 3, 3, 4, 2, 4), (5, 3))
+        want = pjr_violation(inst, approval_profile(prof, inst), (0, 2))
+        assert want.group == (1, 2, 4)
+        assert pjr_violation(inst, prof, (0, 2)) == want
+
+    def test_bool_ids_read_as_0_and_1(self):
+        inst = Instance(2, 3, 1)
+        for ask in QUESTIONS:
+            assert ask(inst, ((True,), (1,)), (0,)) == ask(inst, ((1,), (1,)), (0,))
+
+    def test_one_shot_sets(self):
+        # Read once as they are when valid; when the read fails, they are
+        # used up, so they are refused rather than read again as empty.
+        inst = Instance(2, 3, 1)
+        for ask in QUESTIONS:
+            assert ask(inst, (iter([1]), iter([2, 1])), (0,)) == ask(inst, ((1,), (1, 2)), (0,))
+            with pytest.raises(InputError, match="approval set 0 is an iterator"):
+                ask(inst, (iter([1]), iter([1, 5])), (0,))
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="an id in -2m..-m-1 reads as a list index, as candidate id + 2m")
+    @pytest.mark.parametrize("prof", [((-4,), ()), ((-6,), ())])
+    def test_ids_from_minus_2m_to_minus_m_minus_1(self, prof):
+        inst = Instance(2, 3, 1)
+        for ask in QUESTIONS:
+            try:
+                ask(inst, prof, (0,))
+            except InputError:
+                continue
+            raise AssertionError(f"{prof} was read")
 
 
 def _random_cases(count, seed, max_n=5, max_m=5, max_k=3):

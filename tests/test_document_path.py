@@ -34,6 +34,7 @@ from abcu import (
     tva_to_cp,
 )
 from abcu import model as model_module
+from abcu.cli import _decision_payload, _machine_value
 from abcu.decide import POLY, DecisionResult
 from abcu.io import (
     _dumps,
@@ -126,6 +127,54 @@ class TestWriter:
         s = (0, 2)
         value = {"a": s, "b": [s, (s, s)], "c": ((s,), s)}
         assert _dumps(value) == _reference_dumps(value)
+
+    def test_one_set_object_recurring_in_a_list(self):
+        s, t = (0, 2), (1,)
+        for value in ((s, s, s), [s, s, t, s], (t, s, t, (), s, s)):
+            assert _dumps(value) == _reference_dumps(value)
+
+    def test_a_true_set_after_an_equal_int_set(self):
+        # (True,) == (1,), so only a check by object tells them apart.
+        one = (1,)
+        for value in ((one, (True,)), [one, one, (True,), one], ((True,), one, (True,))):
+            assert _dumps(value) == _reference_dumps(value)
+
+    def test_two_lists_of_sets_at_one_depth(self):
+        # The same set objects in two lists at one depth, then a (True,)
+        # in the second.
+        s, t = (0, 2), (1,)
+        value = {"a": (s, t, s), "b": (t, s, (True,)), "c": [(s, t), (t, (True,), s)]}
+        assert _dumps(value) == _reference_dumps(value)
+
+    def test_witness_reports(self):
+        # Witness profiles decoded from row words share one set object
+        # per distinct set, at m = 12 within one halfword, at m = 20
+        # across two; a lottery's witness holds its own sets.
+        rng = random.Random(41)
+        models = []
+        for m in (12, 20):
+            rows = [[rng.choice(("0", "1", "1/2", "1/3", "0", "0")) for _ in range(m)]
+                    for _ in range(400)]
+            models.append(cp_model(Instance(400, m, 4), rows))
+        models.append(lottery_model(Instance(60, 8, 3), [
+            [("1/2", tuple(sorted(rng.sample(range(8), rng.randint(0, 3))))),
+             ("1/2", tuple(sorted(rng.sample(range(8), rng.randint(4, 6)))))]
+            for _ in range(60)
+        ]))
+        reports = shared = 0
+        for model in models:
+            m, k = model.instance.m, model.instance.k
+            for w in (tuple(range(k)), tuple(range(m - k, m))):
+                for decide in (is_poss_jr, is_nec_jr):
+                    payload = _decision_payload(decide(model, w), True)
+                    value = _machine_value(payload)
+                    assert _dumps(value) == _reference_dumps(value)
+                    if "witness_profile" in payload:
+                        sets = payload["witness_profile"].profile
+                        reports += 1
+                        shared += len({*map(id, sets)}) < len(sets)
+        assert reports >= 6
+        assert shared >= 4
 
 
 class TestEmitDocument:

@@ -294,6 +294,20 @@ class TestMaxAxiom:
                 if isinstance(model, JointModel):
                     assert max_axiom(model, axiom) == want
 
+    def test_joint_jr_over_the_approved_candidates(self):
+        # Only candidates 1, 4 and 7 are ever approved: the joint scan
+        # tests JR on those alone and answers as the flat scan does.
+        rng = random.Random(5100)
+        inst = Instance(3, 9, 2)
+        for _ in range(20):
+            profiles = {
+                tuple(tuple(sorted(rng.sample((1, 4, 7), rng.randint(0, 2)))) for _ in range(3))
+                for _ in range(rng.randint(1, 5))
+            }
+            model = joint_model(inst, [(Fraction(1, len(profiles)), p) for p in profiles])
+            assert set(model.approved) <= {1, 4, 7}
+            assert max_axiom(model, "jr") == MaxResult(*reference_max_axiom(model, "jr"))
+
     def test_many_ties(self):
         # Every voter approves everything: each committee satisfies every axiom.
         inst = Instance(4, 5, 2)
