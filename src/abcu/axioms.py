@@ -335,11 +335,14 @@ class _Levels:
     def __init__(self, inst: Instance, wset: frozenset[int]):
         self.m = inst.m
         self.wset = wset
-        self.wmask = _mask(wset)
         self.quotas = [
             (ell, q) for ell in range(1, inst.k + 1)
             if (q := min_group_size(ell, inst)) <= inst.n
         ]
+
+    @cached_property
+    def wmask(self) -> int:  # on first read: a lane test keeps its _Levels, and never reads it
+        return _mask(self.wset)
 
     @cached_property
     def subsets(self) -> dict[int, list[int]]:
@@ -353,13 +356,15 @@ class _Levels:
         }
 
     @cached_property
-    def outsides(self) -> dict[int, list[tuple[list[int], int]]]:
-        """For each level, the members of W outside each of its ``S``, as
-        a list and a mask: the PJR lane pools, built on first read."""
+    def outsides(self) -> dict[int, list[list[int]]]:
+        """For each level, the members of W outside each of its ``S``, in
+        the order of ``subsets``: the PJR lane pools, built on first
+        read, as lists only, so that no mask is kept per committee."""
         members = sorted(self.wset)
         return {
-            ell: [([c for c in members if not s >> c & 1], self.wmask & ~s) for s in masks]
-            for ell, masks in self.subsets.items()
+            ell: [[c for c in members if c not in s]
+                  for s in itertools.combinations(members, min(ell - 1, len(members)))]
+            for ell, _ in self.quotas
         }
 
     def view(self, prof: Profile) -> _View:
@@ -488,12 +493,13 @@ def _at_least(xs: list[int], quota: int) -> int:
     return above | equal
 
 
-def _common_lanes(xs: list[int], lanes: list[list[int]], start: int, ell: int, quota: int,
-                  alive: int, fixed: list[tuple[int, int]]) -> int:
+def _common_lanes(xs: list[int], lanes: list[list[int]], walk: list[int], start: int, ell: int,
+                  quota: int, alive: int, fixed: list[tuple[int, int]]) -> int:
     """The lanes of ``alive`` in which some ``ell``-set ``T`` of the
-    candidates from ``start`` on is approved by at least ``quota`` voters
-    of the pool: ``xs`` (one lane per voter with lanes) and ``fixed``
-    (``(candidate mask, count)`` of the voters without lanes).
+    candidates ``walk[start:]`` (ascending) is approved by at least
+    ``quota`` voters of the pool: ``xs`` (one lane per voter with lanes)
+    and ``fixed`` (``(candidate mask, count)`` of the voters without
+    lanes).  A candidate left out of ``walk`` has no approver in the pool.
 
     A depth-first search over ``T`` in ascending order, carried across the
     lanes: a branch is pruned once no lane still has ``quota`` approvers
@@ -501,7 +507,8 @@ def _common_lanes(xs: list[int], lanes: list[list[int]], start: int, ell: int, q
     such a ``T``.
     """
     hit = 0
-    for c in range(start, len(lanes) - ell + 1):
+    for j in range(start, len(walk) - ell + 1):
+        c = walk[j]
         ys = list(map(and_, xs, lanes[c]))
         held = [f for f in fixed if f[0] >> c & 1] if fixed else fixed
         need = quota - sum(count for _, count in held) if held else quota
@@ -509,7 +516,7 @@ def _common_lanes(xs: list[int], lanes: list[list[int]], start: int, ell: int, q
         if not now:
             continue
         if ell > 1:
-            now = _common_lanes(ys, lanes, c + 1, ell - 1, quota, now, held)
+            now = _common_lanes(ys, lanes, walk, j + 1, ell - 1, quota, now, held)
         hit |= now
         if hit == alive:
             break
@@ -546,15 +553,19 @@ def _lane_test(model, wset: frozenset[int], axiom: str) -> Callable[..., int]:
       where every lane satisfies EJR needs no pool.
 
     A PJR or EJR level violates where its pool holds a quota of voters
-    jointly approving an ``ell``-set (``_common_lanes``).  Lanes that
-    already violate leave every later pool.  A fixed voter is in a pool
-    in every lane or in none, so its count is taken off the quota.
+    jointly approving an ``ell``-set (``_common_lanes``) of the candidates
+    that some voter may approve (``model.approved``), at level 1 outside
+    ``wset`` only, as no level-1 pool voter approves a member.  Lanes
+    that already violate leave every later pool.  A fixed voter is in a
+    pool in every lane or in none, so its count is taken off the quota.
+    A test keeps no ``m``-bit mask, which over ``max_axiom``'s committees
+    would add up to O(m^2) bits: it builds its masks per call.
     """
     inst = model.instance
     members = sorted(wset)
+    outside = [c for c in model.approved if c not in wset]
     if axiom == "jr":
         quota = min_group_size(1, inst)
-        outside = [c for c in model.approved if c not in wset]
 
         def jr(lanes: list[list[int]], full: int, fixed: list[tuple[int, int]]) -> int:
             unrepresented = [~x for x in _any_lanes(lanes, members)]
@@ -570,8 +581,9 @@ def _lane_test(model, wset: frozenset[int], axiom: str) -> Callable[..., int]:
             return full & ~violating
 
         return jr
-    wmask = _mask(wset)
     levels = _Levels(inst, wset)
+    walks = dict.fromkeys(range(2, inst.k + 1), model.approved)
+    walks[1] = outside
 
     def ejr(lanes: list[list[int]], full: int, fixed: list[tuple[int, int]]) -> int:
         # approved[j][v]: the lanes where voter v approves j or more members.
@@ -581,12 +593,13 @@ def _lane_test(model, wset: frozenset[int], axiom: str) -> Callable[..., int]:
             approved.append(list(map(and_, approved[-1], col)))
             for j in range(len(approved) - 2, 0, -1):
                 approved[j] = list(map(or_, approved[j], map(and_, approved[j - 1], col)))
+        wmask = _mask(wset) if fixed else 0
         violating = 0
         for ell, quota in levels.quotas:
             alive = full & ~violating
             pool = [alive & ~x for x in approved[ell]]
             held = [f for f in fixed if (f[0] & wmask).bit_count() < ell]
-            violating |= _common_lanes(pool, lanes, 0, ell, quota, alive, held)
+            violating |= _common_lanes(pool, lanes, walks[ell], 0, ell, quota, alive, held)
             if violating == full:
                 break
         return full & ~violating
@@ -601,11 +614,12 @@ def _lane_test(model, wset: frozenset[int], axiom: str) -> Callable[..., int]:
             return full
         violating = 0
         for ell, quota in levels.quotas:
-            for outside, out in levels.outsides[ell]:
+            for rest in levels.outsides[ell]:
                 alive = suspects & ~violating
-                pool = [alive & ~x for x in _any_lanes(lanes, outside)]
+                pool = [alive & ~x for x in _any_lanes(lanes, rest)]
+                out = _mask(rest) if fixed else 0
                 held = [f for f in fixed if not f[0] & out]
-                violating |= _common_lanes(pool, lanes, 0, ell, quota, alive, held)
+                violating |= _common_lanes(pool, lanes, walks[ell], 0, ell, quota, alive, held)
                 if violating == suspects:
                     return full & ~violating
         return full & ~violating

@@ -38,22 +38,25 @@ Independent voters' lanes come from the product structure of their
 tables, in chunks of at most ``LANE_CHUNK`` profiles; a voter with one
 table entry gets no lanes and is counted with the others of its set.
 
-Probabilities are parsed once per distinct value.  Each constructor
-call keeps one parser (``_ProbabilityParser``), a dict from raw value to
-``Fraction``: a string or an exact ``int`` is parsed by
-``parse_probability`` the first time it is looked up and found
-afterwards; a ``Fraction`` is range-checked on its numerator and
-denominator and kept as it is; anything else goes straight to
-``parse_probability``, so it fails with that function's message.  The
-constructors read their input in whole passes: every probability of
-the model in one, every approval set canonicalised and range-checked in
-one (``model._approval_sets``), and the results regrouped by voter,
-entry or row.  A list of strings and ints is parsed by dict lookups
-alone, with no Python call per entry, and a matrix of ``Fraction``
-objects is checked once per distinct object.  Only a malformed call
-reads its items one by one, to raise the error of the first bad one.
-``io`` parses a document with one such parser and hands the parsed
-values on, so no entry is parsed twice.
+Every keyed table that this module fills as it is read is a ``_Memo``,
+a dict that builds a missing key's value by its ``make`` and keeps it:
+the parser below, ``cp_to_lottery``'s fractions, a Joint chunk's set
+words and the halfword tables.  Probabilities are parsed once per
+distinct value.  Each constructor call keeps one parser
+(``_ProbabilityParser``), a ``_Memo`` of ``parse_probability`` from raw
+value to ``Fraction``: a string or an exact ``int`` is parsed the first
+time it is looked up and found afterwards; a ``Fraction`` is
+range-checked on its numerator and denominator and kept as it is;
+anything else goes straight to ``parse_probability``, so it fails with
+that function's message.  The constructors read their input in whole
+passes: every probability of the model in one, every approval set
+canonicalised and range-checked in one (``model._approval_sets``), and
+the results regrouped by voter, entry or row.  A list of strings and
+ints is parsed by dict lookups alone, with no Python call per entry,
+and a matrix of ``Fraction`` objects is checked once per distinct
+object.  Only a malformed call reads its items one by one, to raise the
+error of the first bad one.  ``io`` parses a document with one such
+parser and hands the parsed values on, so no entry is parsed twice.
 
 Matrix entries are classified once per distinct value, on integers: an
 entry ``p = num/den`` is a forced approval (``FORCED``) when ``num ==
@@ -85,10 +88,11 @@ Python: the word's bytes are read as halfwords, each halfword position
 ``j`` is looked up in its table of candidate tuples (``_halfword_sets``)
 and the positions are joined by ``operator.add``.  The first profile of
 a matrix model is the decoded forced word, and the matrix JR witnesses
-of ``decide`` are decoded the same way.  A table is shared by every
-model and filled as values are met, about 0.75 microseconds per new
-value with Python 3.11 on a 2-vCPU virtual machine, so the first decode
-of a 400-row matrix in a process costs up to 0.3 ms more per halfword
+of ``decide`` are decoded the same way.  A position's table is one
+``_Memo`` per process, shared by every model and filled through
+``_BITS`` as values are met, about 1 microsecond per new value with
+Python 3.11 on a 2-vCPU virtual machine, so the first decode of a
+400-row matrix in a process costs up to 0.4 ms more per halfword
 position.  A table holds at most ``2 ** 16`` entries, about 11 MiB when
 full (27 MiB for candidates from 256 on, whose ints are not shared).
 
@@ -98,8 +102,7 @@ once, the sum of each distinct tuple of a voter's probability objects
 is taken once (``_integer_sum``), and every voter's sets are checked
 for duplicates by the sizes of their ``set``.  Only a model that these
 passes refuse is read voter by voter (``_lottery_errors``), so every
-message is the one that reading in order gives.  ``cp_to_lottery``
-builds one ``Fraction`` per distinct (weight, denominator) pair.
+message is the one that reading in order gives.
 
 Every model kind answers the same facts about itself, so callers read
 attributes instead of asking for its kind: ``profile_count`` (the
@@ -155,7 +158,7 @@ from fractions import Fraction
 from functools import cache, cached_property
 from typing import Callable, Collection, Iterable, Iterator, Union
 
-from .axioms import _approvers
+from .axioms import _approvers, _mask
 from .model import (
     _INT_TYPES,
     ApprovalSet,
@@ -182,6 +185,21 @@ _SELECT = [bytes(x == code for x in range(256)) for code in range(3)]
 _DIGIT = [bytes(48 + (x == code) for x in range(256)) for code in range(3)]
 # _BITS[x]: the bits of the byte value x, lowest first, as bytes 0 and 1.
 _BITS = [bytes(x >> b & 1 for b in range(8)) for x in range(256)]
+
+
+class _Memo(dict):
+    """A keyed table filled as it is read: a missing key's value is
+    ``make(key)``, stored and returned, so a hit is a ``dict`` lookup."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make: Callable):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
 
 
 class _Model:
@@ -540,25 +558,25 @@ _RAW_TYPES = {str, int}
 _FRACTION_TYPES = {Fraction}
 
 
-class _ProbabilityParser(dict):
+class _ProbabilityParser(_Memo):
     """``parse_probability`` memoised for one document or constructor
     call: a dict from raw value to ``Fraction``.
 
     A string or an exact int is parsed the first time it is looked up
-    (``__missing__``) and found afterwards; a value that fails is not
-    kept, so it fails with the same error each time.  Called on one
-    value, the parser keeps a ``Fraction`` in ``[0, 1]`` as it is,
-    checked on its integers, and hands every other value to
-    ``parse_probability``.  ``sweep`` parses a list whose item types are
-    within ``{str, int}`` by dict lookups alone, with no Python call per
-    value; ``all`` parses any list.
+    and found afterwards; a value that fails is not kept, so it fails
+    with the same error each time.  Called on one value, the parser
+    keeps a ``Fraction`` in ``[0, 1]`` as it is, checked on its
+    integers, and hands every other value to ``parse_probability``.
+    ``sweep`` parses a list whose item types are within ``{str, int}``
+    by dict lookups alone, with no Python call per value; ``all`` parses
+    any list.  ``make`` is ``parse_probability`` as it is when the
+    parser is made.
     """
 
     __slots__ = ()
 
-    def __missing__(self, value) -> Fraction:
-        f = self[value] = parse_probability(value)
-        return f
+    def __init__(self):
+        super().__init__(parse_probability)
 
     def __call__(self, value) -> Fraction:
         kind = type(value)
@@ -718,24 +736,11 @@ def _row_width(m: int) -> int:
     return 16 * -(-m // 16)
 
 
-class _HalfwordSets(dict):
-    """For halfword ``j`` of a row word, each 16-bit value met so far ->
-    the candidates its set bits stand for, ascending, from ``16 * j``.
-    The table fills as values are met, up to ``2 ** 16`` entries; one
-    per position is shared by every model (``_halfword_sets``)."""
-
-    __slots__ = ("span",)
-
-    def __init__(self, j: int):
-        super().__init__()
-        self.span = range(16 * j, 16 * j + 16)
-
-    def __missing__(self, x: int) -> ApprovalSet:
-        s = self[x] = tuple(itertools.compress(self.span, _BITS[x & 255] + _BITS[x >> 8]))
-        return s
-
-
-_halfword_sets = cache(_HalfwordSets)
+@cache
+def _halfword_sets(j: int) -> _Memo:
+    """The shared table of halfword ``j``: a 16-bit value -> its set bits' candidates."""
+    span = range(16 * j, 16 * j + 16)
+    return _Memo(lambda x: tuple(itertools.compress(span, _BITS[x & 255] + _BITS[x >> 8])))
 
 
 def _row_sets(word: int, n: int, m: int) -> tuple[ApprovalSet, ...]:
@@ -1041,22 +1046,12 @@ def cp_to_lottery(model: CandidateProbModel, budget: int | None = None) -> Lotte
     """
     for _, free in model.split_rows:
         _check_budget(2 ** len(free), budget)
-    fractions = _Fractions()
+    fractions = _Memo(lambda pair: Fraction(*pair))
     return LotteryModel(model.instance, tuple(
         tuple(zip(map(fractions.__getitem__, zip(map(_second, table), itertools.repeat(den))),
                   map(_first, table)))
         for den, table in model.tables
     ))
-
-
-class _Fractions(dict):
-    """``(numerator, denominator)`` -> its ``Fraction``, built on first use."""
-
-    __slots__ = ()
-
-    def __missing__(self, pair: tuple[int, int]) -> Fraction:
-        f = self[pair] = Fraction(*pair)
-        return f
 
 
 def lottery_to_joint(model: LotteryModel, budget: int | None = None) -> JointModel:
@@ -1163,27 +1158,6 @@ def _weight_planes(weights) -> list[tuple[int, int]]:
     return [(b, plane) for b, plane in planes if plane]
 
 
-class _SetWords(dict):
-    """Approval set -> its candidate mask as little-endian bytes, built on
-    first use."""
-
-    __slots__ = ("size",)
-
-    def __init__(self, size: int):
-        super().__init__()
-        self.size = size
-
-    def __missing__(self, s: ApprovalSet) -> bytes:
-        word = self[s] = sum(1 << c for c in s).to_bytes(self.size, "little")
-        return word
-
-
-# The one-byte words of the sets over at most 8 candidates, shared by
-# every model, so a fresh model computes none of them again.  A word
-# depends only on its set, and there are at most 256 such sets.
-_BYTE_WORDS = _SetWords(1)
-
-
 def _joint_chunk(inst: Instance, profiles: tuple[Profile, ...], weights: tuple[int, ...]) -> tuple:
     """The lanes of a profile list as one chunk.  Every voter's sets, in
     voter-major order and the last first, become candidate masks of
@@ -1191,7 +1165,7 @@ def _joint_chunk(inst: Instance, profiles: tuple[Profile, ...], weights: tuple[i
     candidate holding every voter's lane, ``count`` bits each."""
     count = len(profiles)
     size = (inst.m + 7) // 8
-    words = _BYTE_WORDS if size == 1 else _SetWords(size)
+    words = _Memo(lambda s: _mask(s).to_bytes(size, "little"))  # one word per distinct set
     # Each voter's column of sets, last profile first, last voter first.
     columns = list(zip(*reversed(profiles)))[::-1]
     joined = b"".join(map(words.__getitem__, itertools.chain.from_iterable(columns)))
@@ -1222,10 +1196,7 @@ def _lane_block(m: int, single: list[ApprovalSet], varying: list[tuple[int, int,
     voters' tables; their sets and weights are fixed per chunk
     (``_block_chunks``).
     """
-    counts: dict[ApprovalSet, int] = {}
-    for s in single:
-        counts[s] = counts.get(s, 0) + 1
-    fixed = [(sum(1 << c for c in s), count) for s, count in counts.items()]
+    fixed = list(Counter(map(_mask, single)).items())
     tables = [table for _, _, table in varying]
     n = len(tables)
     split = max(n - 1, 0)

@@ -404,6 +404,64 @@ class TestEdgeCases:
             assert got.counts == (want * 2**13, 2**13)
 
 
+def _sparse_model(rng, kind, inst, approvable):
+    """A ``kind`` model ("joint", "lottery" or "cp") whose voters approve
+    candidates of ``approvable`` only; about half of the lottery voters
+    and matrix rows have one set, so they are fixed in every chunk."""
+    def subset():
+        return tuple(c for c in approvable if rng.random() < 0.6)
+
+    if kind == "joint":
+        profiles = {tuple(subset() for _ in range(inst.n)) for _ in range(rng.randint(1, 6))}
+        return joint_model(inst, list(zip(_weights(rng, len(profiles)), profiles)))
+    if kind == "lottery":
+        voters = [list({subset() for _ in range(rng.choice((1, 3)))}) for _ in range(inst.n)]
+        return lottery_model(inst, [list(zip(_weights(rng, len(sets)), sets)) for sets in voters])
+    values = [("0", "1"), ("0", "1", "1/2", "1/3")]
+    return cp_model(inst, [
+        [rng.choice(row_values) if c in approvable else "0" for c in range(inst.m)]
+        for row_values in (rng.choice(values) for _ in range(inst.n))
+    ])
+
+
+class TestUnapprovedCandidates:
+    """PJR and EJR lanes search only the candidates that some voter may
+    approve, and at level 1 only those outside the committee; members
+    that no voter approves, and fixed voters, are where a walk that
+    drops a candidate or a member would go wrong."""
+
+    def test_member_in_the_level_2_set(self):
+        # Both voters approve {0, 2} in the first profile: level 2 fails
+        # on T = {0, 2}, which holds member 0; in the second, level 1
+        # fails on candidate 2.  Member 1 and candidate 3 are unapproved.
+        inst = Instance(2, 4, 2)
+        model = lottery_model(inst, [
+            [(1, [0, 2])],
+            [(Fraction(1, 2), [0, 2]), (Fraction(1, 2), [2])],
+        ])
+        assert model.approved == [0, 2]
+        for axiom in ("pjr", "ejr"):
+            assert axiom_probability(model, (0, 1), axiom, force_enumeration=True).value == 0
+            want = MaxResult(*reference_max_axiom(model, axiom))
+            assert max_axiom(model, axiom, force_enumeration=True) == want
+
+    @pytest.mark.parametrize("kind", ["joint", "lottery", "cp"])
+    def test_against_flat_scan(self, kind):
+        rng = random.Random(5200 + len(kind))
+        for _ in range(40):
+            m = rng.randint(3, 6)
+            inst = Instance(rng.randint(2, 5), m, rng.randint(1, min(3, m)))
+            approvable = sorted(rng.sample(range(m), rng.randint(1, m - 1)))
+            model = _sparse_model(rng, kind, inst, approvable)
+            assert set(model.approved) <= set(approvable)
+            committees = _committees(inst)
+            for axiom in ("pjr", "ejr"):
+                want = reference_values_by_enumeration(model, committees, axiom)
+                assert _scan_values(model, committees, axiom, None) == want
+                got = max_axiom(model, axiom, force_enumeration=True)
+                assert got == MaxResult(*reference_max_axiom(model, axiom))
+
+
 def _joint_example():
     return random_joint(random.Random(21), Instance(4, 5, 2), 30)
 

@@ -28,6 +28,7 @@ from abcu import (
     lottery_model,
     tva_model,
 )
+from abcu import cli
 from abcu import io as io_module
 from abcu import uncertainty
 from abcu.io import document_for, emit_document, parse_document
@@ -150,14 +151,20 @@ def _mutations(rng, doc, m):
     yield "probability sum", edit(at(_probability_slots, lambda c, k: c.__setitem__(k, "1/7")))
 
 
+def _seeded_cases():
+    """``(name, document text)`` for every document of ``_documents`` and
+    each of its seeded mutations."""
+    rng = random.Random(2604)
+    cases = []
+    for doc, m in _documents():
+        cases.append(("valid", doc))
+        cases += list(_mutations(rng, doc, m))
+    return [(name, json.dumps(doc)) for name, doc in cases]
+
+
 class TestSweepAgreesWithReader:
     def test_seeded_mutations(self, monkeypatch):
-        rng = random.Random(2604)
-        cases = []
-        for doc, m in _documents():
-            cases.append(("valid", doc))
-            cases += list(_mutations(rng, doc, m))
-        texts = [(name, json.dumps(doc)) for name, doc in cases]
+        texts = _seeded_cases()
         swept = [_outcome(text) for _, text in texts]
         monkeypatch.setattr(io_module, "_sweep", lambda *args: None)
         for (name, text), got in zip(texts, swept):
@@ -165,6 +172,24 @@ class TestSweepAgreesWithReader:
         # Every kind of mutation is refused somewhere, and some are taken.
         assert sum(isinstance(got, str) for got in swept) > len(swept) // 2
         assert sum(not isinstance(got, str) for got in swept) >= 3 * len(KINDS)
+
+    def test_validate_exit_contract(self, tmp_path, capsys):
+        # ``abcu validate`` on each seeded case: 0 and no errors when the
+        # document parses, else 2 and the parse error's parts, never a
+        # traceback.
+        for i, (name, text) in enumerate(_seeded_cases()):
+            path = tmp_path / f"case-{i}.json"
+            path.write_text(text, encoding="utf-8")
+            code = cli.main(["validate", str(path), "--output", "machine"])
+            out, err = capsys.readouterr()
+            assert "Traceback" not in err, name
+            try:
+                parse_document(text)
+            except InputError as exc:
+                want = 2, {"errors": str(exc).split("; "), "valid": False}
+            else:
+                want = 0, {"errors": [], "valid": True}
+            assert (code, json.loads(out)) == want, name
 
     def test_the_error_names_the_first_bad_entry(self):
         doc, _ = _documents()[7]  # a lottery model of 2 voters
